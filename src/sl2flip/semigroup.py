@@ -6,10 +6,11 @@ All semigroups here are of the shape
                         g . x == 0 mod n for the congruence pairs (g, n) }
 
 i.e. the lattice points of a rational cone intersected with a finite-index
-sublattice.  That makes membership a constraint check, and it makes the
-rank-2 Hilbert basis computation exact: two extremal rays, one minimal
-semigroup point on each, the fundamental parallelepiped between them, and a
-decomposability sieve.
+sublattice L.  That makes membership a constraint check, and it makes the
+rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
+the generators are the lattice points on the compact boundary of the convex
+hull of the nonzero cone points, found one after another from one extremal
+ray to the other.
 
 The concrete semigroups of interest are spanned by a height h = p/q and a
 degree m (0 < p <= q coprime, m >= 1):
@@ -29,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattice import (
     IntMatrix,
@@ -39,6 +39,7 @@ from .lattice import (
     kernel_basis,
     lattice_basis_from_generators,
     primitive,
+    xgcd,
 )
 
 
@@ -154,16 +155,18 @@ def minimal_ray_point(s: AffineSemigroup, ray: Sequence[int]) -> Vec:
     """Smallest positive multiple of a primitive extremal ray lying in s.
 
     On the ray every inequality already holds, so only the congruences can
-    fail, and they are periodic in the multiple t with period dividing the
-    lcm of the moduli.  Scan up to that bound; running past it means the
-    ray was not actually a semigroup direction.
+    fail: t*ray meets g.x == 0 mod n exactly when n / gcd(g.ray, n) divides
+    t, and the smallest such t is the lcm of those quotients.  If t*ray is
+    still not a member, the ray was not a semigroup direction.
     """
-    cap = math.lcm(1, *(n for _, n in s.congruences))
-    for t in range(1, cap + 1):
-        point = tuple(t * ri for ri in ray)
-        if s.contains(point):
-            return point
-    raise RuntimeError(f"no semigroup point on ray {tuple(ray)} within lcm bound {cap}")
+    t = math.lcm(
+        1, *(n // math.gcd(sum(gi * ri for gi, ri in zip(g, ray)), n) for g, n in s.congruences)
+    )
+    point = tuple(t * ri for ri in ray)
+    if not s.contains(point):
+        cap = math.lcm(1, *(n for _, n in s.congruences))
+        raise RuntimeError(f"no semigroup point on ray {tuple(ray)} within lcm bound {cap}")
+    return point
 
 
 @dataclass(frozen=True)
@@ -176,38 +179,34 @@ class HilbertBasis:
 def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     """Unique minimal generating set of a pointed rank-2 semigroup.
 
-    Candidates are the minimal points u1, u2 on the two extremal rays plus
-    every semigroup point in the half-open parallelepiped
-    {a*u1 + b*u2 : 0 <= a, b < 1}.  Any semigroup element reduces into the
-    parallelepiped by subtracting copies of u1 and u2, so the candidates
-    generate, and the true basis is the candidates that do not split as
-    candidate + nonzero semigroup element.
+    In a basis of the congruence lattice L the semigroup is all L-points of
+    a cone with primitive rays v1, v2, n = det(v1, v2) > 0, and its basis is
+    the chain v1 = u0, u1, ..., u_{s+1} = v2 of lattice points on the compact
+    boundary of the hull of the nonzero cone points (Cox-Little-Schenck,
+    Toric Varieties, 10.2).  u1 is the point of the line det(v1, .) = 1 with
+    0 <= det(u1, v2) < n, and u_{i+1} = c_i*u_i - u_{i-1} with
+    c_i = ceil(det(u_{i-1}, v2) / det(u_i, v2)).  det(u_i, v2) falls at
+    every step, so the walk costs one step per generator.
     """
     r1, r2 = cone_rays(s)
-    u1 = minimal_ray_point(s, r1)
-    u2 = minimal_ray_point(s, r2)
-    d = det2(u1, u2)
-    corners = [(0, 0), u1, u2, (u1[0] + u2[0], u1[1] + u2[1])]
-    xs = range(min(c[0] for c in corners), max(c[0] for c in corners) + 1)
-    ys = range(min(c[1] for c in corners), max(c[1] for c in corners) + 1)
-    candidates = [u1, u2]
-    for x0 in xs:
-        for x1 in ys:
-            if (x0, x1) == (0, 0):
-                continue
-            alpha = Fraction(det2((x0, x1), u2), d)
-            beta = Fraction(det2(u1, (x0, x1)), d)
-            if 0 <= alpha < 1 and 0 <= beta < 1 and s.contains((x0, x1)):
-                candidates.append((x0, x1))
-    basis = []
-    for x in candidates:
-        for c in candidates:
-            rest = (x[0] - c[0], x[1] - c[1])
-            if rest != (0, 0) and s.contains(rest):
-                break
-        else:
-            basis.append(x)
-    return HilbertBasis(tuple(sorted(basis)), (r1, r2), (u1, u2))
+    b1, b2 = congruence_lattice_basis(s)
+    w1, w2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
+    v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
+    n = det2(v1, v2)
+    x, y, _ = xgcd(-v1[1], v1[0])
+    t = -(det2((x, y), v2) // n)
+    chain = [v1, (x + t * v1[0], y + t * v1[1])]
+    while chain[-1] != v2:
+        u_prev, u = chain[-2], chain[-1]
+        c = -(-det2(u_prev, v2) // det2(u, v2))
+        chain.append((c * u[0] - u_prev[0], c * u[1] - u_prev[1]))
+
+    def in_z2(u: Vec) -> Vec:
+        return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
+
+    return HilbertBasis(
+        tuple(sorted(in_z2(u) for u in chain)), (r1, r2), (in_z2(w1), in_z2(w2))
+    )
 
 
 def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
@@ -246,6 +245,15 @@ def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
     return (basis[0], basis[1])
 
 
+def _primitive_in_basis(r: Vec, b1: Vec, b2: Vec) -> Vec:
+    """Primitive vector, in coordinates of the lattice basis b1, b2, that
+    points along the direction r."""
+    # Cramer's rule gives the coordinates times det(b1, b2); the sign of
+    # the determinant keeps the direction
+    sign = 1 if det2(b1, b2) > 0 else -1
+    return primitive((sign * det2(r, b2), sign * det2(b1, r)))
+
+
 def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """Rays of the dual cone, in coordinates dual to the congruence lattice.
 
@@ -257,17 +265,7 @@ def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """
     r1, r2 = cone_rays(s)
     b1, b2 = congruence_lattice_basis(s)
-    d = det2(b1, b2)
-
-    def in_basis(r: Vec) -> Vec:
-        # rational coordinates of the ray direction in the M_s basis,
-        # scaled back to a primitive integer vector
-        a = Fraction(det2(r, b2), d)
-        b = Fraction(det2(b1, r), d)
-        den = math.lcm(a.denominator, b.denominator)
-        return primitive((int(a * den), int(b * den)))
-
-    p1, p2 = in_basis(r1), in_basis(r2)
+    p1, p2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
 
     def dual_ray(perp_of: Vec, positive_on: Vec) -> Vec:
         sperp = (-perp_of[1], perp_of[0])
@@ -277,16 +275,3 @@ def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
         return sperp if val > 0 else (-sperp[0], -sperp[1])
 
     return (dual_ray(p2, p1), dual_ray(p1, p2))
-
-
-def iter_points_in_box(
-    s: AffineSemigroup, lo: Sequence[int], hi: Sequence[int]
-) -> Iterator[Vec]:
-    """All members with lo <= x <= hi componentwise, lex order."""
-    if len(lo) != s.rank or len(hi) != s.rank:
-        raise ValueError("box dimension mismatch")
-    import itertools
-
-    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if s.contains(x):
-            yield x

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -51,6 +52,60 @@ def brute_minimal_generators(s, lo, hi):
         x for x in pts
         if not any((x[0] - y[0], x[1] - y[1]) in ptset for y in pts)
     )
+
+
+def parallelepiped_hilbert_basis(s):
+    """Reference oracle: the minimal points u1, u2 on the two extremal rays
+    (found by scanning multiples up to the lcm of the moduli), plus every
+    semigroup point of the half-open parallelepiped
+    {a*u1 + b*u2 : 0 <= a, b < 1}, sieved down to the candidates that do
+    not split as candidate + nonzero semigroup element.  Returns
+    (generators, rays, ray_points); cost grows with det(u1, u2)."""
+
+    def scan_ray_point(ray):
+        cap = math.lcm(1, *(n for _, n in s.congruences))
+        for t in range(1, cap + 1):
+            point = tuple(t * ri for ri in ray)
+            if s.contains(point):
+                return point
+        raise RuntimeError(f"no semigroup point on ray {tuple(ray)} within lcm bound {cap}")
+
+    r1, r2 = cone_rays(s)
+    u1 = scan_ray_point(r1)
+    u2 = scan_ray_point(r2)
+    d = det2(u1, u2)
+    corners = [(0, 0), u1, u2, (u1[0] + u2[0], u1[1] + u2[1])]
+    xs = range(min(c[0] for c in corners), max(c[0] for c in corners) + 1)
+    ys = range(min(c[1] for c in corners), max(c[1] for c in corners) + 1)
+    candidates = [u1, u2]
+    for x0 in xs:
+        for x1 in ys:
+            if (x0, x1) == (0, 0):
+                continue
+            alpha = Fraction(det2((x0, x1), u2), d)
+            beta = Fraction(det2(u1, (x0, x1)), d)
+            if 0 <= alpha < 1 and 0 <= beta < 1 and s.contains((x0, x1)):
+                candidates.append((x0, x1))
+    basis = []
+    for x in candidates:
+        for c in candidates:
+            rest = (x[0] - c[0], x[1] - c[1])
+            if rest != (0, 0) and s.contains(rest):
+                break
+        else:
+            basis.append(x)
+    return tuple(sorted(basis)), (r1, r2), (u1, u2)
+
+
+def oracle_sweep(qmax=7, mmax=10):
+    return [
+        (factory, p, q, m)
+        for factory in (make_Mplus, make_Mminus, make_Mprime)
+        for q in range(1, qmax + 1)
+        for p in range(1, q + 1)
+        if math.gcd(p, q) == 1
+        for m in range(1, mmax + 1)
+    ]
 
 
 class TestFactories:
@@ -158,6 +213,19 @@ class TestMinimalRayPoint:
         assert minimal_ray_point(s, (0, -1)) == (0, -3)
         assert minimal_ray_point(s, (2, 1)) == (6, 3)  # 3 | t(2-1) forces t=3
 
+    def test_matches_hilbert_basis_ray_points(self):
+        for factory, p, q, m in oracle_sweep():
+            s = factory(p, q, m)
+            if factory is make_Mprime and p == q:
+                continue  # not pointed
+            r1, r2 = cone_rays(s)
+            want = (minimal_ray_point(s, r1), minimal_ray_point(s, r2))
+            assert hilbert_basis(s).ray_points == want, (factory.__name__, p, q, m)
+
+    def test_off_cone_direction_rejected(self):
+        with pytest.raises(RuntimeError, match="lcm bound 3"):
+            minimal_ray_point(make_Mplus(1, 2, 3), (-1, 0))
+
 
 class TestHilbertBasis:
     def test_frozen_cases(self):
@@ -234,6 +302,32 @@ class TestHilbertBasis:
     def test_not_pointed_rejected(self):
         with pytest.raises(ValueError):
             hilbert_basis(make_Mprime(1, 1, 2))
+
+    def test_parallelepiped_oracle(self):
+        bases = 0
+        for factory, p, q, m in oracle_sweep():
+            s = factory(p, q, m)
+            try:
+                want = parallelepiped_hilbert_basis(s)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    hilbert_basis(s)
+                assert str(got.value) == str(exc)
+                continue
+            hb = hilbert_basis(s)
+            assert (hb.generators, hb.rays, hb.ray_points) == want, (factory.__name__, p, q, m)
+            bases += 1
+        assert bases == 530
+
+    def test_cost_follows_output_two_generators(self):
+        # the parallelepiped has area 10**6 here; the walk takes one step
+        m = 10**6
+        assert hilbert_basis(make_Mprime(1, 2, m)).generators == ((-1, -1), (m, 2 * m))
+
+    def test_cost_follows_output_long_staircase(self):
+        # b = 1 staircase with a*p + 1 = 4001 generators; area a*p*m = 2.4e7
+        hb = hilbert_basis(make_Mplus(2, 5, 6000))
+        assert hb.generators == tuple((6000 + t, t) for t in range(4001))
 
 
 class TestFiberCount:

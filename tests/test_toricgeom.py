@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2flip.lattice import det2, primitive, xgcd
-from sl2flip.semigroup import dual_cone_rays, make_Mprime
+from sl2flip.semigroup import (
+    congruence_lattice_basis,
+    dual_cone_rays,
+    hilbert_basis,
+    make_Mminus,
+    make_Mplus,
+    make_Mprime,
+)
 from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
@@ -111,6 +118,48 @@ class TestClassify2d:
         assert c.order == d.order == 5
         assert (c.twist * d.twist) % 5 == 1
         assert c.same_type(d)
+
+    def test_hilbert_basis_is_the_hj_chain_of_the_slice(self):
+        # the basis of S, in congruence-lattice coordinates and boundary
+        # order, satisfies u_{i-1} + u_{i+1} = c_i*u_i, and [c_1, ..., c_s]
+        # is the continued fraction n/(n-c) of the dual type 1/n(1, c)
+        slices = [
+            factory(p, q, m)
+            for p, q in [(1, 1)] + pq_sweep(11)
+            for m in range(1, 15)
+            for factory in (make_Mplus, make_Mminus, make_Mprime)
+            if not (factory is make_Mprime and p == q)  # not pointed
+        ]
+        assert len(slices) == 1750
+        for s in slices:
+            b1, b2 = congruence_lattice_basis(s)
+            d = det2(b1, b2)
+
+            def in_l(g):
+                return (det2(g, b2) // d, det2(b1, g) // d)
+
+            hb = hilbert_basis(s)
+            v1, v2 = (in_l(u) for u in hb.ray_points)
+            if det2(v1, v2) < 0:
+                v1, v2 = v2, v1
+            chain = sorted((in_l(g) for g in hb.generators), key=lambda u: det2(v1, u))
+            assert (chain[0], chain[-1]) == (v1, v2)
+            cs = []
+            for u_prev, u, u_next in zip(chain, chain[1:], chain[2:]):
+                c = next((a + b) // x for a, b, x in zip(u_prev, u_next, u) if x)
+                assert (u_prev[0] + u_next[0], u_prev[1] + u_next[1]) == (c * u[0], c * u[1])
+                cs.append(c)
+            kind = classify_2d(Cone(dual_cone_rays(s)))
+            n = kind.order
+            assert det2(v1, v2) == n, s
+            if not cs:
+                assert n == 1, s
+                continue
+            val = Fraction(cs[-1])
+            for c in reversed(cs[:-1]):
+                val = c - 1 / val
+            twists = {kind.twist, pow(kind.twist, -1, n)}
+            assert any(val == Fraction(n, n - c) for c in twists), (s, cs, kind)
 
     def test_hull_walk_frozen(self):
         assert hull_walk_type((1, 0), (-1, 2)) == (2, 1)
