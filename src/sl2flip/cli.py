@@ -12,15 +12,15 @@ One binary, seven subcommands:
 
 Heights are exact fractions ("p/q" or a bare integer); decimals are
 rejected.  Exit codes: 0 success, 2 usage error, 3 domain error, 4
-verification failure.  SL2FLIP_NMAX / SL2FLIP_BOX preset the search
-budgets; --nmax / --box override both.
+verification failure.  Semistability is decided exactly, so there are no
+search budgets to set; the n_max / box fields of the git JSON sections are
+kept at their former defaults for schema 1.0 only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -115,22 +115,6 @@ def _params_from_args(args) -> tuple[SL2Params, list[str]]:
     return params, warnings
 
 
-def _budgets(params: SL2Params, args) -> tuple[int, int]:
-    n_max, box = default_budgets(params.p, params.q, params.m)
-    for env_name, fallback in (("SL2FLIP_NMAX", n_max), ("SL2FLIP_BOX", box)):
-        raw = os.environ.get(env_name)
-        if raw is not None and raw.isdigit() and int(raw) >= 1:
-            if env_name == "SL2FLIP_NMAX":
-                n_max = int(raw)
-            else:
-                box = int(raw)
-    if getattr(args, "nmax", None) is not None:
-        n_max = args.nmax
-    if getattr(args, "box", None) is not None:
-        box = args.box
-    return n_max, box
-
-
 # ---------------------------------------------------------------------------
 # section builders: plain dicts of str / int / bool / None / Fraction / list
 
@@ -195,7 +179,7 @@ def _singularity_dict(sing) -> dict | None:
     return {"order": sing.order, "twist": sing.twist, "label": str(sing)}
 
 
-def _sec_git(report, chi_name: str, chi: GroupCharacter, n_max: int, box: int) -> dict:
+def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> dict:
     witnesses = [
         {
             "pattern": sorted(pattern),
@@ -207,31 +191,27 @@ def _sec_git(report, chi_name: str, chi: GroupCharacter, n_max: int, box: int) -
             key=lambda item: (len(item[0]), sorted(item[0])),
         )
     ]
-    undecided = [
-        {"pattern": sorted(pattern), "n_max": nm, "box": bx}
-        for pattern, (nm, bx) in sorted(
-            report.undecided.items(),
-            key=lambda item: (len(item[0]), sorted(item[0])),
-        )
-    ]
+    # schema 1.0 still carries the search-era fields: an always empty
+    # undecided list and the former default budgets, which bound nothing
+    n_max, box = default_budgets(params.p, params.q, params.m)
     return {
         "character": {"name": chi_name, **_char_dict(chi)},
         "unstable_vanishing": sorted(report.unstable_vanishing),
         "witnesses": witnesses,
-        "undecided": undecided,
+        "undecided": [],
         "n_max": n_max,
         "box": box,
     }
 
 
-def _sec_flip(params: SL2Params, n_max: int, box: int) -> dict:
+def _sec_flip(params: SL2Params) -> dict:
     rep = flip_report(params)
     chars = standard_characters(params.p, params.q, params.m)
     return {
         "k_degrees": {"C_minus": rep.k_degrees[0], "C_plus": rep.k_degrees[1]},
         "canonical_coefficient_D": rep.canonical.coefficient,
         "semistable": {
-            name: _sec_git(sub, name, chars[name], n_max, box)
+            name: _sec_git(sub, name, chars[name], params)
             for name, sub in sorted(rep.semistable.items())
         },
         "varieties": {
@@ -385,7 +365,6 @@ def _render_text(doc: dict) -> str:
 
 def _cmd_info(args) -> int:
     params, warnings = _params_from_args(args)
-    n_max, box = _budgets(params, args)
     sections = {
         "params": _sec_params(params),
         "cox": _sec_cox(params),
@@ -398,7 +377,7 @@ def _cmd_info(args) -> int:
         sections["colored_cones"] = NO_FLIP
         sections["degeneration"] = NO_FLIP
     else:
-        sections["flip"] = _sec_flip(params, n_max, box)
+        sections["flip"] = _sec_flip(params)
         sections["colored_cones"] = _sec_cones(params)
         sections["degeneration"] = _sec_degeneration(params)
         warnings.append(CONVENTION_NOTE)
@@ -455,14 +434,8 @@ def _parse_character(text: str, params: SL2Params) -> tuple[str, GroupCharacter]
 def _cmd_git(args) -> int:
     params, warnings = _params_from_args(args)
     chi_name, chi = _parse_character(args.character, params)
-    n_max, box = _budgets(params, args)
     act = standard_action(params.p, params.q, params.m)
-    report = semistable_locus(act, chi, params.b, n_max, box)
-    if report.undecided:
-        warnings.append(
-            f"{len(report.undecided)} patterns undecided at budget "
-            f"(n_max={n_max}, box={box}); raise --nmax/--box"
-        )
+    report = semistable_locus(act, chi, params.b)
     if params.b == 0 and chi_name == "plus":
         warnings.append(
             "at height 1 the plus-semistable locus is empty: the unstable "
@@ -470,7 +443,7 @@ def _cmd_git(args) -> int:
         )
     sections = {
         "params": _sec_params(params),
-        "git": _sec_git(report, chi_name, chi, n_max, box),
+        "git": _sec_git(report, chi_name, chi, params),
     }
     _emit(_document(params, sections, warnings), args.json)
     return 0
@@ -484,11 +457,10 @@ def _require_flip(params: SL2Params) -> None:
 def _cmd_flip(args) -> int:
     params, warnings = _params_from_args(args)
     _require_flip(params)
-    n_max, box = _budgets(params, args)
     warnings.append(CONVENTION_NOTE)
     sections = {
         "params": _sec_params(params),
-        "flip": _sec_flip(params, n_max, box),
+        "flip": _sec_flip(params),
     }
     _emit(_document(params, sections, warnings), args.json)
     return 0
@@ -616,7 +588,7 @@ def _check_slices(params: SL2Params) -> bool:
     )
 
 
-def _check_git_loci(params: SL2Params, n_max: int, box: int) -> bool:
+def _check_git_loci(params: SL2Params) -> bool:
     act = standard_action(params.p, params.q, params.m)
     chars = standard_characters(params.p, params.q, params.m)
     want = {
@@ -625,8 +597,8 @@ def _check_git_loci(params: SL2Params, n_max: int, box: int) -> bool:
         "trivial": frozenset(),
     }
     for name, expected in want.items():
-        report = semistable_locus(act, chars[name], params.b, n_max, box)
-        if report.undecided or report.unstable_vanishing != expected:
+        report = semistable_locus(act, chars[name], params.b)
+        if report.unstable_vanishing != expected:
             return False
     return True
 
@@ -660,7 +632,6 @@ def _check_degeneration(params: SL2Params) -> bool:
 def _cmd_verify(args) -> int:
     failures: list[tuple[SL2Params, str]] = []
     for params in iter_instances(args.qmax, args.mmax):
-        n_max, box = _budgets(params, args)
         checks: list[tuple[str, object]] = [
             ("hilbert", _check_hilbert),
             ("u-oracle", _check_u_oracle),
@@ -674,9 +645,7 @@ def _cmd_verify(args) -> int:
             if params.b == 1:
                 checks.append(("toric-bridge", _check_toric_bridge))
             checks.append(("slices", _check_slices))
-            checks.append(
-                ("git-loci", lambda prm: _check_git_loci(prm, n_max, box))
-            )
+            checks.append(("git-loci", _check_git_loci))
             checks.append(("cones", _check_cones))
             checks.append(("degeneration", _check_degeneration))
         cells = []
@@ -722,8 +691,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="reject an unreduced height instead of reducing it",
         )
-        sp.add_argument("--nmax", type=_positive_int, help="linearization power bound")
-        sp.add_argument("--box", type=_positive_int, help="exponent box bound")
 
     sp = sub.add_parser("info", help="full report")
     add_common(sp)
@@ -765,8 +732,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the property sweep")
     sp.add_argument("--qmax", type=_positive_int, default=4)
     sp.add_argument("--mmax", type=_positive_int, default=3)
-    sp.add_argument("--nmax", type=_positive_int)
-    sp.add_argument("--box", type=_positive_int)
     sp.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -1,11 +1,13 @@
 """Diagonal two-factor group actions on five coordinates and the monomial
 certificates deciding semistability of a linearization.
 
-The group is C* x mu_a acting diagonally on (Y0, X1, X2, X3, X4).  All
-semistability decisions are made by exhibiting an invariant monomial of the
-right character inside an explicit search budget; when neither a witness
-nor a sign obstruction settles a pattern the report says so rather than
-guessing.
+The group is C* x mu_a acting diagonally on (Y0, X1, X2, X3, X4).  For a
+diagonal action semistability is cone membership (King 1994; Cox-Little-
+Schenck ch. 14): a coordinate pattern is chi-unstable exactly when no
+coordinate off the pattern has a torus weight of the sign of chi, and
+otherwise a power of one such coordinate is an invariant of character
+n*chi, written down in closed form and checked.  Every pattern is decided;
+nothing is searched.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .lattice import (
     IntMatrix,
     Vec,
     cokernel,
-    iter_bounded_diophantine,
     kernel_basis,
 )
 
@@ -118,22 +119,25 @@ def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
 
 
 def default_budgets(p: int, q: int, m: int) -> tuple[int, int]:
-    """(n_max, exponent box) sized so the standard characters are always
-    settled on the tested parameter range."""
+    """The (n_max, box) pair that the schema-1.0 JSON still reports in the
+    n_max / box fields of every git section.  Semistability no longer
+    searches, so these numbers bound nothing; they are kept because the
+    benchmark checker reads them, and go with the next schema bump."""
     k, _ = _derived(p, q, m)
     return 2 * (p + q + k), 4 * (p + q + k)
 
 
 @dataclass(frozen=True)
 class SemistableReport:
-    """Outcome of the pattern-by-pattern certificate search.
+    """Outcome of the pattern-by-pattern semistability decision.
 
     unstable_vanishing: coordinates vanishing on every component of the
     unstable locus; empty means everything is semistable.
     witness_monomials: pattern -> (n, exponents), an invariant monomial of
-    character n*chi not vanishing identically where the pattern does.
-    undecided: pattern -> (n_max, box) for patterns the budget could not
-    settle either way.
+    character n*chi not vanishing identically where the pattern does; every
+    pattern not proven unstable has one.
+    undecided: always empty.  Kept for the benchmark tracer, which reads it;
+    it goes with the next schema bump.
     """
 
     unstable_vanishing: frozenset[str]
@@ -157,22 +161,21 @@ def semistable_locus(
     act: DiagonalAction,
     chi: GroupCharacter,
     relation_degree: int,
-    n_max: int,
-    box: int,
 ) -> SemistableReport:
     """Decide semistability of the chi-linearization coordinate pattern by
     coordinate pattern.
 
-    For every singleton and pair of coordinates we search for an invariant
-    monomial of character n*chi (n <= n_max, exponents <= box) supported
-    away from the pattern; failing that, a weight-sign argument can prove
-    that no such monomial exists at any budget.  unstable_vanishing
-    collects the coordinates common to all minimal patterns proven
-    unstable, which for the standard characters describes the unstable
-    locus exactly.
+    For every singleton and pair of coordinates, the pattern is unstable
+    when no coordinate off it has a torus weight of the sign of chi's torus
+    part t.  Otherwise each such coordinate j gives an invariant: with
+    g = gcd(w_j, t), w' = |w_j|/g, t' = |t|/g and c the finite part of chi,
+    X_j^(s*t') has character (s*w')*chi for s = a / gcd(a, t'*f_j - w'*c),
+    the least s making the finite parts agree.  The witness is the one with
+    the smallest n = s*w' (lowest index on ties), which is the least n of
+    any single-coordinate invariant.  unstable_vanishing collects the
+    coordinates common to all minimal patterns proven unstable, which for
+    the standard characters describes the unstable locus exactly.
     """
-    if n_max < 1 or box < 1:
-        raise ValueError("bounds must be >= 1")
     if relation_degree < 0:
         raise ValueError("relation degree must be >= 0")
     n = len(act.torus_weights)
@@ -181,49 +184,41 @@ def semistable_locus(
         frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
     ]
     witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
-    undecided: dict[frozenset[str], tuple[int, int]] = {}
     unstable: list[frozenset[int]] = []
 
+    t = chi.torus_part
     chi_f = chi.finite_part % a
-    if chi.torus_part == 0:
+    if t == 0:
         # constants are invariant once the finite part cancels
         n0 = 1 if chi_f == 0 else a // gcd(a, chi_f)
         zero = (0,) * n
         for pat in patterns:
             witnesses[_names(pat)] = (n0, zero)
-        return SemistableReport(frozenset(), witnesses, undecided)
+        return SemistableReport(frozenset(), witnesses, {})
+
+    # the least invariant power of each coordinate whose weight has t's sign
+    powers = {}
+    for j, (w, f) in enumerate(zip(act.torus_weights, act.finite_weights)):
+        if w * t > 0:
+            g = gcd(w, t)
+            w1, t1 = abs(w) // g, abs(t) // g
+            s = a // gcd(a, (t1 * f - w1 * chi_f) % a)
+            powers[j] = (s * w1, s * t1)
 
     for pat in patterns:
-        allowed = [i for i in range(n) if i not in _effective(pat, relation_degree)]
-        aw = tuple(act.torus_weights[i] for i in allowed)
-        af = tuple(act.finite_weights[i] for i in allowed)
-        if chi.torus_part > 0 and all(w <= 0 for w in aw):
+        allowed = [j for j in powers if j not in _effective(pat, relation_degree)]
+        if not allowed:
             unstable.append(pat)
             continue
-        if chi.torus_part < 0 and all(w >= 0 for w in aw):
-            unstable.append(pat)
-            continue
-        found = None
-        for power in range(1, n_max + 1):
-            sol = next(
-                iter_bounded_diophantine(
-                    aw,
-                    power * chi.torus_part,
-                    box,
-                    congruence=(af, (power * chi_f) % a, a),
-                ),
-                None,
+        j = min(allowed, key=lambda i: (powers[i][0], i))
+        power, e = powers[j]
+        exps = tuple(e if i == j else 0 for i in range(n))
+        if monomial_character(act, exps) != GroupCharacter(power * t, power * chi_f % a):
+            raise RuntimeError(
+                f"witness {exps} for {sorted(_names(pat))} does not have "
+                f"character {power}*({t}, {chi_f})"
             )
-            if sol is not None:
-                full = [0] * n
-                for pos, i in enumerate(allowed):
-                    full[i] = sol[pos]
-                found = (power, tuple(full))
-                break
-        if found is not None:
-            witnesses[_names(pat)] = found
-        else:
-            undecided[_names(pat)] = (n_max, box)
+        witnesses[_names(pat)] = (power, exps)
 
     minimal = [
         pat for pat in unstable
@@ -234,7 +229,7 @@ def semistable_locus(
         vanishing = _names(common)
     else:
         vanishing = frozenset()
-    return SemistableReport(vanishing, witnesses, undecided)
+    return SemistableReport(vanishing, witnesses, {})
 
 
 def _names(indices: frozenset[int]) -> frozenset[str]:

@@ -400,6 +400,10 @@ def iter_bounded_diophantine(
     sum(covector[i]*e[i]) == residue mod modulus.  Enumeration is ascending
     at every position, so the overall order is lexicographic; suffix range
     pruning keeps the search cheap for the weight vectors in scope.
+
+    The package no longer calls it: GIT witnesses are closed forms.  It is
+    the brute-force oracle of the semistability tests, and it stays here
+    because the benchmark tracer (bench/tracing.py) looks it up by name.
     """
     n = len(weights)
     boxes = [box] * n if isinstance(box, int) else [int(b) for b in box]

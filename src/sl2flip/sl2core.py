@@ -19,7 +19,6 @@ from .git import (
     DiagonalAction,
     GroupCharacter,
     SemistableReport,
-    default_budgets,
     monomial_character,
     semistable_locus,
     standard_action,
@@ -444,16 +443,10 @@ def flip_report(params: SL2Params) -> FlipReport:
 
     act = standard_action(p, q, m)
     chars = standard_characters(p, q, m)
-    n_max, box = default_budgets(p, q, m)
     semistable = {
-        name: semistable_locus(act, chars[name], b, n_max, box)
+        name: semistable_locus(act, chars[name], b)
         for name in ("plus", "minus", "trivial")
     }
-    for name, rep in semistable.items():
-        if rep.undecided:
-            raise RuntimeError(
-                f"semistability undecided for {name} at budget ({n_max}, {box})"
-            )
 
     s_plus, s_minus, s_prime = slice_surfaces(params)
     assert s_plus.singularity is not None and s_minus.singularity is not None

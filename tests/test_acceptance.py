@@ -11,7 +11,6 @@ import pytest
 
 from sl2flip.git import (
     GroupCharacter,
-    default_budgets,
     monomial_character,
     semistable_locus,
     stabilizer_of_support,
@@ -141,9 +140,8 @@ def test_criterion_06_git_loci():
     for params in BELOW_ONE:
         act = standard_action(params.p, params.q, params.m)
         chars = standard_characters(params.p, params.q, params.m)
-        n_max, box = default_budgets(params.p, params.q, params.m)
         for name, expected in want.items():
-            report = semistable_locus(act, chars[name], params.b, n_max, box)
+            report = semistable_locus(act, chars[name], params.b)
             assert not report.undecided, (params, name)
             assert report.unstable_vanishing == expected, (params, name)
             chi = chars[name]

@@ -122,23 +122,21 @@ class TestGit:
         doc = run_json(capsys, "git", "1/1", "2", "plus")
         assert any("empty" in w for w in doc["warnings"])
 
-    def test_env_budgets_and_flag_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("SL2FLIP_NMAX", "1")
-        monkeypatch.setenv("SL2FLIP_BOX", "2")
-        doc = run_json(capsys, "git", "1/3", "1", "plus")
-        assert doc["sections"]["git"]["n_max"] == 1
-        assert doc["sections"]["git"]["box"] == 2
-        doc = run_json(capsys, "git", "1/3", "1", "plus", "--nmax", "7")
-        assert doc["sections"]["git"]["n_max"] == 7
-        assert doc["sections"]["git"]["box"] == 2
+    def test_budget_flags_are_gone(self, capsys):
+        code, _, err = run(capsys, "flip", "2/3", "5", "--nmax", "200")
+        assert code == 2
+        assert "--nmax" in err
 
-    def test_undecided_reported_with_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("SL2FLIP_NMAX", "1")
-        monkeypatch.setenv("SL2FLIP_BOX", "1")
-        doc = run_json(capsys, "git", "2/3", "4", "minus")
-        if doc["sections"]["git"]["undecided"]:
-            assert any("undecided" in w for w in doc["warnings"])
-            assert doc["sections"]["git"]["undecided"][0]["n_max"] == 1
+    def test_schema_budget_fields_keep_their_values(self, capsys):
+        # schema 1.0 still reports the former default budgets
+        git = run_json(capsys, "git", "2/3", "4", "minus")["sections"]["git"]
+        assert (git["n_max"], git["box"], git["undecided"]) == (12, 24, [])
+
+    def test_info_two_thirds_five_is_decided(self, capsys):
+        # the former default search budget left this flip report undecided
+        semistable = run_json(capsys, "info", "2/3", "5")["sections"]["flip"]["semistable"]
+        assert set(semistable) == {"plus", "minus", "trivial"}
+        assert all(section["undecided"] == [] for section in semistable.values())
 
 
 class TestFlipConesDegeneration:
@@ -196,6 +194,12 @@ class TestVerify:
         assert code == 4
         assert "canonical FAIL" in out
         assert "FAIL 1/1 m=1: canonical" in err
+
+    def test_sweep_past_the_former_budget_passes(self, capsys):
+        # at m = 5 the former default search budget failed git-loci 9 times
+        code, out, err = run(capsys, "verify", "--qmax", "8", "--mmax", "6")
+        assert (code, err) == (0, "")
+        assert "git-loci FAIL" not in out and "all properties pass" in out
 
 
 class TestParsingAndExitCodes:

@@ -2,11 +2,16 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2flip.git import (
     COORDS,
     DiagonalAction,
     GroupCharacter,
+    SemistableReport,
+    _effective,
+    _names,
     default_budgets,
     monomial_character,
     semistable_locus,
@@ -15,7 +20,9 @@ from sl2flip.git import (
     standard_characters,
     u_invariant_exponents,
 )
+from sl2flip.lattice import iter_bounded_diophantine
 from sl2flip.semigroup import make_Mplus
+from sl2flip.sl2core import derive_params, iter_instances
 
 
 def fs(*names):
@@ -37,8 +44,89 @@ def run(p, q, m, which):
     chi = standard_characters(p, q, m)[which]
     k = m if p == q else math.gcd(q - p, m)
     b = (q - p) // k
-    n_max, box = default_budgets(p, q, m)
-    return semistable_locus(act, chi, b, n_max, box)
+    return semistable_locus(act, chi, b)
+
+
+def budgeted_semistable_locus(act, chi, relation_degree, n_max, box):
+    """The former semistability search, kept as an oracle: the same sign
+    test, then the lexicographically first monomial of character n*chi
+    with the least n <= n_max and exponents <= box; patterns it cannot
+    settle within that budget are reported undecided."""
+    n = len(act.torus_weights)
+    a = act.finite_order
+    patterns = [frozenset((i,)) for i in range(n)] + [
+        frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
+    ]
+    witnesses = {}
+    undecided = {}
+    unstable = []
+
+    chi_f = chi.finite_part % a
+    if chi.torus_part == 0:
+        n0 = 1 if chi_f == 0 else a // math.gcd(a, chi_f)
+        zero = (0,) * n
+        for pat in patterns:
+            witnesses[_names(pat)] = (n0, zero)
+        return SemistableReport(frozenset(), witnesses, undecided)
+
+    for pat in patterns:
+        allowed = [i for i in range(n) if i not in _effective(pat, relation_degree)]
+        aw = tuple(act.torus_weights[i] for i in allowed)
+        af = tuple(act.finite_weights[i] for i in allowed)
+        if chi.torus_part > 0 and all(w <= 0 for w in aw):
+            unstable.append(pat)
+            continue
+        if chi.torus_part < 0 and all(w >= 0 for w in aw):
+            unstable.append(pat)
+            continue
+        found = None
+        for power in range(1, n_max + 1):
+            sol = next(
+                iter_bounded_diophantine(
+                    aw,
+                    power * chi.torus_part,
+                    box,
+                    congruence=(af, (power * chi_f) % a, a),
+                ),
+                None,
+            )
+            if sol is not None:
+                full = [0] * n
+                for pos, i in enumerate(allowed):
+                    full[i] = sol[pos]
+                found = (power, tuple(full))
+                break
+        if found is not None:
+            witnesses[_names(pat)] = found
+        else:
+            undecided[_names(pat)] = (n_max, box)
+
+    minimal = [pat for pat in unstable if not any(other < pat for other in unstable)]
+    vanishing = _names(frozenset.intersection(*minimal)) if minimal else frozenset()
+    return SemistableReport(vanishing, witnesses, undecided)
+
+
+def assert_witnesses_verified(act, chi, relation_degree, report):
+    """Each witness has character n*chi and avoids its pattern; each pattern
+    without one fails the sign test."""
+    a = act.finite_order
+    for i in range(len(COORDS)):
+        for j in range(i, len(COORDS)):
+            pattern = _names(frozenset((i, j)))
+            dead = _effective(frozenset((i, j)), relation_degree)
+            if pattern not in report.witness_monomials:
+                assert chi.torus_part != 0
+                assert all(
+                    w * chi.torus_part <= 0
+                    for c, w in enumerate(act.torus_weights)
+                    if c not in dead
+                ), pattern
+                continue
+            n, exps = report.witness_monomials[pattern]
+            assert n >= 1
+            got = monomial_character(act, exps)
+            assert got == GroupCharacter(n * chi.torus_part, n * chi.finite_part % a)
+            assert not any(exps[c] for c in dead), (pattern, exps)
 
 
 def stabilizer_order_oracle(act, support):
@@ -189,7 +277,7 @@ class TestSemistableLocus:
         # S_minus has finite part 1; witnesses must scale it correctly
         act = standard_action(2, 3, 4)
         chi = standard_characters(2, 3, 4)["S_minus"]
-        report = semistable_locus(act, chi, 0, *default_budgets(2, 3, 4))
+        report = semistable_locus(act, chi, 0)
         assert not report.undecided
         for pattern, (n, exps) in report.witness_monomials.items():
             got = monomial_character(act, exps)
@@ -199,14 +287,83 @@ class TestSemistableLocus:
         act = standard_action(1, 2, 1)
         chi = standard_characters(1, 2, 1)["plus"]
         with pytest.raises(ValueError):
-            semistable_locus(act, chi, 1, 0, 5)
-        with pytest.raises(ValueError):
-            semistable_locus(act, chi, -1, 5, 5)
+            semistable_locus(act, chi, -1)
 
     def test_deterministic(self):
         a = run(2, 5, 3, "plus")
         b = run(2, 5, 3, "plus")
         assert a == b
+
+    def test_against_budgeted_search(self):
+        # q <= 9, m <= 8 with all six standard characters: 1344 reports
+        undecided = single = 0
+        for params in iter_instances(9, 8):
+            p, q, m, b = params.p, params.q, params.m, params.b
+            act = standard_action(p, q, m)
+            for chi in standard_characters(p, q, m).values():
+                old = budgeted_semistable_locus(act, chi, b, *default_budgets(p, q, m))
+                new = semistable_locus(act, chi, b)
+                where = (p, q, m, chi)
+                assert new.unstable_vanishing == old.unstable_vanishing, where
+                assert not new.undecided
+                assert set(new.witness_monomials) == (
+                    set(old.witness_monomials) | set(old.undecided)
+                ), where
+                assert_witnesses_verified(act, chi, b, new)
+                undecided += len(old.undecided)
+                for pattern, (n_old, exps) in old.witness_monomials.items():
+                    if sum(1 for e in exps if e) == 1:
+                        single += 1
+                        assert new.witness_monomials[pattern][0] <= n_old, where
+        # the search left these undecided; single-coordinate witnesses pin n
+        assert (undecided, single) == (132, 7992)
+
+    def test_witness_is_a_single_coordinate_of_least_power(self):
+        # X1^(q-p+k) = X1^2 is the paper's witness for plus at (1, 2, 1)
+        report = run(1, 2, 1, "plus")
+        assert report.witness_monomials[fs("X3")] == (1, (0, 2, 0, 0, 0))
+        # X1 and X2 tie at every pattern avoiding both: the lower index wins
+        assert report.witness_monomials[fs("Y0", "X4")] == (1, (0, 2, 0, 0, 0))
+        assert report.witness_monomials[fs("X1", "X3")] == (1, (0, 0, 2, 0, 0))
+
+
+@st.composite
+def huge_instances(draw):
+    q = draw(st.integers(2, 10**4))
+    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    m = draw(st.integers(1, 10**12))
+    return derive_params(p, q, m)
+
+
+class TestSemistableLocusAtScale:
+    # cost depends on the number of patterns, not on p, q, m or chi;
+    # the budgeted search could not finish any of these cases
+    @settings(max_examples=60, deadline=None)
+    @given(params=huge_instances())
+    def test_standard_loci(self, params):
+        act = standard_action(params.p, params.q, params.m)
+        chars = standard_characters(params.p, params.q, params.m)
+        want = {
+            "plus": fs("X1", "X2"),
+            "minus": fs("X3", "X4"),
+            "trivial": fs(),
+        }
+        for name, expected in want.items():
+            report = semistable_locus(act, chars[name], params.b)
+            assert report.unstable_vanishing == expected
+            assert not report.undecided
+            assert_witnesses_verified(act, chars[name], params.b, report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=huge_instances(), data=st.data())
+    def test_custom_character(self, params, data):
+        act = standard_action(params.p, params.q, params.m)
+        torus = data.draw(st.integers(-(10**12), 10**12))
+        finite = data.draw(st.integers(0, params.a - 1))
+        chi = GroupCharacter(torus, finite)
+        report = semistable_locus(act, chi, params.b)
+        assert not report.undecided
+        assert_witnesses_verified(act, chi, params.b, report)
 
 
 class TestStabilizer:

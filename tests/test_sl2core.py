@@ -340,6 +340,15 @@ class TestFlipReport:
         for sub in rep.semistable.values():
             assert not sub.undecided
 
+    def test_large_instance_decided(self):
+        # the former budgeted search spent seconds here and then gave up
+        rep = flip_report(derive_params(13, 29, 120))
+        assert rep.semistable["plus"].unstable_vanishing == frozenset({"X1", "X2"})
+        assert rep.semistable["minus"].unstable_vanishing == frozenset({"X3", "X4"})
+        for sub in rep.semistable.values():
+            assert not sub.undecided
+            assert len(sub.witness_monomials) == 15 - (len(sub.unstable_vanishing) > 0)
+
     def test_report_shape(self):
         rep = flip_report(derive_params(2, 3, 1))
         assert set(rep.varieties) == {"E", "E-", "E+", "E'"}
