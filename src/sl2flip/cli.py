@@ -12,14 +12,19 @@ One binary, seven subcommands:
 
 Heights are exact fractions ("p/q" or a bare integer); decimals are
 rejected.  Exit codes: 0 success, 2 usage error, 3 domain error, 4
-verification failure.  Semistability is decided exactly, so there are no
-search budgets to set; the n_max / box fields of the git JSON sections are
-kept at their former defaults for schema 1.0 only.
+verification failure.  `main(argv)` returns the exit code rather than
+exiting and may be called any number of times in one process; only the
+argument parser, built on the first call, is kept between calls.
+
+Semistability is decided exactly, so there are no search budgets to set;
+the n_max / box fields of the git JSON sections are kept at their former
+defaults for schema 1.0 only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -674,7 +679,11 @@ def _cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and reused: the parser depends on no
+    input, and parse_args returns a fresh Namespace per call.  The `fn`
+    defaults bind the `_cmd_*` functions as they are at that first call."""
     parser = argparse.ArgumentParser(
         prog="sl2flip",
         description="Invariants of normal affine SL(2)-threefolds "

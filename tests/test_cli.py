@@ -1,6 +1,12 @@
 """CLI tests: frozen command outputs, exit codes, JSON determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +243,84 @@ class TestDeterminism:
         _, first, _ = run(capsys, "flip", "1/2", "1")
         _, second, _ = run(capsys, "flip", "1/2", "1")
         assert first == second
+
+
+# sha256 of stdout; the same on every supported Python version
+GOLDEN_STDOUT_SHA256 = {
+    ("info", "3/7", "12", "--json"):
+        "23e4bef52cfafc38f3393c827cc8cc4ff40e8ae8ef35bf2123939ef2bb3138f8",
+    ("info", "3/7", "12"):
+        "12bac186a678ca5d22541676ea07320f42032a3bc3bac6880b280c5f1f108ad3",
+    ("git", "2/5", "7", "--json", "--", "3,1"):
+        "5b32fe35168739f9bc53acda002fedc670b962a6600ee81866bccd533ac9787d",
+    ("flip", "13/29", "120", "--json"):
+        "7fd762f7f90c4747952b39ee10d967361011e666d362c0b8e0b10342d86676ba",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT_SHA256, ids=" ".join)
+def test_golden_stdout_digest(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+def _fresh_process_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    # argparse wraps help text to $COLUMNS, or to the terminal if unset
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
+            "COLUMNS": "80"}
+
+
+class TestParserReuse:
+    # one call per exit path: usage error, help, domain error, each renderer
+    SEQUENCE = [
+        (("info", "1/3"), 2),
+        (("--help",), 0),
+        (("git", "--help"), 0),
+        (("info", "3/2", "1"), 3),
+        (("info", "3/7", "12", "--json"), 0),
+        (("git", "2/5", "7", "--json", "--", "3,1"), 0),
+        (("hilbert", "2/5", "9", "tilde"), 0),
+        (("degeneration", "2/5", "9"), 0),
+        (("verify", "--qmax", "2", "--mmax", "2"), 0),
+    ]
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        env = _fresh_process_env()
+        monkeypatch.setenv("COLUMNS", env["COLUMNS"])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "sl2flip.cli", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for argv, _ in self.SEQUENCE
+        ]
+        fresh = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            fresh.append((proc.returncode, out, err))
+        for (argv, code), alone in zip(self.SEQUENCE, fresh):
+            in_process = run(capsys, *argv)
+            assert in_process[0] == code, argv
+            assert in_process == alone, argv
+
+    def test_parser_is_built_on_the_first_call_and_reused(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io
+            import sl2flip.cli as cli
+            assert cli._build_parser.cache_info().currsize == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["info", "1/3", "1"]) == 0
+                assert cli.main(["git", "1/3", "1", "plus"]) == 0
+            info = cli._build_parser.cache_info()
+            assert (info.misses, info.hits) == (1, 1), info
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
