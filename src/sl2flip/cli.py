@@ -34,23 +34,16 @@ from .git import (
     GroupCharacter,
     default_budgets,
     semistable_locus,
-    standard_action,
-    standard_characters,
     stabilizer_of_support,
     u_invariant_exponents,
 )
-from .semigroup import (
-    hilbert_basis,
-    fiber_count,
-    make_Mminus,
-    make_Mplus,
-    make_Mprime,
-    make_Mtilde,
-)
+from .semigroup import fiber_count, make_Mplus, make_Mtilde
 from .sl2core import (
     CONVENTION_NOTE,
     SL2Params,
+    action,
     canonical_class,
+    characters,
     class_group,
     colored_cones,
     cox_presentation,
@@ -62,6 +55,7 @@ from .sl2core import (
     is_toric,
     iter_instances,
     orbit_structure,
+    slice_basis,
     slice_surfaces,
     toric_degeneration,
 )
@@ -211,7 +205,7 @@ def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> d
 
 def _sec_flip(params: SL2Params) -> dict:
     rep = flip_report(params)
-    chars = standard_characters(params.p, params.q, params.m)
+    chars = characters(params)
     return {
         "k_degrees": {"C_minus": rep.k_degrees[0], "C_plus": rep.k_degrees[1]},
         "canonical_coefficient_D": rep.canonical.coefficient,
@@ -394,24 +388,22 @@ def _cmd_info(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     params, warnings = _params_from_args(args)
-    p, q, m = params.p, params.q, params.m
     if args.which == "tilde":
         if args.basis:
             raise DomainError(
                 "the rank-3 semigroup supports membership and fiber queries "
                 "only; no Hilbert basis is reported"
             )
-        tilde = make_Mtilde(p, q, m)
+        tilde = make_Mtilde(params.p, params.q, params.m)
         fibers = [
             {"point": list(gen), "count": fiber_count(tilde, gen)}
-            for gen in hilbert_basis(make_Mplus(p, q, m)).generators
+            for gen in slice_basis(params, "plus").generators
         ]
         section = {"which": "tilde", "fibers": fibers}
         warnings.append(TILDE_NOTE)
     else:
-        factory = {"plus": make_Mplus, "minus": make_Mminus, "prime": make_Mprime}
         try:
-            basis = hilbert_basis(factory[args.which](p, q, m))
+            basis = slice_basis(params, args.which)
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
         section = {
@@ -424,9 +416,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _parse_character(text: str, params: SL2Params) -> tuple[str, GroupCharacter]:
-    named = standard_characters(params.p, params.q, params.m)
     if text in ("plus", "minus", "trivial"):
-        return text, named[text]
+        return text, characters(params)[text]
     match = re.fullmatch(r"(-?\d+),(-?\d+)", text)
     if match is None:
         raise UsageError(
@@ -439,8 +430,7 @@ def _parse_character(text: str, params: SL2Params) -> tuple[str, GroupCharacter]
 def _cmd_git(args) -> int:
     params, warnings = _params_from_args(args)
     chi_name, chi = _parse_character(args.character, params)
-    act = standard_action(params.p, params.q, params.m)
-    report = semistable_locus(act, chi, params.b)
+    report = semistable_locus(action(params), chi, params.b)
     if params.b == 0 and chi_name == "plus":
         warnings.append(
             "at height 1 the plus-semistable locus is empty: the unstable "
@@ -499,14 +489,15 @@ def _cmd_degeneration(args) -> int:
 
 
 def _check_hilbert(params: SL2Params) -> bool:
-    semi = make_Mplus(params.p, params.q, params.m)
-    basis = set(hilbert_basis(semi).generators)
+    basis = set(slice_basis(params, "plus").generators)
     if params.b == 1:
         want = {
             (params.m + t, t) for t in range(params.a * params.p + 1)
         }
         if basis != want:
             return False
+    # the oracle side: minimal nonzero members of S+ found by a box scan
+    semi = make_Mplus(params.p, params.q, params.m)
     box = params.m + params.a * params.q
     points = [
         (i, j)
@@ -594,8 +585,7 @@ def _check_slices(params: SL2Params) -> bool:
 
 
 def _check_git_loci(params: SL2Params) -> bool:
-    act = standard_action(params.p, params.q, params.m)
-    chars = standard_characters(params.p, params.q, params.m)
+    act, chars = action(params), characters(params)
     want = {
         "plus": frozenset({"X1", "X2"}),
         "minus": frozenset({"X3", "X4"}),
@@ -609,7 +599,7 @@ def _check_git_loci(params: SL2Params) -> bool:
 
 
 def _check_stabilizer(params: SL2Params) -> bool:
-    act = standard_action(params.p, params.q, params.m)
+    act = action(params)
     for left in ("X1", "X2"):
         for right in ("X3", "X4"):
             group = stabilizer_of_support(act, frozenset({left, right}))

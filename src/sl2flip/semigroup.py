@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .lattice import (
@@ -82,6 +83,16 @@ class AffineSemigroup:
             if sum(gi * xi for gi, xi in zip(g, x)) % n != 0:
                 return False
         return True
+
+    # computed once per object and shared by hilbert_basis and
+    # dual_cone_rays; a ValueError is not kept and is raised again
+    @cached_property
+    def _rays(self) -> tuple[Vec, Vec]:
+        return cone_rays(self)
+
+    @cached_property
+    def _lattice_basis(self) -> tuple[Vec, Vec]:
+        return congruence_lattice_basis(self)
 
 
 def _check_params(p: int, q: int, m: int) -> None:
@@ -188,8 +199,8 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     c_i = ceil(det(u_{i-1}, v2) / det(u_i, v2)).  det(u_i, v2) falls at
     every step, so the walk costs one step per generator.
     """
-    r1, r2 = cone_rays(s)
-    b1, b2 = congruence_lattice_basis(s)
+    r1, r2 = s._rays
+    b1, b2 = s._lattice_basis
     w1, w2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
     v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
     n = det2(v1, v2)
@@ -263,8 +274,8 @@ def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     matches the lex order of cone_rays (first dual ray is the one positive
     on the first primal ray).
     """
-    r1, r2 = cone_rays(s)
-    b1, b2 = congruence_lattice_basis(s)
+    r1, r2 = s._rays
+    b1, b2 = s._lattice_basis
     p1, p2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
 
     def dual_ray(perp_of: Vec, positive_on: Vec) -> Vec:

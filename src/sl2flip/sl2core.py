@@ -7,10 +7,19 @@ flip with its intersection numbers, slice surfaces, colored cones, and the
 toric degeneration.  The modules lattice/semigroup/toricgeom/git do the
 actual computing; this one wires them together and cross-checks the
 answers against each other.
+
+Every invariant derived from an instance is computed once per SL2Params
+object and kept on that object: the action and characters, the three
+slice semigroups with their Hilbert bases, the class group, canonical
+class, intersection numbers, slice surfaces, colored cones and the
+degeneration.  The values live and die with the object, and equal objects
+share nothing, so build a fresh SL2Params per computation.  A call that
+raises keeps nothing and raises again the next time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -59,7 +68,9 @@ __all__ = [
     "SliceSurface",
     "ToricDegeneration",
     "VarietySummary",
+    "action",
     "canonical_class",
+    "characters",
     "class_group",
     "colored_cones",
     "cox_presentation",
@@ -71,6 +82,8 @@ __all__ = [
     "is_toric",
     "iter_instances",
     "orbit_structure",
+    "slice_basis",
+    "slice_semigroup",
     "slice_surfaces",
     "toric_degeneration",
 ]
@@ -138,6 +151,50 @@ def iter_instances(qmax: int, mmax: int):
                 yield derive_params(p, q, m)
 
 
+def _once(fn):
+    """Compute fn(params, *args) once per SL2Params object and keep the
+    value in that object's __dict__, which the dataclass's fields, equality
+    and hash ignore.  An exception is not kept."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def once(params: SL2Params, *args):
+        memo = params.__dict__.setdefault("_memo", {})
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = fn(params, *args)
+        return memo[key]
+
+    return once
+
+
+@_once
+def action(params: SL2Params) -> DiagonalAction:
+    """The diagonal action of the Cox presentation (git.standard_action)."""
+    return standard_action(params.p, params.q, params.m)
+
+
+@_once
+def characters(params: SL2Params) -> dict[str, GroupCharacter]:
+    """The six named characters of that action (git.standard_characters)."""
+    return standard_characters(params.p, params.q, params.m)
+
+
+@_once
+def slice_semigroup(params: SL2Params, which: str) -> AffineSemigroup:
+    """The exponent semigroup of a slice: which is "plus" (S+, make_Mplus),
+    "minus" (S-, make_Mminus) or "prime" (S', make_Mprime)."""
+    make = {"plus": make_Mplus, "minus": make_Mminus, "prime": make_Mprime}[which]
+    return make(params.p, params.q, params.m)
+
+
+@_once
+def slice_basis(params: SL2Params, which: str) -> HilbertBasis:
+    """Hilbert basis of slice_semigroup(params, which); raises ValueError
+    when its cone is not pointed."""
+    return hilbert_basis(slice_semigroup(params, which))
+
+
 def is_toric(params: SL2Params) -> bool:
     return params.b == 1
 
@@ -162,7 +219,7 @@ class CoxPresentation:
 
 
 def cox_presentation(params: SL2Params) -> CoxPresentation:
-    return CoxPresentation(params.b, standard_action(params.p, params.q, params.m))
+    return CoxPresentation(params.b, action(params))
 
 
 def orbit_structure(params: SL2Params) -> tuple[str, ...]:
@@ -194,6 +251,7 @@ class DivisorClassGroup:
         return self.group.element(1)
 
 
+@_once
 def class_group(params: SL2Params) -> DivisorClassGroup:
     p, q, m, a = params.p, params.q, params.m, params.a
     group = cokernel(IntMatrix.from_cols([(a * p, m)], rows=2))
@@ -201,8 +259,8 @@ def class_group(params: SL2Params) -> DivisorClassGroup:
     expected = (1, () if a == 1 else (a,))
     for g in (group, alt):
         assert (g.free_rank, g.torsion) == expected
-    chars = standard_characters(p, q, m)
-    act = standard_action(p, q, m)
+    chars = characters(params)
+    act = action(params)
     # the generators are cut out by coordinates, so their classes must match
     # the characters of those coordinates
     for idx, name in ((0, "D"), (2, "S_plus"), (4, "S_minus")):
@@ -228,6 +286,7 @@ class CanonicalClass:
     chi_plus: GroupCharacter
 
 
+@_once
 def canonical_class(params: SL2Params) -> CanonicalClass:
     p, q, k, b = params.p, params.q, params.k, params.b
     cl = class_group(params)
@@ -241,6 +300,7 @@ def canonical_class(params: SL2Params) -> CanonicalClass:
     return CanonicalClass(coeff, coords, chi, chi_prime, chi_plus)
 
 
+@_once
 def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     """(K . C-, K . C+) on the two sides of the flip.
 
@@ -275,15 +335,16 @@ class SliceSurface:
     note: str = ""
 
 
+@_once
 def slice_surfaces(
     params: SL2Params,
 ) -> tuple[SliceSurface, SliceSurface, SliceSurface]:
-    p, q, m = params.p, params.q, params.m
-    a, b = params.a, params.b
+    p, q, a, b = params.p, params.q, params.a, params.b
 
-    def build(name: str, semi: AffineSemigroup, expected_order: int | None):
+    def build(name: str, which: str, expected_order: int | None):
+        semi = slice_semigroup(params, which)
         try:
-            basis = hilbert_basis(semi)
+            basis = slice_basis(params, which)
             sing = classify_2d(Cone(dual_cone_rays(semi)))
         except ValueError:
             return SliceSurface(
@@ -294,9 +355,9 @@ def slice_surfaces(
             assert sing.order == expected_order, (name, sing, expected_order)
         return SliceSurface(name, semi, basis, sing)
 
-    s_plus = build("S+", make_Mplus(p, q, m), a * p)
-    s_minus = build("S-", make_Mminus(p, q, m), a * q)
-    s_prime = build("S'", make_Mprime(p, q, m), b if b >= 1 else None)
+    s_plus = build("S+", "plus", a * p)
+    s_minus = build("S-", "minus", a * q)
+    s_prime = build("S'", "prime", b if b >= 1 else None)
     return s_plus, s_minus, s_prime
 
 
@@ -326,6 +387,7 @@ def _in_2d_cone(gens: tuple[Vec, Vec], x: Vec) -> bool:
     return alpha >= 0 and beta >= 0
 
 
+@_once
 def colored_cones(params: SL2Params) -> ColoredConeData:
     """Colored cones of the four varieties in the flip diagram.
 
@@ -376,6 +438,7 @@ class ToricDegeneration:
     fibers: tuple[tuple[Vec, int], ...]
 
 
+@_once
 def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     p, q, m = params.p, params.q, params.m
     if params.b == 0:
@@ -386,7 +449,7 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     quasi = gaifullin_criterion(sigma0.rays, coeffs)
     assert not quasi
     fibers = []
-    for g in hilbert_basis(make_Mplus(p, q, m)).generators:
+    for g in slice_basis(params, "plus").generators:
         count = fiber_count(tilde, g)
         assert count == g[0] + g[1] + 1
         fibers.append((g, count))
@@ -396,8 +459,8 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
 def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:
     """Hilbert basis of the upper semigroup, each generator labeled by the
     irreducible module V_{i+j} it spans (dimension i + j + 1)."""
-    hb = hilbert_basis(make_Mplus(params.p, params.q, params.m))
-    return tuple((g, f"V_{g[0] + g[1]}", g[0] + g[1] + 1) for g in hb.generators)
+    gens = slice_basis(params, "plus").generators
+    return tuple((g, f"V_{g[0] + g[1]}", g[0] + g[1] + 1) for g in gens)
 
 
 @dataclass(frozen=True)
@@ -434,15 +497,13 @@ CONVENTION_NOTE = (
 
 
 def flip_report(params: SL2Params) -> FlipReport:
-    p, q, m = params.p, params.q, params.m
-    a, b = params.a, params.b
+    m, b = params.m, params.b
     if b == 0:
         raise ValueError("no flip for height 1")
     k_minus, k_plus = intersection_numbers(params)
     assert k_minus < 0 < k_plus
 
-    act = standard_action(p, q, m)
-    chars = standard_characters(p, q, m)
+    act, chars = action(params), characters(params)
     semistable = {
         name: semistable_locus(act, chars[name], b)
         for name in ("plus", "minus", "trivial")

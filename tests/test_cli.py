@@ -255,6 +255,19 @@ GOLDEN_STDOUT_SHA256 = {
         "5b32fe35168739f9bc53acda002fedc670b962a6600ee81866bccd533ac9787d",
     ("flip", "13/29", "120", "--json"):
         "7fd762f7f90c4747952b39ee10d967361011e666d362c0b8e0b10342d86676ba",
+    # b >= 2, height 1, verify, and the sections read from per-instance values
+    ("info", "2/7", "9", "--json"):
+        "ad8d8e0b439a99e4e73b8c936fe2cea041209e0b162995c0547e8123230dd674",
+    ("info", "2/7", "9"):
+        "ac5dcdc8fef126d42f5ca68659829b343b5164350c4563532d4cd31cd7468de4",
+    ("info", "1/1", "4", "--json"):
+        "d873c566a2afa9ded81faf7c3c3a3f19dcdd1e5c5c31c78ad740cfe50b408a95",
+    ("verify", "--qmax", "3", "--mmax", "5"):
+        "f61f465b0b7c1f296664487d4596c0183c66b926c8ff1f5cee829e32442df8ce",
+    ("degeneration", "7/19", "24", "--json"):
+        "b9aadbf73ab3d97d05c6b40c10da629dcdeb177f9de7a833026853b7c78c11d8",
+    ("cones", "3/7", "12", "--json"):
+        "4cd6a162d5d2e73dc83131c70fe9379e6af3cdb9d340854c50d0320cc7a12b47",
 }
 
 

@@ -382,6 +382,32 @@ class TestDualCone:
         assert det2(d1, d2) != 0
 
 
+class TestSharedPerObject:
+    def test_basis_and_dual_cone_share_rays_and_lattice(self, monkeypatch):
+        from sl2flip import semigroup
+
+        calls = {"cone_rays": 0, "congruence_lattice_basis": 0}
+        for name in calls:
+            fn = getattr(semigroup, name)
+
+            def counted(s, fn=fn, name=name):
+                calls[name] += 1
+                return fn(s)
+
+            monkeypatch.setattr(semigroup, name, counted)
+        one, two = make_Mminus(2, 5, 9), make_Mminus(2, 5, 9)
+        assert hilbert_basis(one) == hilbert_basis(two)
+        assert dual_cone_rays(one) == dual_cone_rays(two)
+        assert calls == {"cone_rays": 2, "congruence_lattice_basis": 2}
+        assert one == two and hash(one) == hash(two)
+
+    def test_not_pointed_raises_every_time(self):
+        s = make_Mprime(1, 1, 3)
+        for fn in (hilbert_basis, dual_cone_rays, hilbert_basis):
+            with pytest.raises(ValueError, match="not pointed"):
+                fn(s)
+
+
 class TestSemigroupValidation:
     def test_bad_covector_length(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Tests for the assembled invariants: parameters, class group, canonical
 class, flip data, colored cones, degeneration."""
 
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -8,9 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sl2flip
+from sl2flip import cli, git, lattice, semigroup, sl2core, toricgeom
 from sl2flip.sl2core import (
     SL2Params,
+    action,
     canonical_class,
+    characters,
     class_group,
     colored_cones,
     cox_presentation,
@@ -22,6 +29,8 @@ from sl2flip.sl2core import (
     is_toric,
     iter_instances,
     orbit_structure,
+    slice_basis,
+    slice_semigroup,
     slice_surfaces,
     toric_degeneration,
 )
@@ -495,3 +504,93 @@ class TestSmoothnessCoherence:
                 assert rep.varieties["E'"].smooth == (params.b == 1)
                 _, _, s_prime = slice_surfaces(params)
                 assert (s_prime.singularity.order == 1) == (params.b == 1)
+
+
+class TestComputedOncePerInstance:
+    COUNTED = {
+        "hilbert_basis": semigroup.hilbert_basis,
+        "congruence_lattice_basis": semigroup.congruence_lattice_basis,
+        "cokernel": lattice.cokernel,
+        "standard_action": git.standard_action,
+        "standard_characters": git.standard_characters,
+    }
+
+    def count_calls(self, monkeypatch) -> Counter:
+        """Count calls of COUNTED through every module's binding of them."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for mod in (sl2flip, cli, git, lattice, semigroup, sl2core, toricgeom):
+            for attr, obj in list(vars(mod).items()):
+                for name, fn in self.COUNTED.items():
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, counting(name, fn))
+        return calls
+
+    @staticmethod
+    def info():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["info", "3/7", "12", "--json"]) == 0
+
+    def test_info_computes_each_invariant_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        self.info()
+        first = Counter(calls)
+        # S+, S-, S' once each; one class_group (two cokernels); one action
+        assert first["hilbert_basis"] == 3
+        assert first["cokernel"] == 2
+        assert first["standard_action"] == 1
+        assert first["standard_characters"] == 1
+        assert first["congruence_lattice_basis"] <= 3
+        # nothing is kept between calls: a second call recomputes everything
+        self.info()
+        assert calls == first + first
+
+    def test_equal_objects_share_nothing(self):
+        one, two = derive_params(3, 7, 12), derive_params(3, 7, 12)
+        assert one == two and hash(one) == hash(two)
+        for fn in (
+            action,
+            characters,
+            class_group,
+            canonical_class,
+            intersection_numbers,
+            slice_surfaces,
+            colored_cones,
+            toric_degeneration,
+        ):
+            assert fn(one) is fn(one), fn.__name__
+            assert fn(two) is not fn(one), fn.__name__
+            assert fn(two) == fn(one), fn.__name__
+        for which in ("plus", "minus", "prime"):
+            assert slice_semigroup(one, which) is slice_semigroup(one, which)
+            assert slice_basis(one, which) is slice_basis(one, which)
+            assert slice_basis(two, which) is not slice_basis(one, which)
+        assert slice_surfaces(one)[0].basis is slice_basis(one, "plus")
+
+    def test_cached_values_leave_fields_and_repr_alone(self):
+        params = derive_params(3, 7, 12)
+        before = repr(params)
+        flip_report(params)
+        assert repr(params) == before
+        assert params == derive_params(3, 7, 12)
+
+    def test_exceptions_are_not_kept(self):
+        # each call computes and raises afresh; no exception is stored
+        params = derive_params(1, 1, 2)
+        for fn, args, match in (
+            (intersection_numbers, (), "no flip for height 1"),
+            (slice_basis, ("prime",), "not pointed"),
+        ):
+            raised = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=match) as info:
+                    fn(params, *args)
+                raised.append(info.value)
+            assert raised[0] is not raised[1]
