@@ -5,13 +5,15 @@ m.  From that datum the package computes, in exact arithmetic throughout:
 the Cox presentation, orbit structure, divisor class group, canonical
 class, the flip diagram with its intersection numbers, GIT semistable
 loci, slice-surface singularities, colored cones, and the toric
-degeneration.  Start with :func:`derive_params`.
+degeneration.  Start with :func:`derive_params`.  A failed cross-check
+raises :class:`CrossCheckError`, also under python -O.
 """
 
 from .sl2core import (
     CanonicalClass,
     ColoredConeData,
     CoxPresentation,
+    CrossCheckError,
     DivisorClassGroup,
     FlipReport,
     SL2Params,
@@ -39,6 +41,7 @@ __all__ = [
     "CanonicalClass",
     "ColoredConeData",
     "CoxPresentation",
+    "CrossCheckError",
     "DivisorClassGroup",
     "FlipReport",
     "SL2Params",

@@ -485,7 +485,8 @@ def _cmd_degeneration(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify sweep
+# verify sweep: a row calls a library function, which passes when it returns
+# (its cross-checks raise CrossCheckError), or an independent oracle below
 
 
 def _check_hilbert(params: SL2Params) -> bool:
@@ -531,20 +532,6 @@ def _check_u_oracle(params: SL2Params) -> bool:
     return found == want
 
 
-def _check_class_group(params: SL2Params) -> bool:
-    cl = class_group(params)
-    want = "Z" if params.a == 1 else f"Z x Z/{params.a}"
-    return cl.group.structure() == want and cl.alt.structure() == want
-
-
-def _check_canonical(params: SL2Params) -> bool:
-    can = canonical_class(params)
-    return (
-        can.coefficient == -(1 + params.b)
-        and can.chi_plus.torus_part == can.coefficient * params.k
-    )
-
-
 def _check_smoothness(params: SL2Params) -> bool:
     if is_toric(params) != (params.b == 1):
         return False
@@ -575,15 +562,6 @@ def _check_toric_bridge(params: SL2Params) -> bool:
     return all(multiplicity(c) == 1 for c in fan.max_cones)
 
 
-def _check_slices(params: SL2Params) -> bool:
-    s_plus, s_minus, s_prime = slice_surfaces(params)
-    return (
-        s_plus.singularity.order == params.a * params.p
-        and s_minus.singularity.order == params.a * params.q
-        and s_prime.singularity.order == params.b
-    )
-
-
 def _check_git_loci(params: SL2Params) -> bool:
     act, chars = action(params), characters(params)
     want = {
@@ -608,30 +586,14 @@ def _check_stabilizer(params: SL2Params) -> bool:
     return True
 
 
-def _check_cones(params: SL2Params) -> bool:
-    data = colored_cones(params)
-    colors_of = {name: data.cones[name][1] for name in data.cones}
-    return (
-        colors_of["E"] == colors_of["E-"] | {"rho-"}
-        and colors_of["E"] == colors_of["E+"] | {"rho+"}
-    )
-
-
-def _check_degeneration(params: SL2Params) -> bool:
-    deg = toric_degeneration(params)
-    return not deg.quasihomogeneous and all(
-        count == point[0] + point[1] + 1 for point, count in deg.fibers
-    )
-
-
 def _cmd_verify(args) -> int:
     failures: list[tuple[SL2Params, str]] = []
     for params in iter_instances(args.qmax, args.mmax):
         checks: list[tuple[str, object]] = [
             ("hilbert", _check_hilbert),
             ("u-oracle", _check_u_oracle),
-            ("class-group", _check_class_group),
-            ("canonical", _check_canonical),
+            ("class-group", class_group),
+            ("canonical", canonical_class),
             ("smoothness", _check_smoothness),
             ("stabilizer", _check_stabilizer),
         ]
@@ -639,10 +601,10 @@ def _cmd_verify(args) -> int:
             checks.append(("k-signs", _check_k_signs))
             if params.b == 1:
                 checks.append(("toric-bridge", _check_toric_bridge))
-            checks.append(("slices", _check_slices))
+            checks.append(("slices", slice_surfaces))
             checks.append(("git-loci", _check_git_loci))
-            checks.append(("cones", _check_cones))
-            checks.append(("degeneration", _check_degeneration))
+            checks.append(("cones", colored_cones))
+            checks.append(("degeneration", toric_degeneration))
         cells = []
         for name, fn in checks:
             try:

@@ -16,6 +16,21 @@ from typing import Iterable, Iterator, Sequence
 Vec = tuple[int, ...]
 
 
+class CrossCheckError(Exception):
+    """A computed invariant disagrees with an independent derivation of it.
+
+    Every cross-check of the package raises this, in every mode: the checks
+    are plain conditionals, not asserts, so they also run under python -O.
+    """
+
+
+def _require(ok: bool, what: str, *values) -> None:
+    """Raise CrossCheckError for what, with values, unless ok.  The message
+    is formatted only on failure."""
+    if not ok:
+        raise CrossCheckError(f"{what}: {values}" if values else what)
+
+
 def _vec(v: Sequence[int]) -> Vec:
     return tuple(int(x) for x in v)
 
@@ -368,7 +383,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
             )
             adj[j][i] = (-1) ** (i + j) * (minor.det() if n > 1 else 1)
     inv = IntMatrix.from_rows([[x * det for x in row] for row in adj], n)
-    assert (m @ inv).entries == IntMatrix.identity(n).entries
+    _require((m @ inv).entries == IntMatrix.identity(n).entries, "m @ inverse is not 1")
     return inv
 
 

@@ -1,0 +1,75 @@
+"""The classification datum (h = p/q, m) and the (k, a, b) derived from it:
+the one place they are computed.  git and semigroup validate raw (p, q, m)
+through derive_params(p, q, m, strict=True); sl2core re-exports this module."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
+
+from .lattice import _require
+
+__all__ = ["SL2Params", "derive_params", "iter_instances"]
+
+
+@dataclass(frozen=True)
+class SL2Params:
+    """Classification datum (h = p/q, m) with the derived (k, a, b).
+
+    k = gcd(q - p, m) with the convention k = m at height 1, a = m/k,
+    b = (q - p)/k.  Height 1 is exactly b = 0; the variety is toric exactly
+    when b = 1.
+    """
+
+    p: int
+    q: int
+    m: int
+    k: int
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if not (0 < self.p <= self.q and self.m >= 1):
+            raise ValueError("need 0 < p <= q and m >= 1")
+        if gcd(self.p, self.q) != 1:
+            raise ValueError("p/q must be in lowest terms")
+        expected_k = self.m if self.p == self.q else gcd(self.q - self.p, self.m)
+        if self.k != expected_k:
+            raise ValueError("k is not gcd(q - p, m)")
+        if self.m != self.a * self.k or self.q - self.p != self.b * self.k:
+            raise ValueError("a, b do not match k")
+        _require(self.b == 0 or gcd(self.a, self.b) == 1, "gcd(a, b) != 1", self)
+
+    @property
+    def height(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+
+def derive_params(p: int, q: int, m: int, strict: bool = False) -> SL2Params:
+    """Build SL2Params from raw integers.
+
+    An unreduced p/q is absorbed by reducing; with strict=True it is
+    rejected instead.  Heights above 1 are always rejected.
+    """
+    if p < 1 or q < 1 or m < 1:
+        raise ValueError("p, q, m must be positive")
+    g = gcd(p, q)
+    if g > 1:
+        if strict:
+            raise ValueError(f"height {p}/{q} is not in lowest terms")
+        p, q = p // g, q // g
+    if p > q:
+        raise ValueError("height must be at most 1")
+    k = m if p == q else gcd(q - p, m)
+    return SL2Params(p, q, m, k, m // k, (q - p) // k)
+
+
+def iter_instances(qmax: int, mmax: int):
+    """All parameter triples with q <= qmax, m <= mmax, ordered by (q,p,m)."""
+    for q in range(1, qmax + 1):
+        for p in range(1, q + 1):
+            if gcd(p, q) != 1:
+                continue
+            for m in range(1, mmax + 1):
+                yield derive_params(p, q, m)

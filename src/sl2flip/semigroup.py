@@ -42,6 +42,7 @@ from .lattice import (
     primitive,
     xgcd,
 )
+from .params import derive_params
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,14 @@ class AffineSemigroup:
         return congruence_lattice_basis(self)
 
 
-def _check_params(p: int, q: int, m: int) -> None:
-    if not (0 < p <= q) or math.gcd(p, q) != 1 or m < 1:
-        raise ValueError(f"need 0 < p <= q coprime and m >= 1, got p={p} q={q} m={m}")
-
-
 def make_Mplus(p: int, q: int, m: int) -> AffineSemigroup:
-    _check_params(p, q, m)
+    derive_params(p, q, m, strict=True)
     return AffineSemigroup(2, ((p, -q),), (((1, -1), m),), nonneg_coords=(0, 1))
 
 
 def make_Mminus(p: int, q: int, m: int) -> AffineSemigroup:
     """Like make_Mplus but only i >= 0; j may be negative."""
-    _check_params(p, q, m)
+    derive_params(p, q, m, strict=True)
     return AffineSemigroup(2, ((p, -q),), (((1, -1), m),), nonneg_coords=(0,))
 
 
@@ -115,7 +111,7 @@ def make_Mprime(p: int, q: int, m: int) -> AffineSemigroup:
     # at p == q == 1 the two covectors coincide and the region is a
     # half-plane; callers asking for a Hilbert basis will get the
     # not-pointed error from cone_rays
-    _check_params(p, q, m)
+    derive_params(p, q, m, strict=True)
     return AffineSemigroup(2, ((-q, p), (-1, 1)), (((1, -1), m),))
 
 
@@ -127,7 +123,7 @@ def make_Mtilde(p: int, q: int, m: int, transpose_ij: bool = False) -> AffineSem
     semigroup in transposed coordinates; both sign conventions are in
     circulation and the fiber structure is identical either way).
     """
-    _check_params(p, q, m)
+    derive_params(p, q, m, strict=True)
     if transpose_ij:
         ineqs = ((1, 1, -1), (-q, p, 0))
         nonneg = (0, 2)

@@ -8,6 +8,11 @@ toric degeneration.  The modules lattice/semigroup/toricgeom/git do the
 actual computing; this one wires them together and cross-checks the
 answers against each other.
 
+Each cross-check is written once, next to the value it checks, and raises
+CrossCheckError, so it runs in every mode, python -O included.  verify's
+rows are these checks (class-group, canonical, slices, cones, degeneration
+pass when the library call returns) plus independent oracles in cli.
+
 Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
 slice semigroups with their Hilbert bases, the class group, canonical
@@ -22,7 +27,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .git import (
     DiagonalAction,
@@ -33,7 +37,8 @@ from .git import (
     standard_action,
     standard_characters,
 )
-from .lattice import FinAbGroup, IntMatrix, Vec, cokernel
+from .lattice import CrossCheckError, FinAbGroup, IntMatrix, Vec, _require, cokernel, det2
+from .params import SL2Params, derive_params, iter_instances
 from .semigroup import (
     AffineSemigroup,
     HilbertBasis,
@@ -62,6 +67,7 @@ __all__ = [
     "CanonicalClass",
     "ColoredConeData",
     "CoxPresentation",
+    "CrossCheckError",
     "DivisorClassGroup",
     "FlipReport",
     "SL2Params",
@@ -87,68 +93,6 @@ __all__ = [
     "slice_surfaces",
     "toric_degeneration",
 ]
-
-
-@dataclass(frozen=True)
-class SL2Params:
-    """Classification datum (h = p/q, m) with the derived (k, a, b).
-
-    k = gcd(q - p, m) with the convention k = m at height 1, a = m/k,
-    b = (q - p)/k.  Height 1 is exactly b = 0; the variety is toric exactly
-    when b = 1.
-    """
-
-    p: int
-    q: int
-    m: int
-    k: int
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not (0 < self.p <= self.q and self.m >= 1):
-            raise ValueError("need 0 < p <= q and m >= 1")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError("p/q must be in lowest terms")
-        expected_k = self.m if self.p == self.q else gcd(self.q - self.p, self.m)
-        if self.k != expected_k:
-            raise ValueError("k is not gcd(q - p, m)")
-        if self.m != self.a * self.k or self.q - self.p != self.b * self.k:
-            raise ValueError("a, b do not match k")
-        assert gcd(self.a, self.b) == 1 or self.b == 0
-
-    @property
-    def height(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-
-def derive_params(p: int, q: int, m: int, strict: bool = False) -> SL2Params:
-    """Build SL2Params from raw integers.
-
-    An unreduced p/q is absorbed by reducing; with strict=True it is
-    rejected instead.  Heights above 1 are always rejected.
-    """
-    if p < 1 or q < 1 or m < 1:
-        raise ValueError("p, q, m must be positive")
-    g = gcd(p, q)
-    if g > 1:
-        if strict:
-            raise ValueError(f"height {p}/{q} is not in lowest terms")
-        p, q = p // g, q // g
-    if p > q:
-        raise ValueError("height must be at most 1")
-    k = m if p == q else gcd(q - p, m)
-    return SL2Params(p, q, m, k, m // k, (q - p) // k)
-
-
-def iter_instances(qmax: int, mmax: int):
-    """All parameter triples with q <= qmax, m <= mmax, ordered by (q,p,m)."""
-    for q in range(1, qmax + 1):
-        for p in range(1, q + 1):
-            if gcd(p, q) != 1:
-                continue
-            for m in range(1, mmax + 1):
-                yield derive_params(p, q, m)
 
 
 def _once(fn):
@@ -258,19 +202,20 @@ def class_group(params: SL2Params) -> DivisorClassGroup:
     alt = cokernel(IntMatrix.from_cols([(-a * q, m)], rows=2))
     expected = (1, () if a == 1 else (a,))
     for g in (group, alt):
-        assert (g.free_rank, g.torsion) == expected
+        _require((g.free_rank, g.torsion) == expected, "class group is not Z x Z/a", g)
     chars = characters(params)
     act = action(params)
     # the generators are cut out by coordinates, so their classes must match
     # the characters of those coordinates
     for idx, name in ((0, "D"), (2, "S_plus"), (4, "S_minus")):
         exps = tuple(1 if i == idx else 0 for i in range(5))
-        assert monomial_character(act, exps) == chars[name]
+        _require(monomial_character(act, exps) == chars[name], "generator character", name)
     # the relations must already hold at the character level
     for coeff, name in ((a * p, "S_plus"), (-a * q, "S_minus")):
         total_t = coeff * chars["D"].torus_part + m * chars[name].torus_part
         total_f = coeff * chars["D"].finite_part + m * chars[name].finite_part
-        assert total_t == 0 and total_f % act.finite_order == 0
+        ok = total_t == 0 and total_f % act.finite_order == 0
+        _require(ok, "relation fails on characters", name, total_t, total_f)
     return DivisorClassGroup(group, alt, chars)
 
 
@@ -295,8 +240,8 @@ def canonical_class(params: SL2Params) -> CanonicalClass:
     chi = GroupCharacter(-k + 2 * p - 2 * q, 0)
     chi_prime = GroupCharacter(q - p, 0)
     chi_plus = GroupCharacter(-k + p - q, 0)
-    assert chi.torus_part + chi_prime.torus_part == chi_plus.torus_part
-    assert chi_plus.torus_part == coeff * k
+    _require(chi.torus_part + chi_prime.torus_part == chi_plus.torus_part, "adjunction")
+    _require(chi_plus.torus_part == coeff * k, "chi+ is not K", chi_plus, coeff * k)
     return CanonicalClass(coeff, coords, chi, chi_prime, chi_plus)
 
 
@@ -318,7 +263,7 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
         for fan, want in ((fan_plus, plus), (fan_minus, minus)):
             wall = common_wall(fan)
             got = wall_curve_K_degree(fan, wall) / multiplicity(wall)
-            assert got == want
+            _require(got == want, "wall-curve K-degree", got, want)
     return minus, plus
 
 
@@ -347,12 +292,13 @@ def slice_surfaces(
             basis = slice_basis(params, which)
             sing = classify_2d(Cone(dual_cone_rays(semi)))
         except ValueError:
+            _require(expected_order is None, "slice is not pointed", name, expected_order)
             return SliceSurface(
                 name, semi, None, None,
                 note="cone is not pointed; no fixed point on this slice",
             )
-        if expected_order is not None:
-            assert sing.order == expected_order, (name, sing, expected_order)
+        ok = expected_order is None or sing.order == expected_order
+        _require(ok, "slice order", name, sing, expected_order)
         return SliceSurface(name, semi, basis, sing)
 
     s_plus = build("S+", "plus", a * p)
@@ -378,10 +324,9 @@ class ColoredConeData:
 
 
 def _in_2d_cone(gens: tuple[Vec, Vec], x: Vec) -> bool:
-    from .lattice import det2
-
+    """x lies in the cone spanned by gens, which colored_cones has already
+    checked to be strictly convex (det != 0)."""
     d = det2(gens[0], gens[1])
-    assert d != 0
     alpha = Fraction(det2(x, gens[1]), d)
     beta = Fraction(det2(gens[0], x), d)
     return alpha >= 0 and beta >= 0
@@ -410,19 +355,17 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
             "E'": ((rho, rho_prime), frozenset()),
         },
     )
-    assert rho[0] + rho[1] <= 0  # valuation cone
+    _require(rho[0] + rho[1] <= 0, "rho is off the valuation cone", rho)
     for name, (gens, colors) in data.cones.items():
-        from .lattice import det2
-
-        assert det2(gens[0], gens[1]) != 0, name  # strict convexity
+        _require(det2(gens[0], gens[1]) != 0, "cone is not strictly convex", name)
         for color in colors:
-            assert _in_2d_cone(gens, data.color_vector(color)), (name, color)
+            _require(_in_2d_cone(gens, data.color_vector(color)), "color off cone", name, color)
     # the exceptional chart sees no color at all
     for color in ("rho+", "rho-"):
-        assert not _in_2d_cone(data.cones["E'"][0], data.color_vector(color))
+        _require(not _in_2d_cone(data.cones["E'"][0], data.color_vector(color)), "color in E'")
     # each contraction to E picks up the color opposite the one it kept
-    assert data.cones["E"][1] == data.cones["E-"][1] | {"rho-"}
-    assert data.cones["E"][1] == data.cones["E+"][1] | {"rho+"}
+    _require(data.cones["E"][1] == data.cones["E-"][1] | {"rho-"}, "colors of E- -> E")
+    _require(data.cones["E"][1] == data.cones["E+"][1] | {"rho+"}, "colors of E+ -> E")
     return data
 
 
@@ -447,11 +390,11 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     sigma0 = sigma0_of(p, q)
     coeffs = (p, p, p + q, 1)
     quasi = gaifullin_criterion(sigma0.rays, coeffs)
-    assert not quasi
+    _require(not quasi, "sigma0 is quasihomogeneous")
     fibers = []
     for g in slice_basis(params, "plus").generators:
         count = fiber_count(tilde, g)
-        assert count == g[0] + g[1] + 1
+        _require(count == g[0] + g[1] + 1, "fiber count is not i + j + 1", g, count)
         fibers.append((g, count))
     return ToricDegeneration(tilde, sigma0, coeffs, quasi, tuple(fibers))
 
@@ -501,7 +444,7 @@ def flip_report(params: SL2Params) -> FlipReport:
     if b == 0:
         raise ValueError("no flip for height 1")
     k_minus, k_plus = intersection_numbers(params)
-    assert k_minus < 0 < k_plus
+    _require(k_minus < 0 < k_plus, "K-degree signs", k_minus, k_plus)
 
     act, chars = action(params), characters(params)
     semistable = {
@@ -509,9 +452,8 @@ def flip_report(params: SL2Params) -> FlipReport:
         for name in ("plus", "minus", "trivial")
     }
 
+    # below height 1 slice_surfaces has checked that all three are pointed
     s_plus, s_minus, s_prime = slice_surfaces(params)
-    assert s_plus.singularity is not None and s_minus.singularity is not None
-    assert s_prime.singularity is not None
 
     varieties = {
         "E": VarietySummary(

@@ -15,6 +15,7 @@ from math import gcd
 from .lattice import (
     IntMatrix,
     Vec,
+    _require,
     det2,
     kernel_basis,
     primitive,
@@ -261,7 +262,8 @@ def sigma_of(p: int, q: int, a: int) -> Cone:
     v2 = (-1, 0, a * q)
     v3 = (0, 1, 0)
     v4 = (0, -1, a * p)
-    assert all(p * (x + y) == q * (z + w) for x, y, z, w in zip(v1, v2, v3, v4))
+    ok = all(p * (x + y) == q * (z + w) for x, y, z, w in zip(v1, v2, v3, v4))
+    _require(ok, "sigma rays break p(v1 + v2) = q(v3 + v4)")
     return Cone((v1, v2, v3, v4))
 
 
@@ -277,9 +279,8 @@ def sigma0_of(p: int, q: int) -> Cone:
     v2 = (1, 1, -1)
     v3 = (0, 1, 0)
     v4 = (p, -q, 0)
-    assert all(
-        p * (x + y) == (p + q) * z + w for x, y, z, w in zip(v1, v2, v3, v4)
-    )
+    ok = all(p * (x + y) == (p + q) * z + w for x, y, z, w in zip(v1, v2, v3, v4))
+    _require(ok, "sigma0 rays break p(v1 + v2) = (p+q) v3 + v4")
     return Cone((v1, v2, v3, v4))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2flip import cli
+from sl2flip import CrossCheckError, cli
 
 
 def run(capsys, *argv):
@@ -195,7 +195,10 @@ class TestVerify:
         assert rows == ["1/1 m=1", "1/2 m=1", "1/3 m=1", "2/3 m=1"]
 
     def test_failure_exits_4_and_names_instance(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_check_canonical", lambda params: False)
+        def failing_check(params):
+            raise CrossCheckError("injected")
+
+        monkeypatch.setattr(cli, "canonical_class", failing_check)
         code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
         assert code == 4
         assert "canonical FAIL" in out
@@ -206,6 +209,35 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--qmax", "8", "--mmax", "6")
         assert (code, err) == (0, "")
         assert "git-loci FAIL" not in out and "all properties pass" in out
+
+
+    def test_cross_checks_run_under_python_O(self):
+        # a wrong S+ character breaks class_group's check, asserts or not
+        script = textwrap.dedent(
+            """
+            import sys
+            from sl2flip import cli, git, sl2core
+
+            real = git.standard_characters
+
+            def shifted(p, q, m):
+                chars = dict(real(p, q, m))
+                s_plus = chars["S_plus"]
+                chars["S_plus"] = git.GroupCharacter(
+                    s_plus.torus_part + 1, s_plus.finite_part
+                )
+                return chars
+
+            sl2core.standard_characters = shifted
+            sys.exit(cli.main(["verify", "--qmax", "3", "--mmax", "2"]))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "FAIL 2/3 m=2: class-group" in proc.stderr.splitlines()
 
 
 class TestParsingAndExitCodes:

@@ -1,11 +1,13 @@
 """Tests for the assembled invariants: parameters, class group, canonical
 class, flip data, colored cones, degeneration."""
 
+import ast
 import contextlib
 import io
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import sl2flip
 from sl2flip import cli, git, lattice, semigroup, sl2core, toricgeom
 from sl2flip.sl2core import (
+    CrossCheckError,
     SL2Params,
     action,
     canonical_class,
@@ -310,6 +313,20 @@ class TestSliceSurfaces:
             assert s_minus.singularity.order == params.a * params.q
             assert s_prime.singularity.order == params.b
 
+    def test_prime_not_pointed_below_height_one_raises(self, monkeypatch):
+        real = sl2core.slice_basis
+
+        def prime_not_pointed(params, which):
+            if which == "prime":
+                raise ValueError("cone is not pointed")
+            return real(params, which)
+
+        monkeypatch.setattr(sl2core, "slice_basis", prime_not_pointed)
+        with pytest.raises(CrossCheckError, match="slice is not pointed"):
+            slice_surfaces(derive_params(1, 3, 1))
+        # at height 1 no order is expected, so S' may have no fixed point
+        assert slice_surfaces(derive_params(1, 1, 3))[2].singularity is None
+
     def test_twist_is_ray_order_independent(self):
         # same_type identifies a surface with its mirror presentation
         from sl2flip.semigroup import dual_cone_rays, make_Mminus
@@ -594,3 +611,20 @@ class TestComputedOncePerInstance:
                     fn(params, *args)
                 raised.append(info.value)
             assert raised[0] is not raised[1]
+
+
+class TestCrossChecks:
+    def test_no_assert_statement_in_the_package(self):
+        # python -O strips asserts; every check must raise CrossCheckError
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(sl2flip.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_one_exception_everywhere(self):
+        assert sl2flip.CrossCheckError is CrossCheckError is lattice.CrossCheckError
+        # slice_surfaces catches ValueError; a failed check must not be one
+        assert not issubclass(CrossCheckError, ValueError)
