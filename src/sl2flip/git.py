@@ -19,6 +19,7 @@ from .lattice import (
     FinAbGroup,
     IntMatrix,
     Vec,
+    _require,
     cokernel,
     kernel_basis,
 )
@@ -204,12 +205,10 @@ def semistable_locus(
         j = min(allowed, key=lambda i: (powers[i][0], i))
         power, e = powers[j]
         exps = tuple(e if i == j else 0 for i in range(n))
-        if monomial_character(act, exps) != GroupCharacter(power * t, power * chi_f % a):
-            raise RuntimeError(
-                f"witness {exps} for {sorted(_names(pat))} does not have "
-                f"character {power}*({t}, {chi_f})"
-            )
-        witnesses[_names(pat)] = (power, exps)
+        names = _names(pat)
+        ok = monomial_character(act, exps) == GroupCharacter(power * t, power * chi_f % a)
+        _require(ok, "witness character", exps, names, power, (t, chi_f))
+        witnesses[names] = (power, exps)
 
     minimal = [
         pat for pat in unstable

@@ -15,11 +15,12 @@ pass when the library call returns) plus independent oracles in cli.
 
 Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
-slice semigroups with their Hilbert bases, the class group, canonical
-class, intersection numbers, slice surfaces, colored cones and the
-degeneration.  The values live and die with the object, and equal objects
-share nothing, so build a fresh SL2Params per computation.  A call that
-raises keeps nothing and raises again the next time.
+slice semigroups, the Hilbert bases asked for through slice_basis, the
+class group, canonical class, intersection numbers, slice surfaces,
+colored cones and the degeneration.  The values live and die with the
+object, and equal objects share nothing, so build a fresh SL2Params per
+computation.  A call that raises keeps nothing and raises again the next
+time.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .toricgeom import (
     CyclicSingularity,
     classify_2d,
     common_wall,
+    cone_contains,
     flip_subdivisions,
     gaifullin_criterion,
     multiplicity,
@@ -269,13 +271,13 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class SliceSurface:
-    """A two-dimensional slice: its exponent semigroup, Hilbert basis, and
-    the cyclic quotient type at the fixed point (None when the cone is not
-    pointed and there is no fixed point)."""
+    """A two-dimensional slice: its exponent semigroup and the cyclic
+    quotient type at the fixed point (None when the cone is not pointed and
+    there is no fixed point).  The type is read off the dual cone; the
+    Hilbert basis is built only on request, by slice_basis."""
 
     name: str
     semigroup: AffineSemigroup
-    basis: HilbertBasis | None
     singularity: CyclicSingularity | None
     note: str = ""
 
@@ -289,17 +291,16 @@ def slice_surfaces(
     def build(name: str, which: str, expected_order: int | None):
         semi = slice_semigroup(params, which)
         try:
-            basis = slice_basis(params, which)
             sing = classify_2d(Cone(dual_cone_rays(semi)))
         except ValueError:
             _require(expected_order is None, "slice is not pointed", name, expected_order)
             return SliceSurface(
-                name, semi, None, None,
+                name, semi, None,
                 note="cone is not pointed; no fixed point on this slice",
             )
         ok = expected_order is None or sing.order == expected_order
         _require(ok, "slice order", name, sing, expected_order)
-        return SliceSurface(name, semi, basis, sing)
+        return SliceSurface(name, semi, sing)
 
     s_plus = build("S+", "plus", a * p)
     s_minus = build("S-", "minus", a * q)
@@ -321,15 +322,6 @@ class ColoredConeData:
 
     def color_vector(self, name: str) -> Vec:
         return {"rho+": self.rho_plus, "rho-": self.rho_minus}[name]
-
-
-def _in_2d_cone(gens: tuple[Vec, Vec], x: Vec) -> bool:
-    """x lies in the cone spanned by gens, which colored_cones has already
-    checked to be strictly convex (det != 0)."""
-    d = det2(gens[0], gens[1])
-    alpha = Fraction(det2(x, gens[1]), d)
-    beta = Fraction(det2(gens[0], x), d)
-    return alpha >= 0 and beta >= 0
 
 
 @_once
@@ -359,10 +351,12 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
     for name, (gens, colors) in data.cones.items():
         _require(det2(gens[0], gens[1]) != 0, "cone is not strictly convex", name)
         for color in colors:
-            _require(_in_2d_cone(gens, data.color_vector(color)), "color off cone", name, color)
+            inside = cone_contains(Cone(gens), data.color_vector(color))
+            _require(inside, "color off cone", name, color)
     # the exceptional chart sees no color at all
+    exceptional = Cone(data.cones["E'"][0])
     for color in ("rho+", "rho-"):
-        _require(not _in_2d_cone(data.cones["E'"][0], data.color_vector(color)), "color in E'")
+        _require(not cone_contains(exceptional, data.color_vector(color)), "color in E'")
     # each contraction to E picks up the color opposite the one it kept
     _require(data.cones["E"][1] == data.cones["E-"][1] | {"rho-"}, "colors of E- -> E")
     _require(data.cones["E"][1] == data.cones["E+"][1] | {"rho+"}, "colors of E+ -> E")

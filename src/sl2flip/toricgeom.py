@@ -94,13 +94,12 @@ def _solve_exact(cols: tuple[Vec, ...], target) -> list[Fraction] | None:
     """Solve sum_j x_j cols[j] = target over the rationals by elimination.
 
     Columns must be linearly independent.  Returns None when the target is
-    outside their span.
+    outside their span.  A row is cleared by scaling it with the pivot, not
+    by dividing the pivot row, so integer columns stay integers and only the
+    solution is made a Fraction.
     """
     rows, n = len(target), len(cols)
-    aug = [
-        [Fraction(cols[j][i]) for j in range(n)] + [Fraction(target[i])]
-        for i in range(rows)
-    ]
+    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(rows)]
     row = 0
     for col in range(n):
         piv = next((i for i in range(row, rows) if aug[i][col]), None)
@@ -108,15 +107,14 @@ def _solve_exact(cols: tuple[Vec, ...], target) -> list[Fraction] | None:
             raise ValueError("dependent columns")
         aug[row], aug[piv] = aug[piv], aug[row]
         scale = aug[row][col]
-        aug[row] = [v / scale for v in aug[row]]
         for i in range(rows):
             if i != row and aug[i][col]:
                 f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+                aug[i] = [scale * a - f * b for a, b in zip(aug[i], aug[row])]
         row += 1
     if any(aug[i][n] for i in range(row, rows)):
         return None
-    return [aug[i][n] for i in range(n)]
+    return [Fraction(aug[i][n]) / aug[i][i] for i in range(n)]
 
 
 def cone_contains(c: Cone, x: Vec) -> bool:

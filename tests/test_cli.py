@@ -1,16 +1,22 @@
 """CLI tests: frozen command outputs, exit codes, JSON determinism."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sl2flip import CrossCheckError, cli
+from sl2flip.semigroup import AffineSemigroup, hilbert_basis, make_Mplus
+from sl2flip.sl2core import iter_instances, slice_basis
+from test_semigroup import brute_minimal_generators
 
 
 def run(capsys, *argv):
@@ -238,6 +244,83 @@ class TestVerify:
         )
         assert proc.returncode == 4, proc.stderr
         assert "FAIL 2/3 m=2: class-group" in proc.stderr.splitlines()
+
+
+def _by_angle(gens):
+    # every nonzero point of S+ has i > 0
+    return sorted(gens, key=lambda g: Fraction(g[1], g[0]))
+
+
+def _drop_inner(params, gens):
+    chain = _by_angle(gens)
+    return chain[:1] + chain[2:] if len(chain) > 2 else chain
+
+
+def _add_ends_sum(params, gens):
+    chain = _by_angle(gens)
+    ends = (chain[0][0] + chain[-1][0], chain[0][1] + chain[-1][1])
+    return [*chain, ends]
+
+
+def _add_neighbours_sum(params, gens):
+    # generates, with determinant m on both sides; only c >= 2 rejects it
+    chain = _by_angle(gens)
+    inner = (chain[0][0] + chain[1][0], chain[0][1] + chain[1][1])
+    return [*chain, inner]
+
+
+def _double_end(params, gens):
+    chain = _by_angle(gens)
+    return chain[:-1] + [(2 * chain[-1][0], 2 * chain[-1][1])]
+
+
+def _drop_end(params, gens):
+    return _by_angle(gens)[:-1]
+
+
+def _other_lattice(params, gens):
+    # the basis of the same cone in another lattice of index m, {i = xj mod
+    # m}: it meets the rays at the same points, so only membership rejects it
+    p, q, m = params.p, params.q, params.m
+    for x in range(2, m):
+        if math.gcd(m, q - x * p) == math.gcd(m, q - p):
+            semi = AffineSemigroup(2, ((p, -q),), (((1, -x), m),), nonneg_coords=(0, 1))
+            return hilbert_basis(semi).generators
+    return gens
+
+
+class TestHilbertCertificate:
+    def test_passes_and_agrees_with_the_box_scan(self):
+        for params in iter_instances(9, 8):
+            assert cli._check_hilbert(params), params
+            box = params.m + params.a * params.q
+            semi = make_Mplus(params.p, params.q, params.m)
+            brute = brute_minimal_generators(semi, (0, 0), (box, box))
+            assert sorted(slice_basis(params, "plus").generators) == brute, params
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [_drop_inner, _add_ends_sum, _add_neighbours_sum, _double_end, _drop_end, _other_lattice],
+    )
+    def test_output_mutants_fail(self, monkeypatch, mutate):
+        real = cli.slice_basis
+
+        def mutant(params, which):
+            basis = real(params, which)
+            gens = tuple(mutate(params, basis.generators))
+            return dataclasses.replace(basis, generators=gens)
+
+        monkeypatch.setattr(cli, "slice_basis", mutant)
+        changed = [
+            params
+            for params in iter_instances(7, 7)
+            if set(mutant(params, "plus").generators)
+            != set(real(params, "plus").generators)
+        ]
+        # the b = 1 closed form would catch a mutant there on its own
+        assert any(params.b != 1 for params in changed)
+        for params in changed:
+            assert not cli._check_hilbert(params), params
 
 
 class TestParsingAndExitCodes:

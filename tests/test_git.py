@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2flip import CrossCheckError, git
 from sl2flip.git import (
     COORDS,
     DiagonalAction,
@@ -248,6 +249,17 @@ class TestSemistableLocus:
                     # the witness really avoids its pattern
                     support = {COORDS[i] for i, e in enumerate(exps) if e}
                     assert not support & pattern
+
+    def test_wrong_witness_character_is_a_cross_check_error(self, monkeypatch):
+        real = git.monomial_character
+
+        def shifted(act, exps):
+            chi = real(act, exps)
+            return GroupCharacter(chi.torus_part + 1, chi.finite_part)
+
+        monkeypatch.setattr(git, "monomial_character", shifted)
+        with pytest.raises(CrossCheckError, match="witness character"):
+            run(1, 2, 1, "plus")
 
     def test_trivial_character_sweep(self):
         for p, q, m in small_params(4, 3):

@@ -303,7 +303,7 @@ class TestSliceSurfaces:
     def test_height_one_has_no_prime_fixed_point(self):
         s_plus, s_minus, s_prime = slice_surfaces(derive_params(1, 1, 3))
         assert s_plus.singularity.is_smooth and s_minus.singularity.is_smooth
-        assert s_prime.basis is None and s_prime.singularity is None
+        assert s_prime.singularity is None
         assert s_prime.note
 
     def test_orders_sweep(self):
@@ -314,16 +314,18 @@ class TestSliceSurfaces:
             assert s_prime.singularity.order == params.b
 
     def test_prime_not_pointed_below_height_one_raises(self, monkeypatch):
-        real = sl2core.slice_basis
+        real = sl2core.dual_cone_rays
+        params = derive_params(1, 3, 1)
+        prime = slice_semigroup(params, "prime")
 
-        def prime_not_pointed(params, which):
-            if which == "prime":
+        def prime_not_pointed(semi):
+            if semi is prime:
                 raise ValueError("cone is not pointed")
-            return real(params, which)
+            return real(semi)
 
-        monkeypatch.setattr(sl2core, "slice_basis", prime_not_pointed)
+        monkeypatch.setattr(sl2core, "dual_cone_rays", prime_not_pointed)
         with pytest.raises(CrossCheckError, match="slice is not pointed"):
-            slice_surfaces(derive_params(1, 3, 1))
+            slice_surfaces(params)
         # at height 1 no order is expected, so S' may have no fixed point
         assert slice_surfaces(derive_params(1, 1, 3))[2].singularity is None
 
@@ -559,8 +561,9 @@ class TestComputedOncePerInstance:
         calls = self.count_calls(monkeypatch)
         self.info()
         first = Counter(calls)
-        # S+, S-, S' once each; one class_group (two cokernels); one action
-        assert first["hilbert_basis"] == 3
+        # S+ once, for the degeneration and the embedding; one class_group
+        # (two cokernels); one action
+        assert first["hilbert_basis"] == 1
         assert first["cokernel"] == 2
         assert first["standard_action"] == 1
         assert first["standard_characters"] == 1
@@ -568,6 +571,17 @@ class TestComputedOncePerInstance:
         # nothing is kept between calls: a second call recomputes everything
         self.info()
         assert calls == first + first
+
+    @pytest.mark.parametrize(
+        "argv, bases", [(("flip", "13/29", "120"), 0), (("info", "3/7", "12"), 1)]
+    )
+    def test_commands_build_only_the_bases_they_print(self, monkeypatch, argv, bases):
+        # flip prints slice types, read off the dual cones; info prints the
+        # S+ basis (embedding, degeneration fibers) and no other
+        calls = self.count_calls(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--json"]) == 0
+        assert calls["hilbert_basis"] == bases
 
     def test_equal_objects_share_nothing(self):
         one, two = derive_params(3, 7, 12), derive_params(3, 7, 12)
@@ -589,7 +603,6 @@ class TestComputedOncePerInstance:
             assert slice_semigroup(one, which) is slice_semigroup(one, which)
             assert slice_basis(one, which) is slice_basis(one, which)
             assert slice_basis(two, which) is not slice_basis(one, which)
-        assert slice_surfaces(one)[0].basis is slice_basis(one, "plus")
 
     def test_cached_values_leave_fields_and_repr_alone(self):
         params = derive_params(3, 7, 12)
