@@ -1,10 +1,12 @@
 """Exact integer linear algebra.
 
-Everything in scope is small (matrices at most 6x6, boxes a few dozen wide),
-so the emphasis is on exactness and determinism, not speed: integer matrices
-are immutable, determinants use Bareiss elimination, Smith normal form keeps
-both unimodular transforms, and the bounded Diophantine solver enumerates in
-lexicographic order so "first solution" means the same thing on every run.
+Matrices here are small (at most 6x6), so the emphasis is on exactness and
+determinism: integer matrices are immutable, determinants use Bareiss
+elimination, and Smith normal form keeps both unimodular transforms.  SNF
+serves cokernels and integer kernels only; the rank-2 congruence lattice,
+cone multiplicities and the 4-ray relation have closed forms, computed by
+their callers with xgcd and det.  The bounded Diophantine enumerator, a
+test oracle, lists solutions in lexicographic order.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class IntMatrix:
 
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.col(j) for j in range(self.cols)), self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -363,45 +362,6 @@ def kernel_basis(a: IntMatrix) -> list[Vec]:
     return [snf.right.col(j) for j in range(a.cols) if j >= len(d) or d[j] == 0]
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1, computed via the adjugate."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    n = m.rows
-    det = m.det()
-    if det not in (1, -1):
-        raise ValueError(f"determinant {det}, not unimodular")
-    if n == 0:
-        return IntMatrix((), 0)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = IntMatrix.from_rows(
-                [[m.entries[r][c] for c in range(n) if c != j]
-                 for r in range(n) if r != i],
-                n - 1,
-            )
-            adj[j][i] = (-1) ** (i + j) * (minor.det() if n > 1 else 1)
-    inv = IntMatrix.from_rows([[x * det for x in row] for row in adj], n)
-    _require((m @ inv).entries == IntMatrix.identity(n).entries, "m @ inverse is not 1")
-    return inv
-
-
-def lattice_basis_from_generators(gens: Sequence[Sequence[int]], dim: int) -> list[Vec]:
-    """Basis of the sublattice of Z^dim generated by the given vectors."""
-    gens = [_vec(g) for g in gens]
-    for g in gens:
-        if len(g) != dim:
-            raise ValueError("generator dimension mismatch")
-    if not gens:
-        return []
-    a = IntMatrix.from_cols(gens, dim)
-    snf = smith_normal_form(a)
-    linv = unimodular_inverse(snf.left)
-    return [tuple(snf.diag[i] * x for x in linv.col(i))
-            for i in range(len(snf.diag)) if snf.diag[i] != 0]
-
-
 def iter_bounded_diophantine(
     weights: Sequence[int],
     target: int,
@@ -458,12 +418,3 @@ def iter_bounded_diophantine(
 
     return rec(0, target, 0)
 
-
-def solve_bounded_diophantine(
-    weights: Sequence[int],
-    target: int,
-    box: int | Sequence[int],
-    congruence: tuple[Sequence[int], int, int] | None = None,
-) -> list[Vec]:
-    """All solutions, in lexicographic order (possibly empty)."""
-    return list(iter_bounded_diophantine(weights, target, box, congruence))

@@ -33,15 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import (
-    IntMatrix,
-    Vec,
-    det2,
-    kernel_basis,
-    lattice_basis_from_generators,
-    primitive,
-    xgcd,
-)
+from .lattice import Vec, det2, primitive, xgcd
 from .params import derive_params
 
 
@@ -158,24 +150,6 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     return tuple(sorted(rays))  # type: ignore[return-value]
 
 
-def minimal_ray_point(s: AffineSemigroup, ray: Sequence[int]) -> Vec:
-    """Smallest positive multiple of a primitive extremal ray lying in s.
-
-    On the ray every inequality already holds, so only the congruences can
-    fail: t*ray meets g.x == 0 mod n exactly when n / gcd(g.ray, n) divides
-    t, and the smallest such t is the lcm of those quotients.  If t*ray is
-    still not a member, the ray was not a semigroup direction.
-    """
-    t = math.lcm(
-        1, *(n // math.gcd(sum(gi * ri for gi, ri in zip(g, ray)), n) for g, n in s.congruences)
-    )
-    point = tuple(t * ri for ri in ray)
-    if not s.contains(point):
-        cap = math.lcm(1, *(n for _, n in s.congruences))
-        raise RuntimeError(f"no semigroup point on ray {tuple(ray)} within lcm bound {cap}")
-    return point
-
-
 @dataclass(frozen=True)
 class HilbertBasis:
     generators: tuple[Vec, ...]
@@ -232,37 +206,38 @@ def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
 
 
 def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
-    """Basis of the finite-index sublattice of Z^2 cut by the congruences."""
+    """Hermite basis (alpha, beta), (0, gamma) of the sublattice of Z^2 cut
+    by the congruence g.x == 0 mod n (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).
+
+    The points with x1 == 0 are the multiples of gamma = n/e, e = gcd(g2, n);
+    x1 is reachable iff e | g1*x1, so alpha = e/gcd(e, g1); and beta, taken
+    in [0, gamma), solves g2*beta == -g1*alpha mod n.  The determinant
+    alpha*gamma = n/gcd(g1, g2, n) is the index, and it is positive.
+    """
     if s.rank != 2:
         raise ValueError("rank 2 only")
     if not s.congruences:
         return ((1, 0), (0, 1))
-    # solutions of g.x == 0 mod n are the projections of the integer kernel
-    # of the block matrix [covectors | diag(moduli)]
-    ncong = len(s.congruences)
-    rows = []
-    for idx, (g, n) in enumerate(s.congruences):
-        row = list(g) + [0] * ncong
-        row[2 + idx] = n
-        rows.append(row)
-    gens = [v[:2] for v in kernel_basis(IntMatrix.from_rows(rows, 2 + ncong))]
-    basis = lattice_basis_from_generators(gens, 2)
-    if len(basis) != 2:
-        raise ValueError("congruence lattice is not finite index")
-    return (basis[0], basis[1])
+    if len(s.congruences) > 1:
+        raise ValueError("rank 2 takes at most one congruence")
+    (g1, g2), n = s.congruences[0]
+    x, _, e = xgcd(g2, n)
+    gamma = n // e
+    alpha = e // math.gcd(e, g1)
+    beta = (-x * (g1 * alpha // e)) % gamma
+    return ((alpha, beta), (0, gamma))
 
 
 def _primitive_in_basis(r: Vec, b1: Vec, b2: Vec) -> Vec:
     """Primitive vector, in coordinates of the lattice basis b1, b2, that
     points along the direction r."""
-    # Cramer's rule gives the coordinates times det(b1, b2); the sign of
-    # the determinant keeps the direction
-    sign = 1 if det2(b1, b2) > 0 else -1
-    return primitive((sign * det2(r, b2), sign * det2(b1, r)))
+    # Cramer's rule gives the coordinates times det(b1, b2) > 0
+    return primitive((det2(r, b2), det2(b1, r)))
 
 
 def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
-    """Rays of the dual cone, in coordinates dual to the congruence lattice.
+    """Rays of the dual cone, in coordinates dual to congruence_lattice_basis.
 
     The slice surface Spec C[s] is the toric surface of this dual cone: its
     character lattice is the congruence sublattice M_s, and the cone sits in

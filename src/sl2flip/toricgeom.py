@@ -10,18 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
-from .lattice import (
-    IntMatrix,
-    Vec,
-    _require,
-    det2,
-    kernel_basis,
-    primitive,
-    smith_normal_form,
-    xgcd,
-)
+from .lattice import IntMatrix, Vec, _require, det2, primitive, xgcd
 
 __all__ = [
     "Cone",
@@ -127,14 +119,12 @@ def cone_contains(c: Cone, x: Vec) -> bool:
 
 def multiplicity(c: Cone) -> int:
     """Index of the subgroup spanned by the rays inside the lattice points
-    of their linear span.  1 means the cone is smooth."""
-    diag = smith_normal_form(IntMatrix.from_cols(c.rays)).diag
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) != len(c.rays):
+    of their linear span, the gcd of the maximal minors of the ray matrix.
+    1 means the cone is smooth."""
+    coords = list(zip(*c.rays))
+    out = gcd(*(IntMatrix.from_rows(rows).det() for rows in combinations(coords, len(c.rays))))
+    if out == 0:
         raise ValueError("cone is not simplicial")
-    out = 1
-    for d in nonzero:
-        out *= d
     return out
 
 
@@ -319,6 +309,20 @@ def star_subdivide_at_v5(c: Cone) -> Fan:
     )
 
 
+def _relation(rays: tuple[Vec, ...]) -> Vec:
+    """Primitive integer relation of four vectors spanning Q^3, first entry
+    made nonnegative.  By Cramer's rule the signed 3x3 minors,
+    (-1)^i det(rays without i), are a relation; when one is nonzero the
+    rays have rank 3 and the minors span the kernel."""
+    minors = tuple(
+        (-1) ** i * IntMatrix.from_cols(rays[:i] + rays[i + 1:]).det() for i in range(4)
+    )
+    if not any(minors):
+        raise ValueError("rays do not span the lattice")
+    rel = primitive(minors)
+    return rel if rel[0] >= 0 else tuple(-v for v in rel)
+
+
 def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
     """The two 2-cone triangulations of a 4-ray cone.
 
@@ -331,14 +335,9 @@ def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
     """
     if c.dim != 3 or len(c.rays) != 4:
         raise ValueError("expected a 4-ray cone in rank 3")
-    ker = kernel_basis(IntMatrix.from_cols(c.rays))
-    if len(ker) != 1:
-        raise ValueError("rays do not span the lattice")
-    rel = primitive(ker[0])
+    rel = _relation(c.rays)
     if any(v == 0 for v in rel):
         raise ValueError("some three rays are dependent")
-    if rel[0] < 0:
-        rel = tuple(-v for v in rel)
     pos = tuple(i for i in range(4) if rel[i] > 0)
     neg = tuple(i for i in range(4) if rel[i] < 0)
     if len(pos) != 2:

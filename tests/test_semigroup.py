@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sl2flip.lattice import det2
 from sl2flip.semigroup import (
     AffineSemigroup,
+    congruence_lattice_basis,
     cone_rays,
     dual_cone_rays,
     fiber_count,
@@ -17,7 +18,6 @@ from sl2flip.semigroup import (
     make_Mplus,
     make_Mprime,
     make_Mtilde,
-    minimal_ray_point,
 )
 
 
@@ -52,6 +52,25 @@ def brute_minimal_generators(s, lo, hi):
         x for x in pts
         if not any((x[0] - y[0], x[1] - y[1]) in ptset for y in pts)
     )
+
+
+def minimal_ray_point(s, ray):
+    """Oracle for hilbert_basis(s).ray_points: the smallest positive multiple
+    of a primitive extremal ray lying in s.
+
+    On the ray every inequality already holds, so only the congruences can
+    fail: t*ray meets g.x == 0 mod n exactly when n / gcd(g.ray, n) divides
+    t, and the smallest such t is the lcm of those quotients.  If t*ray is
+    still not a member, the ray was not a semigroup direction.
+    """
+    t = math.lcm(
+        1, *(n // math.gcd(sum(gi * ri for gi, ri in zip(g, ray)), n) for g, n in s.congruences)
+    )
+    point = tuple(t * ri for ri in ray)
+    if not s.contains(point):
+        cap = math.lcm(1, *(n for _, n in s.congruences))
+        raise RuntimeError(f"no semigroup point on ray {tuple(ray)} within lcm bound {cap}")
+    return point
 
 
 def parallelepiped_hilbert_basis(s):
@@ -225,6 +244,35 @@ class TestMinimalRayPoint:
     def test_off_cone_direction_rejected(self):
         with pytest.raises(RuntimeError, match="lcm bound 3"):
             minimal_ray_point(make_Mplus(1, 2, 3), (-1, 0))
+
+
+class TestCongruenceLatticeBasis:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-12, 12), st.integers(-12, 12), st.integers(1, 12))
+    def test_hermite_basis_of_the_congruence_lattice(self, g1, g2, n):
+        s = AffineSemigroup(2, (), (((g1, g2), n),))
+        (alpha, beta), (zero, gamma) = basis = congruence_lattice_basis(s)
+        for x in basis:
+            assert (g1 * x[0] + g2 * x[1]) % n == 0
+        assert zero == 0 and alpha > 0 and gamma > 0 and 0 <= beta < gamma
+        # the index, counted: n^2 / #{x in [0, n)^2 : g.x == 0 mod n}
+        members = sum(
+            (g1 * x0 + g2 * x1) % n == 0 for x0 in range(n) for x1 in range(n)
+        )
+        assert n * n % members == 0
+        assert det2(*basis) == n * n // members == n // math.gcd(g1, g2, n)
+
+    def test_no_congruence_is_the_standard_basis(self):
+        assert congruence_lattice_basis(AffineSemigroup(2, ())) == ((1, 0), (0, 1))
+
+    def test_two_congruences_rejected(self):
+        s = AffineSemigroup(2, (), (((1, -1), 2), ((1, 1), 3)))
+        with pytest.raises(ValueError):
+            congruence_lattice_basis(s)
+
+    def test_rank3_rejected(self):
+        with pytest.raises(ValueError):
+            congruence_lattice_basis(make_Mtilde(1, 2, 1))
 
 
 class TestHilbertBasis:

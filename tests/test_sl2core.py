@@ -626,14 +626,28 @@ class TestComputedOncePerInstance:
             assert raised[0] is not raised[1]
 
 
+def package_nodes():
+    for path in sorted(Path(sl2flip.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 class TestCrossChecks:
     def test_no_assert_statement_in_the_package(self):
         # python -O strips asserts; every check must raise CrossCheckError
+        found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+                 if isinstance(node, ast.Assert)]
+        assert found == []
+
+    def test_no_runtime_error_raised_in_the_package(self):
+        # a failed check is a CrossCheckError and a bad input a ValueError;
+        # a RuntimeError would surface as a traceback with no documented code
         found = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(Path(sl2flip.__file__).parent.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Assert)
+            f"{name}:{node.lineno}"
+            for name, node in package_nodes()
+            if isinstance(node, ast.Raise)
+            and node.exc is not None
+            and "RuntimeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
         ]
         assert found == []
 

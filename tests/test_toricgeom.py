@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2flip.lattice import det2, primitive, xgcd
+from sl2flip.lattice import IntMatrix, det2, kernel_basis, primitive, smith_normal_form, xgcd
 from sl2flip.semigroup import (
     congruence_lattice_basis,
     dual_cone_rays,
@@ -18,6 +18,7 @@ from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
     Fan,
+    _relation,
     classify_2d,
     common_wall,
     cone_contains,
@@ -31,6 +32,18 @@ from sl2flip.toricgeom import (
 )
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def random_rays(data, count, dim, bound):
+    """count primitive, pairwise non-proportional vectors of Z^dim; two
+    primitive vectors are proportional only when they agree up to sign."""
+    vec = st.tuples(*[st.integers(-bound, bound)] * dim).filter(any).map(primitive)
+    return tuple(
+        data.draw(
+            st.lists(vec, min_size=count, max_size=count,
+                     unique_by=lambda v: max(v, tuple(-x for x in v)))
+        )
+    )
 
 
 def pq_sweep(qmax=6):
@@ -96,6 +109,20 @@ class TestMultiplicity:
             multiplicity(Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0))))
         with pytest.raises(ValueError):
             multiplicity(sigma_of(1, 2, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3), st.integers(2, 3), st.data())
+    def test_agrees_with_smith_normal_form(self, count, dim, data):
+        # oracle: the product of the nonzero invariant factors, defined
+        # when there is one per ray
+        rays = random_rays(data, count, dim, 6)
+        diag = smith_normal_form(IntMatrix.from_cols(rays)).diag
+        nonzero = [d for d in diag if d]
+        if len(nonzero) == count:
+            assert multiplicity(Cone(rays)) == math.prod(nonzero)
+        else:
+            with pytest.raises(ValueError, match="not simplicial"):
+                multiplicity(Cone(rays))
 
 
 class TestClassify2d:
@@ -328,6 +355,28 @@ class TestFlipSubdivisions:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             flip_subdivisions(Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))))
+
+    def test_coplanar_rays_do_not_span(self):
+        with pytest.raises(ValueError, match="do not span"):
+            flip_subdivisions(Cone(((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0))))
+
+    def test_relation_of_sigma(self):
+        # p(v1 + v2) = q(v3 + v4), already primitive for coprime p, q
+        for p, q in pq_sweep():
+            for a in (1, 2, 3):
+                assert _relation(sigma_of(p, q, a).rays) == (p, p, -q, -q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_relation_agrees_with_kernel_basis(self, data):
+        rays = random_rays(data, 4, 3, 4)
+        ker = kernel_basis(IntMatrix.from_cols(rays))
+        if len(ker) != 1:
+            with pytest.raises(ValueError, match="do not span"):
+                _relation(rays)
+            return
+        rel, want = _relation(rays), primitive(ker[0])
+        assert rel in (want, tuple(-x for x in want))
 
 
 class TestWallCurveDegree:
