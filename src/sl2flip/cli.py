@@ -38,7 +38,6 @@ from .git import (
     u_invariant_exponents,
 )
 from .lattice import det2
-from .semigroup import fiber_count, make_Mplus, make_Mtilde
 from .sl2core import (
     CONVENTION_NOTE,
     SL2Params,
@@ -48,6 +47,7 @@ from .sl2core import (
     class_group,
     colored_cones,
     cox_presentation,
+    degeneration_fibers,
     derive_params,
     embedding_data,
     flip_report,
@@ -57,6 +57,7 @@ from .sl2core import (
     iter_instances,
     orbit_structure,
     slice_basis,
+    slice_semigroup,
     slice_surfaces,
     toric_degeneration,
 )
@@ -395,10 +396,9 @@ def _cmd_hilbert(args) -> int:
                 "the rank-3 semigroup supports membership and fiber queries "
                 "only; no Hilbert basis is reported"
             )
-        tilde = make_Mtilde(params.p, params.q, params.m)
         fibers = [
-            {"point": list(gen), "count": fiber_count(tilde, gen)}
-            for gen in slice_basis(params, "plus").generators
+            {"point": list(gen), "count": count}
+            for gen, count in degeneration_fibers(params)
         ]
         section = {"which": "tilde", "fibers": fibers}
         warnings.append(TILDE_NOTE)
@@ -501,7 +501,7 @@ def _check_hilbert(params: SL2Params) -> bool:
     gens = slice_basis(params, "plus").generators
     if params.b == 1 and set(gens) != {(m + t, t) for t in range(a * p + 1)}:
         return False
-    semi = make_Mplus(p, q, m)
+    semi = slice_semigroup(params, "plus")
     # a nonzero point of S+ has i > 0, which the angle key needs
     if not all(semi.contains(g) and g[0] > 0 for g in gens):
         return False
@@ -520,7 +520,7 @@ def _check_hilbert(params: SL2Params) -> bool:
 
 def _check_u_oracle(params: SL2Params) -> bool:
     box = 8
-    semi = make_Mplus(params.p, params.q, params.m)
+    semi = slice_semigroup(params, "plus")
     found = u_invariant_exponents(params.p, params.q, params.m, box)
     want = {
         (i, j)

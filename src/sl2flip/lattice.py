@@ -1,12 +1,13 @@
 """Exact integer linear algebra.
 
 Matrices here are small (at most 6x6), so the emphasis is on exactness and
-determinism: integer matrices are immutable, determinants use Bareiss
-elimination, and Smith normal form keeps both unimodular transforms.  SNF
-serves cokernels and integer kernels only; the rank-2 congruence lattice,
-cone multiplicities and the 4-ray relation have closed forms, computed by
-their callers with xgcd and det.  The bounded Diophantine enumerator, a
-test oracle, lists solutions in lexicographic order.
+determinism: integer matrices are immutable and offer only what Smith
+normal form and its callers read, and SNF keeps both unimodular transforms.
+SNF serves cokernels and integer kernels only; the rank-2 congruence
+lattice, cone multiplicities, the 4-ray relation and the cone solves have
+closed forms, computed by their callers with xgcd and explicit 2x2 and 3x3
+minors.  The bounded Diophantine enumerator, a test oracle, lists
+solutions in lexicographic order.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ class IntMatrix:
                 raise ValueError("ragged columns")
         return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(rows)), len(cols))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -114,60 +111,14 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.entries)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return IntMatrix(
-            tuple(
-                tuple(sum(self.entries[i][t] * other.entries[t][j] for t in range(self.cols))
-                      for j in range(other.cols))
-                for i in range(self.rows)
-            ),
-            other.cols,
-        )
-
-    def apply(self, v: Sequence[int]) -> Vec:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(r[t] * v[t] for t in range(self.cols)) for r in self.entries)
-
-    def det(self) -> int:
-        """Determinant by fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if m[t][t] == 0:
-                for i in range(t + 1, n):
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    # exact by the Bareiss identity
-                    m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-                m[i][t] = 0
-            prev = m[t][t]
-        return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """diag == left @ a @ right with unimodular transforms.
+    """left * a * right is the diagonal matrix with entries diag, for
+    unimodular transforms left and right.
 
     diag holds min(rows, cols) nonnegative entries, each dividing the next,
     zeros trailing.
@@ -176,15 +127,6 @@ class SmithDecomposition:
     diag: Vec
     left: IntMatrix
     right: IntMatrix
-
-    def matrix(self) -> IntMatrix:
-        rows = self.left.rows
-        cols = self.right.cols
-        return IntMatrix(
-            tuple(tuple(self.diag[i] if i == j and i < len(self.diag) else 0
-                        for j in range(cols)) for i in range(rows)),
-            cols,
-        )
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:

@@ -15,9 +15,10 @@ pass when the library call returns) plus independent oracles in cli.
 
 Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
-slice semigroups, the Hilbert bases asked for through slice_basis, the
-class group, canonical class, intersection numbers, slice surfaces,
-colored cones and the degeneration.  The values live and die with the
+slice semigroups and the rank-3 degeneration semigroup, the Hilbert bases
+asked for through slice_basis, the class group, canonical class,
+intersection numbers, slice surfaces, colored cones, the degeneration and
+its checked fiber counts.  The values live and die with the
 object, and equal objects share nothing, so build a fresh SL2Params per
 computation.  A call that raises keeps nothing and raises again the next
 time.
@@ -82,6 +83,7 @@ __all__ = [
     "class_group",
     "colored_cones",
     "cox_presentation",
+    "degeneration_fibers",
     "derive_params",
     "embedding_data",
     "flip_report",
@@ -129,8 +131,10 @@ def characters(params: SL2Params) -> dict[str, GroupCharacter]:
 @_once
 def slice_semigroup(params: SL2Params, which: str) -> AffineSemigroup:
     """The exponent semigroup of a slice: which is "plus" (S+, make_Mplus),
-    "minus" (S-, make_Mminus) or "prime" (S', make_Mprime)."""
-    make = {"plus": make_Mplus, "minus": make_Mminus, "prime": make_Mprime}[which]
+    "minus" (S-, make_Mminus) or "prime" (S', make_Mprime); "tilde" is the
+    rank-3 degeneration semigroup fibered over S+ (make_Mtilde)."""
+    make = {"plus": make_Mplus, "minus": make_Mminus, "prime": make_Mprime,
+            "tilde": make_Mtilde}[which]
     return make(params.p, params.q, params.m)
 
 
@@ -376,21 +380,30 @@ class ToricDegeneration:
 
 
 @_once
-def toric_degeneration(params: SL2Params) -> ToricDegeneration:
-    p, q, m = params.p, params.q, params.m
-    if params.b == 0:
-        raise ValueError("no degeneration data at height 1")
-    tilde = make_Mtilde(p, q, m)
-    sigma0 = sigma0_of(p, q)
-    coeffs = (p, p, p + q, 1)
-    quasi = gaifullin_criterion(sigma0.rays, coeffs)
-    _require(not quasi, "sigma0 is quasihomogeneous")
+def degeneration_fibers(params: SL2Params) -> tuple[tuple[Vec, int], ...]:
+    """The count of the rank-3 semigroup's fiber over each S+ generator g,
+    checked to be g[0] + g[1] + 1, the dimension of the module V_{i+j} that
+    g spans.  Defined at height 1 as well."""
+    tilde = slice_semigroup(params, "tilde")
     fibers = []
     for g in slice_basis(params, "plus").generators:
         count = fiber_count(tilde, g)
         _require(count == g[0] + g[1] + 1, "fiber count is not i + j + 1", g, count)
         fibers.append((g, count))
-    return ToricDegeneration(tilde, sigma0, coeffs, quasi, tuple(fibers))
+    return tuple(fibers)
+
+
+@_once
+def toric_degeneration(params: SL2Params) -> ToricDegeneration:
+    p, q = params.p, params.q
+    if params.b == 0:
+        raise ValueError("no degeneration data at height 1")
+    tilde = slice_semigroup(params, "tilde")
+    sigma0 = sigma0_of(p, q)
+    coeffs = (p, p, p + q, 1)
+    quasi = gaifullin_criterion(sigma0.rays, coeffs)
+    _require(not quasi, "sigma0 is quasihomogeneous")
+    return ToricDegeneration(tilde, sigma0, coeffs, quasi, degeneration_fibers(params))
 
 
 def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:

@@ -3,7 +3,10 @@
 Everything is exact integer or rational arithmetic.  The fans that show up
 here have at most four maximal cones (one wall, two chambers, or a star
 subdivision), so face compatibility is checked by exhaustive pairwise
-inspection instead of anything clever.
+inspection instead of anything clever.  Every linear system is at most
+3x3, so determinants are explicit minors (det2, or a cross product dotted
+with the third column) and solves use Cramer's rule; nothing here runs a
+general elimination.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .lattice import IntMatrix, Vec, _require, det2, primitive, xgcd
+from .lattice import Vec, _require, det2, primitive, xgcd
 
 __all__ = [
     "Cone",
@@ -82,38 +85,54 @@ class Cone:
         return len(self.rays[0])
 
 
-def _solve_exact(cols: tuple[Vec, ...], target) -> list[Fraction] | None:
-    """Solve sum_j x_j cols[j] = target over the rationals by elimination.
+def _det(cols: tuple[Vec, ...]) -> int:
+    """Determinant of the 1x1, 2x2 or 3x3 matrix with the given columns
+    (or rows: transposing keeps it)."""
+    if len(cols) == 1:
+        return cols[0][0]
+    if len(cols) == 2:
+        return det2(*cols)
+    u, v, w = cols
+    return _dot(_cross(u, v), w)
 
-    Columns must be linearly independent.  Returns None when the target is
-    outside their span.  A row is cleared by scaling it with the pivot, not
-    by dividing the pivot row, so integer columns stay integers and only the
-    solution is made a Fraction.
+
+def _solve(cols: tuple[Vec, ...], x) -> list[Fraction] | None:
+    """Solve sum_j c_j cols[j] = x over the rationals by Cramer's rule.
+
+    Takes 1 to 3 columns in Z^2 or Z^3; raises ValueError when they are
+    dependent, and returns None when x is outside their span.  A square
+    system divides the minors by det(cols).  One column u spans x iff they
+    are proportional, with coefficient (x.u)/(u.u).  Two columns u, v in Z^3
+    have the normal n = u x v: x is in their span iff x.n = 0, and then its
+    coefficients are ((x x v).n, (u x x).n)/(n.n).
     """
-    rows, n = len(target), len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(rows)]
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, rows) if aug[i][col]), None)
-        if piv is None:
+    if len(cols) > len(x):
+        raise ValueError("dependent columns")
+    if len(cols) == len(x):
+        d = _det(cols)
+        if d == 0:
             raise ValueError("dependent columns")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        scale = aug[row][col]
-        for i in range(rows):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [scale * a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    if any(aug[i][n] for i in range(row, rows)):
+        return [Fraction(_det(cols[:j] + (x,) + cols[j + 1:])) / d for j in range(len(cols))]
+    if len(cols) == 1:
+        (u,) = cols
+        if not any(u):
+            raise ValueError("dependent columns")
+        return [Fraction(_dot(x, u)) / _dot(u, u)] if _proportional(u, x) else None
+    u, v = cols
+    n = _cross(u, v)
+    if n == (0, 0, 0):
+        raise ValueError("dependent columns")
+    if _dot(x, n):
         return None
-    return [Fraction(aug[i][n]) / aug[i][i] for i in range(n)]
+    nn = _dot(n, n)
+    return [Fraction(_dot(_cross(x, v), n)) / nn, Fraction(_dot(_cross(u, x), n)) / nn]
 
 
 def cone_contains(c: Cone, x: Vec) -> bool:
     """Weak membership test for a simplicial cone."""
     if len(x) != c.dim:
         raise ValueError("dimension mismatch")
-    sol = _solve_exact(c.rays, x)
+    sol = _solve(c.rays, x)
     return sol is not None and all(v >= 0 for v in sol)
 
 
@@ -122,7 +141,7 @@ def multiplicity(c: Cone) -> int:
     of their linear span, the gcd of the maximal minors of the ray matrix.
     1 means the cone is smooth."""
     coords = list(zip(*c.rays))
-    out = gcd(*(IntMatrix.from_rows(rows).det() for rows in combinations(coords, len(c.rays))))
+    out = gcd(*(_det(rows) for rows in combinations(coords, len(c.rays))))
     if out == 0:
         raise ValueError("cone is not simplicial")
     return out
@@ -315,7 +334,7 @@ def _relation(rays: tuple[Vec, ...]) -> Vec:
     (-1)^i det(rays without i), are a relation; when one is nonzero the
     rays have rank 3 and the minors span the kernel."""
     minors = tuple(
-        (-1) ** i * IntMatrix.from_cols(rays[:i] + rays[i + 1:]).det() for i in range(4)
+        (-1) ** i * _det(rays[:i] + rays[i + 1:]) for i in range(4)
     )
     if not any(minors):
         raise ValueError("rays do not span the lattice")
@@ -390,7 +409,7 @@ def wall_curve_K_degree(f: Fan, wall: Cone) -> Fraction:
         -(coeffs[0] * completing[0][i] + coeffs[1] * completing[1][i])
         for i in range(3)
     )
-    sol = _solve_exact(wall.rays, target)
+    sol = _solve(wall.rays, target)
     if sol is None:
         raise ValueError("wall relation is inconsistent")
     return -(coeffs[0] + coeffs[1] + sol[0] + sol[1])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2flip import CrossCheckError, cli
+from sl2flip import CrossCheckError, cli, sl2core
 from sl2flip.semigroup import AffineSemigroup, hilbert_basis, make_Mplus
 from sl2flip.sl2core import iter_instances, slice_basis
 from test_semigroup import brute_minimal_generators
@@ -90,6 +90,19 @@ class TestHilbert:
         assert doc["sections"]["hilbert"]["fibers"] == [
             {"point": [2, 0], "count": 3},
             {"point": [3, 1], "count": 5},
+        ]
+
+    def test_tilde_fibers_are_cross_checked(self, monkeypatch):
+        # hilbert ... tilde prints the fibers toric_degeneration checks
+        monkeypatch.setattr(sl2core, "fiber_count", lambda s, base: base[0] + base[1])
+        with pytest.raises(CrossCheckError, match="i \\+ j \\+ 1"):
+            cli.main(["hilbert", "2/5", "9", "tilde"])
+
+    def test_tilde_at_height_one(self, capsys):
+        doc = run_json(capsys, "hilbert", "1/1", "3", "tilde")
+        assert doc["sections"]["hilbert"]["fibers"] == [
+            {"point": [1, 1], "count": 3},
+            {"point": [3, 0], "count": 4},
         ]
 
     def test_tilde_basis_is_domain_error(self, capsys):

@@ -131,6 +131,64 @@ class TestCoxPresentation:
             assert cox_presentation(params).relation_degree == params.b
 
 
+TRIVIAL = git.GroupCharacter(0, 0)
+
+
+def cox_u_exponents(params, box):
+    """(i, j) in [0, box]^2 for which Y0^e X1^i X3^j, e = (pi - qj)/k a
+    nonnegative integer, has the trivial character of action(params): the
+    exponents of the U-invariants of the Cox quotient."""
+    act = action(params)
+    out = set()
+    for i in range(box + 1):
+        for j in range(box + 1):
+            e, r = divmod(params.p * i - params.q * j, params.k)
+            if e >= 0 and r == 0 and git.monomial_character(act, (e, i, 0, j, 0)) == TRIVIAL:
+                out.add((i, j))
+    return out
+
+
+def mplus_exponents(params, box):
+    semi = slice_semigroup(params, "plus")
+    return {(i, j) for i in range(box + 1) for j in range(box + 1) if semi.contains((i, j))}
+
+
+# the instances of iter_instances(9, 8) with gcd(a, k) > 1: there the finite
+# weights of git.standard_action grade Cl by a map that is not injective, so
+# the quotient loses part of the finite group; a fix of the weights must
+# turn these xfails into passes
+COX_GRADING_NOT_ISOMORPHIC = [
+    (1, 3, 4), (3, 5, 4), (1, 7, 4), (5, 7, 4), (7, 9, 4),
+    (1, 3, 8), (3, 5, 8), (1, 7, 8), (5, 7, 8), (7, 9, 8),
+    (1, 5, 8), (3, 7, 8), (5, 9, 8),
+]
+
+
+class TestCoxQuotientUInvariants:
+    """The U-invariants of the Cox quotient must be the monomials of M+."""
+
+    def test_agree_with_mplus_when_gcd_a_k_is_one(self):
+        checked = 0
+        for params in iter_instances(9, 8):
+            if gcd(params.a, params.k) == 1:
+                box = 2 * params.m + 2
+                assert cox_u_exponents(params, box) == mplus_exponents(params, box), params
+                checked += 1
+        assert checked == 211
+
+    def test_gcd_a_k_exceeds_one_exactly_on_the_pinned_instances(self):
+        found = [(t.p, t.q, t.m) for t in iter_instances(9, 8) if gcd(t.a, t.k) > 1]
+        assert sorted(found) == sorted(COX_GRADING_NOT_ISOMORPHIC)
+
+    @pytest.mark.xfail(strict=True, reason="the finite weights do not grade Cl "
+                       "isomorphically when gcd(a, k) > 1")
+    @pytest.mark.parametrize("p, q, m", COX_GRADING_NOT_ISOMORPHIC)
+    def test_agree_with_mplus_when_gcd_a_k_exceeds_one(self, p, q, m):
+        params = derive_params(p, q, m)
+        box = 2 * m + 2
+        assert cox_u_exponents(params, box) == mplus_exponents(params, box)
+
+
 class TestToricAndSmooth:
     def test_spot_values(self):
         assert is_toric(derive_params(1, 3, 2))

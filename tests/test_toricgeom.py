@@ -18,7 +18,9 @@ from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
     Fan,
+    _det,
     _relation,
+    _solve,
     classify_2d,
     common_wall,
     cone_contains,
@@ -30,6 +32,7 @@ from sl2flip.toricgeom import (
     star_subdivide_at_v5,
     wall_curve_K_degree,
 )
+from test_lattice import laplace_det
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -44,6 +47,29 @@ def random_rays(data, count, dim, bound):
                      unique_by=lambda v: max(v, tuple(-x for x in v)))
         )
     )
+
+
+def solve_by_elimination(cols, target):
+    """Oracle for toricgeom._solve: solve sum_j x_j cols[j] = target by
+    fraction-free Gaussian elimination.  Raises ValueError for dependent
+    columns and returns None when the target is off their span."""
+    rows, n = len(target), len(cols)
+    aug = [[cols[j][i] for j in range(n)] + [target[i]] for i in range(rows)]
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, rows) if aug[i][col]), None)
+        if piv is None:
+            raise ValueError("dependent columns")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        scale = aug[row][col]
+        for i in range(rows):
+            if i != row and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [scale * a - f * b for a, b in zip(aug[i], aug[row])]
+        row += 1
+    if any(aug[i][n] for i in range(row, rows)):
+        return None
+    return [Fraction(aug[i][n]) / aug[i][i] for i in range(n)]
 
 
 def pq_sweep(qmax=6):
@@ -90,6 +116,53 @@ def hull_walk_type(r1, r2):
     for b in reversed(bs[:-1]):
         val = b - 1 / val
     return (val.numerator, val.denominator % val.numerator)
+
+
+def outcome(solve, cols, target):
+    try:
+        return solve(cols, target)
+    except ValueError:
+        return ValueError
+
+
+def vectors(dim, bound=5):
+    return st.tuples(*[st.integers(-bound, bound)] * dim)
+
+
+class TestMinors:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(vectors(n), min_size=n, max_size=n)))
+    def test_det_is_the_laplace_expansion(self, cols):
+        assert _det(tuple(cols)) == laplace_det(cols)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 4), st.data())
+    def test_solve_agrees_with_elimination(self, dim, count, data):
+        # arbitrary columns, zero vectors and dependent sets included; the
+        # target is either arbitrary (mostly off the span) or drawn inside it
+        cols = tuple(data.draw(vectors(dim)) for _ in range(count))
+        if data.draw(st.booleans()):
+            target = data.draw(vectors(dim, 9))
+        else:
+            coeffs = [data.draw(st.integers(-4, 4)) for _ in cols]
+            target = tuple(sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(dim))
+        got = outcome(_solve, cols, target)
+        assert got == outcome(solve_by_elimination, cols, target)
+        if isinstance(got, list):
+            assert all(type(x) is Fraction for x in got)
+
+    def test_solve_frozen(self):
+        # in the span, off it, dependent, and four rays in Z^3
+        assert _solve((E1, E2), (3, -2, 0)) == [3, -2]
+        assert _solve((E1, E2), (3, -2, 1)) is None
+        assert _solve(((1, 1, 0), (1, -1, 0)), (1, 0, 0)) == [Fraction(1, 2), Fraction(1, 2)]
+        assert _solve(((2, 1),), (4, 2)) == [2]
+        assert _solve(((2, 1),), (4, 3)) is None
+        assert _solve(((1, 0), (-1, 2)), (0, 1)) == [Fraction(1, 2), Fraction(1, 2)]
+        for cols in [((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 2, 3), (2, 4, 6)),
+                     (E1, E2, E3, (1, 1, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 0),)]:
+            with pytest.raises(ValueError, match="dependent"):
+                _solve(cols, (0,) * len(cols[0]))
 
 
 class TestMultiplicity:
