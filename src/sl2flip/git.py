@@ -7,7 +7,8 @@ Schenck ch. 14): a coordinate pattern is chi-unstable exactly when no
 coordinate off the pattern has a torus weight of the sign of chi, and
 otherwise a power of one such coordinate is an invariant of character
 n*chi, written down in closed form and checked.  Every pattern is decided;
-nothing is searched.
+nothing is searched.  The stabilizer of a coordinate support is the
+quotient of two rank-2 character lattices, read off their Hermite bases.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .lattice import (
-    FinAbGroup,
-    IntMatrix,
-    Vec,
-    _require,
-    cokernel,
-    kernel_basis,
-)
+from .lattice import FinAbGroup, _require, xgcd
 from .params import derive_params
 
 COORDS = ("Y0", "X1", "X2", "X3", "X4")
@@ -226,28 +220,64 @@ def _names(indices: frozenset[int]) -> frozenset[str]:
     return frozenset(COORDS[i] for i in indices)
 
 
+def _hermite_basis(vectors) -> tuple[int, int, int]:
+    """Hermite basis (alpha, beta), (0, gamma) of the sublattice of Z^2
+    spanned by vectors, merged in one vector at a time by xgcd.
+
+    alpha, gamma >= 0 and 0 <= beta < gamma when gamma > 0.  alpha = 0
+    exactly when the lattice lies in 0 x Z; then beta = 0 and the lattice
+    is gamma*Z in the second coordinate.
+    """
+    alpha = beta = gamma = 0
+    for x, y in vectors:
+        u, v, g = xgcd(alpha, x)
+        if g:
+            # (x/g)(alpha, beta) - (alpha/g)(x, y) has first coordinate 0
+            gamma = gcd(gamma, x // g * beta - alpha // g * y)
+            alpha, beta = g, u * beta + v * y
+        else:
+            gamma = gcd(gamma, y)
+        if gamma:
+            beta %= gamma
+    return alpha, beta, gamma
+
+
 def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:
     """Stabilizer, inside the group actually acting (the image in the
     diagonal torus), of a point whose nonzero coordinates are exactly the
-    given support.
+    given support, as its character group.
 
-    The character lattice of the image is Z^n modulo the covectors pairing
-    trivially with the whole group; the stabilizer of the support is dual
-    to that quotient with the supported coordinate characters killed.
+    Coordinate i has the character (w_i, f_i) of C* x mu_a, an element of
+    Z x Z/a; lift these to Z^2.  The characters of the image of the group
+    are L = span{(w_i, f_i)} + (0, a)Z modulo (0, a)Z, and the stabilizer
+    of the support is dual to L/R, where R = span{(w_i, f_i) : i in
+    support} + (0, a)Z.  With the Hermite basis (alpha, beta), (0, gamma)
+    of L, write the generators of R in that basis, and let (alpha_R, .),
+    (0, gamma_R) be their Hermite basis.  When alpha_R = 0 (no supported
+    coordinate has a torus weight), L/R is Z x Z/gamma_R, or Z/gamma_R
+    when L itself has rank 1 (every torus weight is 0).  Otherwise L/R is
+    finite of order alpha_R*gamma_R, with first invariant factor d1, the
+    gcd of all the coordinates of R.
+
+    generator_images is (): the quotient is read off indices alone, and
+    no caller reads images of the coordinate characters.
     """
-    n = len(act.torus_weights)
-    idx = sorted({COORDS.index(c) for c in support})
-    system = IntMatrix.from_rows(
-        (
-            act.torus_weights + (0,),
-            act.finite_weights + (act.finite_order,),
-        )
-    )
-    trivial_covectors = [v[:n] for v in kernel_basis(system)]
-    cols = trivial_covectors + [
-        tuple(1 if i == j else 0 for j in range(n)) for i in idx
-    ]
-    return cokernel(IntMatrix.from_cols(cols, rows=n))
+    a = act.finite_order
+    weights = list(zip(act.torus_weights, act.finite_weights))
+    alpha, beta, gamma = _hermite_basis(weights + [(0, a)])
+    relations = [weights[COORDS.index(c)] for c in set(support)] + [(0, a)]
+    if alpha == 0:
+        # L = (0, gamma)Z has rank 1
+        coords = [(0, f // gamma) for _, f in relations]
+    else:
+        coords = [(w // alpha, (f - w // alpha * beta) // gamma) for w, f in relations]
+    alpha_r, _, gamma_r = _hermite_basis(coords)
+    if alpha_r == 0:
+        free_rank, factors = (1 if alpha else 0), (gamma_r,)
+    else:
+        d1 = gcd(*(c for v in coords for c in v))
+        free_rank, factors = 0, (d1, alpha_r * gamma_r // d1)
+    return FinAbGroup(free_rank, tuple(d for d in factors if d > 1))
 
 
 def u_invariant_exponents(p: int, q: int, m: int, box: int) -> set[tuple[int, int]]:

@@ -39,7 +39,7 @@ from .git import (
     standard_action,
     standard_characters,
 )
-from .lattice import CrossCheckError, FinAbGroup, IntMatrix, Vec, _require, cokernel, det2
+from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2
 from .params import SL2Params, derive_params, iter_instances
 from .semigroup import (
     AffineSemigroup,
@@ -185,9 +185,15 @@ def orbit_structure(params: SL2Params) -> tuple[str, ...]:
 class DivisorClassGroup:
     """Class group in normal form with two generator systems.
 
-    group presents ([D], [S+]) with the relation ap[D] + m[S+] = 0; alt
-    presents ([D], [S-]) with -aq[D] + m[S-] = 0.  Both must normalize to
-    Z x Z/a.
+    Cl is Z^2 on two generators modulo one relation, read off the exact
+    sequence M -> Z^(divisors) -> Cl -> 0 (Cox-Little-Schenck 5.1): group
+    presents ([D], [S+]) with ap[D] + m[S+] = 0, alt presents ([D], [S-])
+    with -aq[D] + m[S-] = 0.  Z^2 modulo one column (x, y) is
+    Z x Z/gcd(x, y), and gcd(ap, m) = gcd(aq, m) = a since p and q are
+    prime to k, so both must normalize to Z x Z/a.  The coordinates of the
+    generators come from the row operations of _column_quotient's Euclid:
+    the second row gives the free coordinate, the first, mod a, the
+    torsion one.
     """
 
     group: FinAbGroup
@@ -201,11 +207,37 @@ class DivisorClassGroup:
         return self.group.element(1)
 
 
+def _column_quotient(x: int, y: int) -> FinAbGroup:
+    """Z^2 modulo the span of the nonzero column (x, y), with the images
+    of the two standard basis vectors.
+
+    A two-row Euclid with Smith normal form's pivot rule (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4): pivot on the entry of
+    least absolute value, ties to row 0, negate a negative pivot, reduce
+    the other row by floor division.  Each row carries its row of the left
+    transform, so the images are those Smith normal form gives.
+    """
+    top, bottom = [x, 1, 0], [y, 0, 1]
+    if top[0] == 0 or 0 < abs(bottom[0]) < abs(top[0]):
+        top, bottom = bottom, top
+    if top[0] < 0:
+        top = [-v for v in top]
+    while bottom[0]:
+        c = bottom[0] // top[0]
+        bottom = [u - c * v for u, v in zip(bottom, top)]
+        if bottom[0]:
+            top, bottom = bottom, top
+    g = top[0]
+    if g == 1:
+        return FinAbGroup(1, (), ((bottom[1],), (bottom[2],)))
+    return FinAbGroup(1, (g,), ((bottom[1], top[1] % g), (bottom[2], top[2] % g)))
+
+
 @_once
 def class_group(params: SL2Params) -> DivisorClassGroup:
     p, q, m, a = params.p, params.q, params.m, params.a
-    group = cokernel(IntMatrix.from_cols([(a * p, m)], rows=2))
-    alt = cokernel(IntMatrix.from_cols([(-a * q, m)], rows=2))
+    group = _column_quotient(a * p, m)
+    alt = _column_quotient(-a * q, m)
     expected = (1, () if a == 1 else (a,))
     for g in (group, alt):
         _require((g.free_rank, g.torsion) == expected, "class group is not Z x Z/a", g)

@@ -12,6 +12,7 @@ from sl2flip.git import (
     GroupCharacter,
     SemistableReport,
     _effective,
+    _hermite_basis,
     _names,
     default_budgets,
     monomial_character,
@@ -24,6 +25,7 @@ from sl2flip.git import (
 from sl2flip.lattice import iter_bounded_diophantine
 from sl2flip.semigroup import make_Mplus
 from sl2flip.sl2core import derive_params, iter_instances
+from test_lattice import IntMatrix, cokernel, kernel_basis
 
 
 def fs(*names):
@@ -149,6 +151,47 @@ def stabilizer_order_oracle(act, support):
                     )
                 )
     return len(seen)
+
+
+def trivial_covectors(act):
+    """Basis of the covectors c in Z^n pairing trivially with the group:
+    sum c_i w_i = 0 and sum c_i f_i = 0 mod a, by Smith normal form."""
+    n = len(act.torus_weights)
+    system = IntMatrix.from_rows(
+        (act.torus_weights + (0,), act.finite_weights + (act.finite_order,))
+    )
+    return [v[:n] for v in kernel_basis(system)]
+
+
+def stabilizer_snf_oracle(act, support, trivial=None):
+    """(free_rank, torsion) of Z^n modulo the trivial covectors and the
+    supported coordinate characters, by Smith normal form."""
+    n = len(act.torus_weights)
+    if trivial is None:
+        trivial = trivial_covectors(act)
+    cols = trivial + [
+        tuple(1 if i == j else 0 for j in range(n))
+        for i in sorted({COORDS.index(c) for c in support})
+    ]
+    g = cokernel(IntMatrix.from_cols(cols, rows=n))
+    return g.free_rank, g.torsion
+
+
+ALL_SUPPORTS = [
+    frozenset(c for bit, c in enumerate(COORDS) if mask >> bit & 1) for mask in range(32)
+]
+
+
+@st.composite
+def diagonal_actions(draw):
+    """Actions with zero, negative and repeated torus weights, a = 1
+    included."""
+    a = draw(st.integers(1, 12))
+    torus = tuple(
+        draw(st.one_of(st.just(0), st.integers(-9, 9))) for _ in COORDS
+    )
+    finite = tuple(draw(st.integers(0, a - 1)) for _ in COORDS)
+    return DiagonalAction(torus, a, finite)
 
 
 class TestStandardAction:
@@ -378,6 +421,37 @@ class TestSemistableLocusAtScale:
         assert_witnesses_verified(act, chi, params.b, report)
 
 
+class TestHermiteBasis:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=5))
+    def test_is_the_normal_form_of_the_span(self, vectors):
+        alpha, beta, gamma = _hermite_basis(vectors)
+        assert alpha >= 0 and gamma >= 0
+        assert alpha == math.gcd(*(x for x, _ in vectors))
+        if gamma:
+            assert 0 <= beta < gamma
+        if not alpha:
+            assert beta == 0
+        # every vector lies in the span of the basis ...
+        for x, y in vectors:
+            c = x // alpha if alpha else 0
+            assert x == c * alpha
+            rest = y - c * beta
+            assert (rest % gamma == 0) if gamma else rest == 0
+        # ... and the basis in the span of the vectors: it dies in their
+        # cokernel
+        g = cokernel(IntMatrix.from_cols(vectors, rows=2))
+        zero = (0,) * (g.free_rank + len(g.torsion))
+        for u, v in ((alpha, beta), (0, gamma)):
+            image = [u * s + v * t for s, t in zip(*g.generator_images)]
+            assert g.reduce(image) == zero
+
+    def test_frozen(self):
+        assert _hermite_basis([]) == (0, 0, 0)
+        assert _hermite_basis([(0, 6), (0, 4)]) == (0, 0, 2)
+        assert _hermite_basis([(6, 4), (-12, 1), (3, 11)]) == (3, 2, 9)
+
+
 class TestStabilizer:
     def test_y0_support(self):
         act = standard_action(2, 3, 4)
@@ -413,6 +487,44 @@ class TestStabilizer:
             for support in supports:
                 got = stabilizer_of_support(act, support).order()
                 assert got == stabilizer_order_oracle(act, support), (p, q, m, support)
+
+    def test_agrees_with_smith_oracle_on_instances(self):
+        for params in iter_instances(16, 16):
+            act = standard_action(params.p, params.q, params.m)
+            trivial = trivial_covectors(act)
+            for support in ALL_SUPPORTS:
+                g = stabilizer_of_support(act, support)
+                want = stabilizer_snf_oracle(act, support, trivial)
+                assert (g.free_rank, g.torsion) == want, (params, support)
+
+    @settings(max_examples=300, deadline=None)
+    @given(act=diagonal_actions(), support=st.sampled_from(ALL_SUPPORTS))
+    def test_agrees_with_smith_oracle_on_any_action(self, act, support):
+        g = stabilizer_of_support(act, support)
+        assert (g.free_rank, g.torsion) == stabilizer_snf_oracle(act, support)
+        assert g.generator_images == ()
+
+    @pytest.mark.parametrize(
+        "torus, a, finite, support, structure",
+        [
+            # every torus weight 0: L and R have rank 1 and the image of the
+            # group is finite
+            ((0, 0, 0, 0, 0), 6, (1, 2, 3, 0, 0), (), "Z/6"),
+            ((0, 0, 0, 0, 0), 6, (1, 2, 3, 0, 0), ("Y0",), "0"),
+            ((0, 0, 0, 0, 0), 6, (1, 2, 3, 0, 0), ("X2",), "Z/3"),
+            # supports without torus weights: R has rank 1 inside a rank-2 L
+            ((0, 2, 0, 0, 0), 4, (2, 1, 0, 0, 0), ("Y0",), "Z"),
+            ((0, 2, 0, 0, 0), 4, (2, 1, 0, 0, 0), ("X2",), "Z x Z/2"),
+            # (t^2, t, zeta) on (Y0, X1, X2) acts faithfully; the point with
+            # only Y0 nonzero is fixed by t = +-1 and every zeta
+            ((2, 1, 0, 0, 0), 2, (0, 0, 1, 0, 0), ("Y0",), "Z/2 x Z/2"),
+        ],
+    )
+    def test_degenerate_lattices(self, torus, a, finite, support, structure):
+        act = DiagonalAction(torus, a, finite)
+        g = stabilizer_of_support(act, support)
+        assert g.structure() == structure
+        assert (g.free_rank, g.torsion) == stabilizer_snf_oracle(act, support)
 
     def test_monotone(self):
         for p, q, m in small_params(4, 4):

@@ -1,19 +1,219 @@
 
+"""Tests of sl2flip.lattice, and the Smith normal form oracle.
+
+The package computes no matrix normal form: its cokernels are rank-2
+closed forms (sl2core._column_quotient, git.stabilizer_of_support).  Smith
+normal form, with the cokernel and integer kernel read off its unimodular
+transforms, lives here as their brute-force oracle; test_toricgeom,
+test_git and test_sl2core import it from this file.
+"""
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2flip.lattice import (
     FinAbGroup,
-    IntMatrix,
-    cokernel,
+    Vec,
+    _vec,
     det2,
     iter_bounded_diophantine,
-    kernel_basis,
     primitive,
-    smith_normal_form,
     xgcd,
 )
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Immutable integer matrix, stored as a tuple of row tuples.
+
+    The column count is stored explicitly so matrices with zero rows or zero
+    columns still know their shape (a 2x0 matrix of relations presents Z^2).
+    """
+
+    entries: tuple[Vec, ...]
+    cols: int
+
+    def __post_init__(self) -> None:
+        for row in self.entries:
+            if len(row) != self.cols:
+                raise ValueError("ragged rows")
+
+    @staticmethod
+    def from_rows(rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
+        entries = tuple(_vec(r) for r in rows)
+        if cols is None:
+            if not entries:
+                raise ValueError("need explicit cols for a matrix with no rows")
+            cols = len(entries[0])
+        return IntMatrix(entries, cols)
+
+    @staticmethod
+    def from_cols(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
+        cols = [_vec(c) for c in cols]
+        if rows is None:
+            if not cols:
+                raise ValueError("need explicit rows for a matrix with no columns")
+            rows = len(cols[0])
+        for c in cols:
+            if len(c) != rows:
+                raise ValueError("ragged columns")
+        return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(rows)), len(cols))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def col(self, j: int) -> Vec:
+        return tuple(r[j] for r in self.entries)
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """left * a * right is the diagonal matrix with entries diag, for
+    unimodular transforms left and right.
+
+    diag holds min(rows, cols) nonnegative entries, each dividing the next,
+    zeros trailing.
+    """
+
+    diag: Vec
+    left: IntMatrix
+    right: IntMatrix
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Diagonalize over Z, returning both unimodular transforms.
+
+    Pivot selection is pinned down so results are reproducible: the nonzero
+    entry of smallest absolute value in the working block, ties broken by
+    lowest (row, col) in row-major scan order.
+    """
+    nrows, ncols = a.shape
+    m = [list(r) for r in a.entries]
+    left = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    right = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def row_add(i: int, src: int, c: int) -> None:
+        for j in range(ncols):
+            m[i][j] += c * m[src][j]
+        for j in range(nrows):
+            left[i][j] += c * left[src][j]
+
+    def row_swap(i: int, j: int) -> None:
+        m[i], m[j] = m[j], m[i]
+        left[i], left[j] = left[j], left[i]
+
+    def row_negate(i: int) -> None:
+        m[i] = [-x for x in m[i]]
+        left[i] = [-x for x in left[i]]
+
+    def col_add(j: int, src: int, c: int) -> None:
+        for i in range(nrows):
+            m[i][j] += c * m[i][src]
+        for i in range(ncols):
+            right[i][j] += c * right[i][src]
+
+    def col_swap(j: int, l: int) -> None:
+        for i in range(nrows):
+            m[i][j], m[i][l] = m[i][l], m[i][j]
+        for i in range(ncols):
+            right[i][j], right[i][l] = right[i][l], right[i][j]
+
+    def find_pivot(t: int) -> tuple[int, int] | None:
+        best: tuple[int, int] | None = None
+        best_abs = 0
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(m[i][j])
+                if v != 0 and (best is None or v < best_abs):
+                    best, best_abs = (i, j), v
+        return best
+
+    rank_limit = min(nrows, ncols)
+    for t in range(rank_limit):
+        while True:
+            piv = find_pivot(t)
+            if piv is None:
+                break
+            if piv != (t, t):
+                if piv[0] != t:
+                    row_swap(t, piv[0])
+                if piv[1] != t:
+                    col_swap(t, piv[1])
+            if m[t][t] < 0:
+                row_negate(t)
+            # clear the pivot column, then the pivot row; nonzero remainders
+            # are strictly smaller than the pivot, so this loop terminates
+            clean = True
+            for i in range(t + 1, nrows):
+                if m[i][t] != 0:
+                    row_add(i, t, -(m[i][t] // m[t][t]))
+                    if m[i][t] != 0:
+                        clean = False
+            for j in range(t + 1, ncols):
+                if m[t][j] != 0:
+                    col_add(j, t, -(m[t][j] // m[t][t]))
+                    if m[t][j] != 0:
+                        clean = False
+            if not clean:
+                continue
+            # divisibility: the pivot must divide the whole trailing block
+            viol = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if m[i][j] % m[t][t] != 0:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            row_add(t, viol, 1)
+        if m[t][t] == 0:
+            break  # trailing block is all zero
+
+    diag = tuple(m[t][t] for t in range(rank_limit))
+    return SmithDecomposition(
+        diag,
+        IntMatrix.from_rows(left, nrows) if left else IntMatrix((), nrows),
+        IntMatrix.from_rows(right, ncols) if right else IntMatrix((), ncols),
+    )
+
+
+
+
+def cokernel(a: IntMatrix) -> FinAbGroup:
+    """Z^rows modulo the column span of a.
+
+    generator_images[j] is the image of the j-th standard basis vector of
+    Z^rows in the normalized coordinates of the quotient.
+    """
+    snf = smith_normal_form(a)
+    d = snf.diag
+    free_idx = [i for i in range(a.rows) if i >= len(d) or d[i] == 0]
+    tor_idx = [i for i in range(len(d)) if d[i] >= 2]
+    torsion = tuple(d[i] for i in tor_idx)
+    images = []
+    for j in range(a.rows):
+        z = snf.left.col(j)  # image of e_j under the left change of basis
+        images.append(tuple(z[i] for i in free_idx) + tuple(z[i] % d[i] for i in tor_idx))
+    return FinAbGroup(len(free_idx), torsion, tuple(images))
+
+
+def kernel_basis(a: IntMatrix) -> list[Vec]:
+    """Basis of the integer kernel of a (vectors of length a.cols)."""
+    snf = smith_normal_form(a)
+    d = snf.diag
+    return [snf.right.col(j) for j in range(a.cols) if j >= len(d) or d[j] == 0]
+
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

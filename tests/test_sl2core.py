@@ -38,6 +38,7 @@ from sl2flip.sl2core import (
     toric_degeneration,
 )
 from sl2flip.toricgeom import CyclicSingularity
+from test_lattice import IntMatrix, cokernel
 
 
 def instances(qmax, mmax, below_one=False):
@@ -263,6 +264,21 @@ class TestClassGroup:
     def test_character_dictionary_keys(self):
         chars = class_group(derive_params(1, 2, 1)).characters
         assert {"plus", "minus", "trivial", "D", "S_plus", "S_minus"} <= set(chars)
+
+    def test_quotient_agrees_with_smith_cokernel_on_a_grid(self):
+        # torsion and generator images, so ties and signs are pinned too
+        for x in range(-80, 81):
+            for y in range(-80, 81):
+                if x or y:
+                    want = cokernel(IntMatrix.from_cols([(x, y)], rows=2))
+                    assert sl2core._column_quotient(x, y) == want, (x, y)
+
+    def test_quotient_agrees_with_smith_cokernel_on_instances(self):
+        for params in iter_instances(40, 40):
+            cl = class_group(params)
+            a, p, q, m = params.a, params.p, params.q, params.m
+            assert cl.group == cokernel(IntMatrix.from_cols([(a * p, m)], rows=2)), params
+            assert cl.alt == cokernel(IntMatrix.from_cols([(-a * q, m)], rows=2)), params
 
 
 class TestCanonicalClass:
@@ -587,7 +603,7 @@ class TestComputedOncePerInstance:
     COUNTED = {
         "hilbert_basis": semigroup.hilbert_basis,
         "congruence_lattice_basis": semigroup.congruence_lattice_basis,
-        "cokernel": lattice.cokernel,
+        "column_quotient": sl2core._column_quotient,
         "standard_action": git.standard_action,
         "standard_characters": git.standard_characters,
     }
@@ -620,9 +636,9 @@ class TestComputedOncePerInstance:
         self.info()
         first = Counter(calls)
         # S+ once, for the degeneration and the embedding; one class_group
-        # (two cokernels); one action
+        # (two column quotients); one action
         assert first["hilbert_basis"] == 1
-        assert first["cokernel"] == 2
+        assert first["column_quotient"] == 2
         assert first["standard_action"] == 1
         assert first["standard_characters"] == 1
         assert first["congruence_lattice_basis"] <= 3

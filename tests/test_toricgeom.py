@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2flip.lattice import IntMatrix, det2, kernel_basis, primitive, smith_normal_form, xgcd
+from sl2flip.lattice import det2, primitive, xgcd
 from sl2flip.semigroup import (
     congruence_lattice_basis,
     dual_cone_rays,
@@ -32,7 +32,7 @@ from sl2flip.toricgeom import (
     star_subdivide_at_v5,
     wall_curve_K_degree,
 )
-from test_lattice import laplace_det
+from test_lattice import IntMatrix, kernel_basis, laplace_det, smith_normal_form
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
