@@ -11,10 +11,14 @@ One binary, seven subcommands:
     sl2flip verify --qmax 4 --mmax 3
 
 Heights are exact fractions ("p/q" or a bare integer); decimals are
-rejected.  Exit codes: 0 success, 2 usage error, 3 domain error, 4
-verification failure.  `main(argv)` returns the exit code rather than
-exiting and may be called any number of times in one process; only the
-argument parser, built on the first call, is kept between calls.
+rejected.  Exit codes: 0 success, 2 usage error, 3 domain error (any
+`ValueError` the library raises for a datum or a query it does not
+support), 4 verification failure.  `main(argv)` returns the exit code
+rather than exiting and may be called any number of times in one process;
+only the argument parser, built on the first call, is kept between calls.
+
+`info`, `flip`, `cones` and `degeneration` print sections of one report,
+listed per subcommand in `REPORTS`.
 
 Semistability is decided exactly, so there are no search budgets to set;
 the n_max / box fields of the git JSON sections are kept at their former
@@ -65,6 +69,8 @@ from .toricgeom import multiplicity, sigma_of, star_subdivide_at_v5
 
 SCHEMA_VERSION = "1.0"
 
+PARAM_KEYS = ("p", "q", "m", "k", "a", "b")
+
 NO_FLIP = "no flip (height 1)"
 
 TILDE_NOTE = (
@@ -78,21 +84,13 @@ class UsageError(Exception):
     pass
 
 
-class DomainError(Exception):
-    pass
-
-
 def _parse_height(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)/(\d+)", text) or re.fullmatch(r"(\d+)", text)
+    match = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
     if match is None:
         raise UsageError(
             f"height must be an exact fraction like 2/3, got {text!r}"
         )
-    groups = match.groups()
-    return (int(groups[0]), int(groups[1])) if len(groups) == 2 else (
-        int(groups[0]),
-        1,
-    )
+    return int(match.group(1)), int(match.group(2) or 1)
 
 
 def _positive_int(text: str) -> int:
@@ -105,10 +103,7 @@ def _positive_int(text: str) -> int:
 def _params_from_args(args) -> tuple[SL2Params, list[str]]:
     p_raw, q_raw = _parse_height(args.h)
     warnings = []
-    try:
-        params = derive_params(p_raw, q_raw, args.m, strict=args.strict)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    params = derive_params(p_raw, q_raw, args.m, strict=args.strict)
     if (p_raw, q_raw) != (params.p, params.q):
         warnings.append(
             f"height {p_raw}/{q_raw} reduced to {params.p}/{params.q}"
@@ -122,12 +117,7 @@ def _params_from_args(args) -> tuple[SL2Params, list[str]]:
 
 def _sec_params(params: SL2Params) -> dict:
     return {
-        "p": params.p,
-        "q": params.q,
-        "m": params.m,
-        "k": params.k,
-        "a": params.a,
-        "b": params.b,
+        **{key: getattr(params, key) for key in PARAM_KEYS},
         "height": params.height,
         "toric": is_toric(params),
         "smooth": is_smooth(params),
@@ -268,10 +258,6 @@ def _sec_embedding(params: SL2Params) -> dict:
     }
 
 
-def _sec_orbits(params: SL2Params) -> list:
-    return list(orbit_structure(params))
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -279,29 +265,17 @@ def _sec_orbits(params: SL2Params) -> list:
 def _document(params: SL2Params, sections: dict, warnings: list[str]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "params": {
-            "p": params.p,
-            "q": params.q,
-            "m": params.m,
-            "k": params.k,
-            "a": params.a,
-            "b": params.b,
-        },
+        "params": {key: getattr(params, key) for key in PARAM_KEYS},
         "sections": sections,
         "warnings": warnings,
     }
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, Fraction):
-            return {"num": o.numerator, "den": o.denominator}
-        return super().default(o)
-
-
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True, cls=_Encoder))
+        # Fractions are the only values json cannot encode itself
+        print(json.dumps(doc, indent=2, sort_keys=True, default=lambda f: {
+            "num": f.numerator, "den": f.denominator}))
     else:
         print(_render_text(doc))
 
@@ -341,7 +315,7 @@ def _render_text(doc: dict) -> str:
     par = doc["params"]
     lines.append(
         "params: "
-        + " ".join(f"{key}={par[key]}" for key in ("p", "q", "m", "k", "a", "b"))
+        + " ".join(f"{key}={par[key]}" for key in PARAM_KEYS)
     )
     for name, content in doc["sections"].items():
         if name == "params":
@@ -364,26 +338,40 @@ def _render_text(doc: dict) -> str:
 # subcommands
 
 
-def _cmd_info(args) -> int:
+# each section's builder and the note it adds to the warnings; the flip
+# sections exist only for b >= 1, where `info` prints NO_FLIP instead
+SECTIONS = {
+    "cox": (_sec_cox, None),
+    "orbits": (lambda params: list(orbit_structure(params)), None),
+    "class_group": (_sec_class_group, None),
+    "canonical": (_sec_canonical, None),
+    "flip": (_sec_flip, CONVENTION_NOTE),
+    "colored_cones": (_sec_cones, None),
+    "degeneration": (_sec_degeneration, TILDE_NOTE),
+    "embedding": (_sec_embedding, None),
+}
+FLIP_SECTIONS = ("flip", "colored_cones", "degeneration")
+REPORTS = {
+    "info": ("cox", "orbits", "class_group", "canonical", *FLIP_SECTIONS, "embedding"),
+    "flip": ("flip",),
+    "cones": ("colored_cones",),
+    "degeneration": ("degeneration",),
+}
+
+
+def _cmd_report(args) -> int:
     params, warnings = _params_from_args(args)
-    sections = {
-        "params": _sec_params(params),
-        "cox": _sec_cox(params),
-        "orbits": _sec_orbits(params),
-        "class_group": _sec_class_group(params),
-        "canonical": _sec_canonical(params),
-    }
-    if params.b == 0:
-        sections["flip"] = NO_FLIP
-        sections["colored_cones"] = NO_FLIP
-        sections["degeneration"] = NO_FLIP
-    else:
-        sections["flip"] = _sec_flip(params)
-        sections["colored_cones"] = _sec_cones(params)
-        sections["degeneration"] = _sec_degeneration(params)
-        warnings.append(CONVENTION_NOTE)
-        warnings.append(TILDE_NOTE)
-    sections["embedding"] = _sec_embedding(params)
+    if params.b == 0 and args.command != "info":
+        raise ValueError("no flip for height 1")
+    sections = {"params": _sec_params(params)}
+    for name in REPORTS[args.command]:
+        if params.b == 0 and name in FLIP_SECTIONS:
+            sections[name] = NO_FLIP
+            continue
+        build, note = SECTIONS[name]
+        sections[name] = build(params)
+        if note:
+            warnings.append(note)
     _emit(_document(params, sections, warnings), args.json)
     return 0
 
@@ -392,7 +380,7 @@ def _cmd_hilbert(args) -> int:
     params, warnings = _params_from_args(args)
     if args.which == "tilde":
         if args.basis:
-            raise DomainError(
+            raise ValueError(
                 "the rank-3 semigroup supports membership and fiber queries "
                 "only; no Hilbert basis is reported"
             )
@@ -403,10 +391,7 @@ def _cmd_hilbert(args) -> int:
         section = {"which": "tilde", "fibers": fibers}
         warnings.append(TILDE_NOTE)
     else:
-        try:
-            basis = slice_basis(params, args.which)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        basis = slice_basis(params, args.which)
         section = {
             "which": args.which,
             "generators": [list(gen) for gen in basis.generators],
@@ -440,46 +425,6 @@ def _cmd_git(args) -> int:
     sections = {
         "params": _sec_params(params),
         "git": _sec_git(report, chi_name, chi, params),
-    }
-    _emit(_document(params, sections, warnings), args.json)
-    return 0
-
-
-def _require_flip(params: SL2Params) -> None:
-    if params.b == 0:
-        raise DomainError("no flip for height 1")
-
-
-def _cmd_flip(args) -> int:
-    params, warnings = _params_from_args(args)
-    _require_flip(params)
-    warnings.append(CONVENTION_NOTE)
-    sections = {
-        "params": _sec_params(params),
-        "flip": _sec_flip(params),
-    }
-    _emit(_document(params, sections, warnings), args.json)
-    return 0
-
-
-def _cmd_cones(args) -> int:
-    params, warnings = _params_from_args(args)
-    _require_flip(params)
-    sections = {
-        "params": _sec_params(params),
-        "colored_cones": _sec_cones(params),
-    }
-    _emit(_document(params, sections, warnings), args.json)
-    return 0
-
-
-def _cmd_degeneration(args) -> int:
-    params, warnings = _params_from_args(args)
-    _require_flip(params)
-    warnings.append(TILDE_NOTE)
-    sections = {
-        "params": _sec_params(params),
-        "degeneration": _sec_degeneration(params),
     }
     _emit(_document(params, sections, warnings), args.json)
     return 0
@@ -582,7 +527,7 @@ def _check_stabilizer(params: SL2Params) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    failures: list[tuple[SL2Params, str]] = []
+    failures: list[str] = []
     for params in iter_instances(args.qmax, args.mmax):
         checks: list[tuple[str, object]] = [
             ("hilbert", _check_hilbert),
@@ -603,19 +548,16 @@ def _cmd_verify(args) -> int:
         cells = []
         for name, fn in checks:
             try:
-                passed = bool(fn(params))
-            except Exception:
-                passed = False
+                passed, error = bool(fn(params)), ""
+            except Exception as exc:
+                passed, error = False, f": {type(exc).__name__}: {exc}"
             cells.append(f"{name} {'ok' if passed else 'FAIL'}")
             if not passed:
-                failures.append((params, name))
+                failures.append(f"FAIL {params.p}/{params.q} m={params.m}: {name}{error}")
         print(f"{params.p}/{params.q} m={params.m}: " + "  ".join(cells))
     if failures:
-        for params, name in failures:
-            print(
-                f"FAIL {params.p}/{params.q} m={params.m}: {name}",
-                file=sys.stderr,
-            )
+        for line in failures:
+            print(line, file=sys.stderr)
         print(f"{len(failures)} properties failed", file=sys.stderr)
         return 4
     print("all properties pass")
@@ -638,7 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_instance(name, help_text, fn=_cmd_report):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("h", help="height as an exact fraction p/q")
         sp.add_argument("m", type=int, help="degree (>= 1)")
         sp.add_argument("--json", action="store_true", help="emit JSON")
@@ -647,13 +590,11 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="reject an unreduced height instead of reducing it",
         )
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("info", help="full report")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_info)
-
-    sp = sub.add_parser("hilbert", help="semigroup generators / fiber table")
-    add_common(sp)
+    add_instance("info", "full report")
+    sp = add_instance("hilbert", "semigroup generators / fiber table", _cmd_hilbert)
     sp.add_argument(
         "which",
         choices=("plus", "minus", "prime", "tilde"),
@@ -664,26 +605,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="insist on a Hilbert basis (unsupported for tilde)",
     )
-    sp.set_defaults(fn=_cmd_hilbert)
-
-    sp = sub.add_parser("git", help="semistable locus for a character")
-    add_common(sp)
+    sp = add_instance("git", "semistable locus for a character", _cmd_git)
     sp.add_argument(
         "character", help="plus, minus, trivial, or a custom pair 'w,c'"
     )
-    sp.set_defaults(fn=_cmd_git)
-
-    sp = sub.add_parser("flip", help="flip diagram report")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_flip)
-
-    sp = sub.add_parser("cones", help="colored cones")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_cones)
-
-    sp = sub.add_parser("degeneration", help="toric degeneration data")
-    add_common(sp)
-    sp.set_defaults(fn=_cmd_degeneration)
+    add_instance("flip", "flip diagram report")
+    add_instance("cones", "colored cones")
+    add_instance("degeneration", "toric degeneration data")
 
     sp = sub.add_parser("verify", help="run the property sweep")
     sp.add_argument("--qmax", type=_positive_int, default=4)
@@ -704,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -223,6 +223,34 @@ class TestVerify:
         assert "canonical FAIL" in out
         assert "FAIL 1/1 m=1: canonical" in err
 
+    def test_failure_line_ends_in_the_cross_check_message(self, capsys, monkeypatch):
+        def failing_check(params):
+            raise CrossCheckError("injected")
+
+        monkeypatch.setattr(cli, "canonical_class", failing_check)
+        code, _, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
+        assert code == 4
+        lines = [line for line in err.splitlines() if line.startswith("FAIL 1/2 m=1: canonical")]
+        assert lines == ["FAIL 1/2 m=1: canonical: CrossCheckError: injected"]
+
+    def test_failure_line_names_an_oracle_exception(self, capsys, monkeypatch):
+        real = cli.slice_basis
+
+        def empty_at_one_third(params, which):
+            basis = real(params, which)
+            if (params.p, params.q, params.m) == (1, 3, 1):
+                return dataclasses.replace(basis, generators=())
+            return basis
+
+        monkeypatch.setattr(cli, "slice_basis", empty_at_one_third)
+        code, out, err = run(capsys, "verify", "--qmax", "3", "--mmax", "1")
+        assert code == 4
+        assert "1/3 m=1: hilbert FAIL" in out
+        assert err.splitlines() == [
+            "FAIL 1/3 m=1: hilbert: IndexError: list index out of range",
+            "1 properties failed",
+        ]
+
     def test_sweep_past_the_former_budget_passes(self, capsys):
         # at m = 5 the former default search budget failed git-loci 9 times
         code, out, err = run(capsys, "verify", "--qmax", "8", "--mmax", "6")
@@ -256,7 +284,10 @@ class TestVerify:
             env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 4, proc.stderr
-        assert "FAIL 2/3 m=2: class-group" in proc.stderr.splitlines()
+        assert any(
+            line.startswith("FAIL 2/3 m=2: class-group: CrossCheckError: ")
+            for line in proc.stderr.splitlines()
+        ), proc.stderr
 
 
 def _by_angle(gens):
@@ -355,6 +386,28 @@ class TestParsingAndExitCodes:
         doc = run_json(capsys, "info", "1", "3")
         assert doc["params"] == {"p": 1, "q": 1, "m": 3, "k": 3, "a": 1, "b": 0}
 
+    def test_usage_lists_the_subcommands_in_order(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        usage = out.splitlines()[0]
+        assert "{info,hilbert,git,flip,cones,degeneration,verify}" in usage
+
+    @pytest.mark.parametrize(
+        "command",
+        [("info",), ("hilbert", "plus"), ("git", "plus"), ("flip",), ("cones",), ("degeneration",)],
+        ids=lambda command: command[0],
+    )
+    def test_instance_subcommands_exit_0_or_3(self, capsys, command):
+        # every library ValueError, and only that, is exit 3
+        for h in ("1/1", "1/3", "2/4", "3/2", "0/1", "1/0"):
+            for m in ("0", "1", "4"):
+                for strict in ((), ("--strict",)):
+                    argv = (command[0], h, m, *command[1:], *strict)
+                    code, out, err = run(capsys, *argv)
+                    assert code in (0, 3), argv
+                    if code == 3:
+                        assert out == "" and err.startswith("error: "), argv
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
@@ -396,6 +449,15 @@ GOLDEN_STDOUT_SHA256 = {
         "b9aadbf73ab3d97d05c6b40c10da629dcdeb177f9de7a833026853b7c78c11d8",
     ("cones", "3/7", "12", "--json"):
         "4cd6a162d5d2e73dc83131c70fe9379e6af3cdb9d340854c50d0320cc7a12b47",
+    # the text form of each report subcommand, info at b = 1
+    ("flip", "1/2", "1"):
+        "66c40c4c38904a7ba864b44c84bb2a278227c8c8e6227dda8d1237a6c9b818a3",
+    ("cones", "1/2", "1"):
+        "ea7ab2ddbc4b7c4b464bf77c00984eefa68733db56f427ce34f7eac9de553232",
+    ("degeneration", "1/3", "2"):
+        "1d40d5804c0966b57e2f6f0eae9ac62ef4813aaa087206725181995b13ab92e6",
+    ("info", "1/2", "1"):
+        "05bb426d88e177d14ee3ed92884480693913bb56abb061c389ce69c692d8437d",
 }
 
 
