@@ -36,7 +36,6 @@ from fractions import Fraction
 
 from .git import (
     GroupCharacter,
-    default_budgets,
     semistable_locus,
     stabilizer_of_support,
     u_invariant_exponents,
@@ -183,15 +182,16 @@ def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> d
         )
     ]
     # schema 1.0 still carries the search-era fields: an always empty
-    # undecided list and the former default budgets, which bound nothing
-    n_max, box = default_budgets(params.p, params.q, params.m)
+    # undecided list and the former default budgets 2s and 4s,
+    # s = p + q + k, which bound nothing
+    s = params.p + params.q + params.k
     return {
         "character": {"name": chi_name, **_char_dict(chi)},
         "unstable_vanishing": sorted(report.unstable_vanishing),
         "witnesses": witnesses,
         "undecided": [],
-        "n_max": n_max,
-        "box": box,
+        "n_max": 2 * s,
+        "box": 4 * s,
     }
 
 
@@ -466,7 +466,7 @@ def _check_hilbert(params: SL2Params) -> bool:
 def _check_u_oracle(params: SL2Params) -> bool:
     box = 8
     semi = slice_semigroup(params, "plus")
-    found = u_invariant_exponents(params.p, params.q, params.m, box)
+    found = u_invariant_exponents(params, box)
     want = {
         (i, j)
         for i in range(box + 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .lattice import FinAbGroup, _require, xgcd
-from .params import derive_params
+from .params import SL2Params
 
 COORDS = ("Y0", "X1", "X2", "X3", "X4")
 
@@ -26,12 +26,9 @@ __all__ = [
     "DiagonalAction",
     "GroupCharacter",
     "SemistableReport",
-    "default_budgets",
     "monomial_character",
     "semistable_locus",
     "stabilizer_of_support",
-    "standard_action",
-    "standard_characters",
     "u_invariant_exponents",
 ]
 
@@ -65,34 +62,6 @@ class GroupCharacter:
     finite_part: int
 
 
-def standard_action(p: int, q: int, m: int) -> DiagonalAction:
-    """diag(t^k, t^-p, t^-p, t^q, t^q) times diag(1, z^-1, z^-1, z, z)
-    on (Y0, X1, X2, X3, X4), with k = gcd(q-p, m) (k = m when p = q) and
-    a = m/k."""
-    par = derive_params(p, q, m, strict=True)
-    k, a = par.k, par.a
-    return DiagonalAction(
-        torus_weights=(k, -p, -p, q, q),
-        finite_order=a,
-        finite_weights=(0, (-1) % a, (-1) % a, 1 % a, 1 % a),
-    )
-
-
-def standard_characters(p: int, q: int, m: int) -> dict[str, GroupCharacter]:
-    """The six characters attached to the standard action: the flip pair
-    plus/minus, the trivial one, and those cut out by Y0, X2, X3."""
-    par = derive_params(p, q, m, strict=True)
-    k, a = par.k, par.a
-    return {
-        "plus": GroupCharacter(-k + p - q, 0),
-        "minus": GroupCharacter(k + q - p, 0),
-        "trivial": GroupCharacter(0, 0),
-        "D": GroupCharacter(k, 0),
-        "S_plus": GroupCharacter(-p, (-1) % a),
-        "S_minus": GroupCharacter(q, 1 % a),
-    }
-
-
 def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
     exponents = tuple(exponents)
     if len(exponents) != len(act.torus_weights):
@@ -102,15 +71,6 @@ def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
     t = sum(e * w for e, w in zip(exponents, act.torus_weights))
     f = sum(e * w for e, w in zip(exponents, act.finite_weights))
     return GroupCharacter(t, f % act.finite_order)
-
-
-def default_budgets(p: int, q: int, m: int) -> tuple[int, int]:
-    """The (n_max, box) pair that the schema-1.0 JSON still reports in the
-    n_max / box fields of every git section.  Semistability no longer
-    searches, so these numbers bound nothing; they are kept because the
-    benchmark checker reads them, and go with the next schema bump."""
-    k = derive_params(p, q, m, strict=True).k
-    return 2 * (p + q + k), 4 * (p + q + k)
 
 
 @dataclass(frozen=True)
@@ -280,12 +240,12 @@ def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:
     return FinAbGroup(free_rank, tuple(d for d in factors if d > 1))
 
 
-def u_invariant_exponents(p: int, q: int, m: int, box: int) -> set[tuple[int, int]]:
+def u_invariant_exponents(params: SL2Params, box: int) -> set[tuple[int, int]]:
     """Exponent pairs (i, j) in [0, box]^2 for which X0^e0 X1^i X3^j can be
     made invariant under the torus acting with weights (1, -p, q) and the
     mu_m action with weights (0, -1, 1): the torus forces e0 = pi - qj,
     which must be a legal exponent, and mu_m forces m | i - j."""
-    derive_params(p, q, m, strict=True)
+    p, q, m = params.p, params.q, params.m
     if box < 0:
         raise ValueError("box must be >= 0")
     out = set()

@@ -1,6 +1,6 @@
 """The classification datum (h = p/q, m) and the (k, a, b) derived from it:
-the one place they are computed.  git and semigroup validate raw (p, q, m)
-through derive_params(p, q, m, strict=True); sl2core re-exports this module."""
+the one place they are computed.  sl2core re-exports this module and builds
+every object of an instance from an SL2Params."""
 
 from __future__ import annotations
 

@@ -12,18 +12,8 @@ the generators are the lattice points on the compact boundary of the convex
 hull of the nonzero cone points, found one after another from one extremal
 ray to the other.
 
-The concrete semigroups of interest are spanned by a height h = p/q and a
-degree m (0 < p <= q coprime, m >= 1):
-
-  make_Mplus   dominant weights (i, j) with p*i - q*j >= 0 in the first
-               quadrant, i == j mod m; the weight monoid of the open orbit
-               closure in the plus chart
-  make_Mminus  same covector but j free to go negative (i >= 0 only); the
-               minus chart
-  make_Mprime  p*j - q*i >= 0 together with j >= i; the fixed-point chart
-               (not pointed when p == q == 1)
-  make_Mtilde  rank-3 degeneration semigroup fibered over make_Mplus with
-               fiber cardinality i + j + 1
+The concrete semigroups of an instance (h, m) are built by
+sl2core.slice_semigroup.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 from .lattice import Vec, det2, primitive, xgcd
-from .params import derive_params
 
 
 @dataclass(frozen=True)
@@ -86,43 +75,6 @@ class AffineSemigroup:
     @cached_property
     def _lattice_basis(self) -> tuple[Vec, Vec]:
         return congruence_lattice_basis(self)
-
-
-def make_Mplus(p: int, q: int, m: int) -> AffineSemigroup:
-    derive_params(p, q, m, strict=True)
-    return AffineSemigroup(2, ((p, -q),), (((1, -1), m),), nonneg_coords=(0, 1))
-
-
-def make_Mminus(p: int, q: int, m: int) -> AffineSemigroup:
-    """Like make_Mplus but only i >= 0; j may be negative."""
-    derive_params(p, q, m, strict=True)
-    return AffineSemigroup(2, ((p, -q),), (((1, -1), m),), nonneg_coords=(0,))
-
-
-def make_Mprime(p: int, q: int, m: int) -> AffineSemigroup:
-    # at p == q == 1 the two covectors coincide and the region is a
-    # half-plane; callers asking for a Hilbert basis will get the
-    # not-pointed error from cone_rays
-    derive_params(p, q, m, strict=True)
-    return AffineSemigroup(2, ((-q, p), (-1, 1)), (((1, -1), m),))
-
-
-def make_Mtilde(p: int, q: int, m: int, transpose_ij: bool = False) -> AffineSemigroup:
-    """Rank-3 semigroup of the toric degeneration.
-
-    Points are (i, j, l) with (i, j) a member of make_Mplus(p, q, m) and
-    0 <= l <= i + j.  transpose_ij swaps the roles of i and j (the same
-    semigroup in transposed coordinates; both sign conventions are in
-    circulation and the fiber structure is identical either way).
-    """
-    derive_params(p, q, m, strict=True)
-    if transpose_ij:
-        ineqs = ((1, 1, -1), (-q, p, 0))
-        nonneg = (0, 2)
-    else:
-        ineqs = ((1, 1, -1), (p, -q, 0))
-        nonneg = (1, 2)
-    return AffineSemigroup(3, ineqs, (((1, -1, 0), m),), nonneg_coords=nonneg)
 
 
 def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
@@ -193,8 +145,8 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
 def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
     """Number of third coordinates over a rank-2 base point.
 
-    For the degeneration semigroup this is i + j + 1 over members of
-    make_Mplus and 0 elsewhere; the count is taken by scanning, not by
+    For the degeneration semigroup this is i + j + 1 over members of S+
+    and 0 elsewhere; the count is taken by scanning, not by
     trusting that formula.
     """
     if s.rank != 3:

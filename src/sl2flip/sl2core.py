@@ -1,12 +1,14 @@
 """End-to-end invariants of the normal affine SL(2)-threefolds classified
 by a height h = p/q and a degree m.
 
-Everything downstream of the classification datum lives here: the Cox
-presentation, orbit structure, divisor class group, canonical class, the
-flip with its intersection numbers, slice surfaces, colored cones, and the
-toric degeneration.  The modules lattice/semigroup/toricgeom/git do the
-actual computing; this one wires them together and cross-checks the
-answers against each other.
+Everything downstream of the classification datum lives here, built from
+the validated SL2Params: the Cox presentation with its diagonal action and
+named characters, the slice semigroups, orbit structure, divisor class
+group, canonical class, the flip with its intersection numbers, slice
+surfaces, colored cones, and the toric degeneration.  The modules
+lattice/semigroup/toricgeom/git do the generic computing; this one builds
+the instance's objects, wires them together and cross-checks the answers
+against each other.
 
 Each cross-check is written once, next to the value it checks, and raises
 CrossCheckError, so it runs in every mode, python -O included.  verify's
@@ -36,8 +38,6 @@ from .git import (
     SemistableReport,
     monomial_character,
     semistable_locus,
-    standard_action,
-    standard_characters,
 )
 from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2
 from .params import SL2Params, derive_params, iter_instances
@@ -47,10 +47,6 @@ from .semigroup import (
     dual_cone_rays,
     fiber_count,
     hilbert_basis,
-    make_Mminus,
-    make_Mplus,
-    make_Mprime,
-    make_Mtilde,
 )
 from .toricgeom import (
     Cone,
@@ -91,6 +87,7 @@ __all__ = [
     "is_smooth",
     "is_toric",
     "iter_instances",
+    "make_Mtilde",
     "orbit_structure",
     "slice_basis",
     "slice_semigroup",
@@ -118,24 +115,75 @@ def _once(fn):
 
 @_once
 def action(params: SL2Params) -> DiagonalAction:
-    """The diagonal action of the Cox presentation (git.standard_action)."""
-    return standard_action(params.p, params.q, params.m)
+    """The diagonal action of the Cox presentation: diag(t^k, t^-p, t^-p,
+    t^q, t^q) times diag(1, z^-1, z^-1, z, z) of C* x mu_a on (Y0, X1, X2,
+    X3, X4)."""
+    p, q, k, a = params.p, params.q, params.k, params.a
+    return DiagonalAction(
+        torus_weights=(k, -p, -p, q, q),
+        finite_order=a,
+        finite_weights=(0, (-1) % a, (-1) % a, 1 % a, 1 % a),
+    )
 
 
 @_once
 def characters(params: SL2Params) -> dict[str, GroupCharacter]:
-    """The six named characters of that action (git.standard_characters)."""
-    return standard_characters(params.p, params.q, params.m)
+    """The six named characters of that action: the flip pair plus/minus,
+    the trivial one, and those cut out by Y0 (D), X2 (S_plus) and X3
+    (S_minus)."""
+    p, q, k, a = params.p, params.q, params.k, params.a
+    return {
+        "plus": GroupCharacter(-k + p - q, 0),
+        "minus": GroupCharacter(k + q - p, 0),
+        "trivial": GroupCharacter(0, 0),
+        "D": GroupCharacter(k, 0),
+        "S_plus": GroupCharacter(-p, (-1) % a),
+        "S_minus": GroupCharacter(q, 1 % a),
+    }
 
 
 @_once
 def slice_semigroup(params: SL2Params, which: str) -> AffineSemigroup:
-    """The exponent semigroup of a slice: which is "plus" (S+, make_Mplus),
-    "minus" (S-, make_Mminus) or "prime" (S', make_Mprime); "tilde" is the
-    rank-3 degeneration semigroup fibered over S+ (make_Mtilde)."""
-    make = {"plus": make_Mplus, "minus": make_Mminus, "prime": make_Mprime,
-            "tilde": make_Mtilde}[which]
-    return make(params.p, params.q, params.m)
+    """The exponent semigroup of a slice, points (i, j) with i == j mod m:
+
+      plus   p*i - q*j >= 0 in the first quadrant (S+); the weight monoid
+             of the open orbit closure in the plus chart
+      minus  the same covector with j free to go negative, i >= 0 only
+             (S-); the minus chart
+      prime  p*j - q*i >= 0 together with j >= i (S'); the fixed-point
+             chart, not pointed when p == q == 1
+      tilde  the rank-3 degeneration semigroup fibered over S+
+             (make_Mtilde)
+    """
+    if which == "tilde":
+        return make_Mtilde(params)
+    p, q = params.p, params.q
+    inequalities, nonneg = {
+        "plus": (((p, -q),), (0, 1)),
+        "minus": (((p, -q),), (0,)),
+        # at p == q == 1 the two covectors coincide and the region is a
+        # half-plane, so a Hilbert basis gets cone_rays' not-pointed error
+        "prime": (((-q, p), (-1, 1)), ()),
+    }[which]
+    return AffineSemigroup(2, inequalities, (((1, -1), params.m),), nonneg_coords=nonneg)
+
+
+def make_Mtilde(params: SL2Params, transpose_ij: bool = False) -> AffineSemigroup:
+    """Rank-3 semigroup of the toric degeneration.
+
+    Points are (i, j, l) with (i, j) a member of S+ and 0 <= l <= i + j.
+    transpose_ij swaps the roles of i and j (the same semigroup in
+    transposed coordinates; both sign conventions are in circulation and
+    the fiber structure is identical either way).
+    """
+    p, q = params.p, params.q
+    if transpose_ij:
+        ineqs = ((1, 1, -1), (-q, p, 0))
+        nonneg = (0, 2)
+    else:
+        ineqs = ((1, 1, -1), (p, -q, 0))
+        nonneg = (1, 2)
+    return AffineSemigroup(3, ineqs, (((1, -1, 0), params.m),), nonneg_coords=nonneg)
 
 
 @_once
@@ -271,15 +319,30 @@ class CanonicalClass:
 
 @_once
 def canonical_class(params: SL2Params) -> CanonicalClass:
-    p, q, k, b = params.p, params.q, params.k, params.b
+    """K by adjunction on the Cox hypersurface: chi = -(sum of the five
+    coordinate characters) is K of the ambient C^5, chi' is the one
+    character of the three terms of Y0^b = X1*X4 - X2*X3, and
+    chi+ = chi + chi' must be -(1+b) times the character of D."""
+    act = action(params)
+    a = act.finite_order
     cl = class_group(params)
-    coeff = -(1 + b)
+    coeff = -(1 + params.b)
     coords = cl.group.reduce(tuple(coeff * c for c in cl.class_of_D()))
-    chi = GroupCharacter(-k + 2 * p - 2 * q, 0)
-    chi_prime = GroupCharacter(q - p, 0)
-    chi_plus = GroupCharacter(-k + p - q, 0)
-    _require(chi.torus_part + chi_prime.torus_part == chi_plus.torus_part, "adjunction")
-    _require(chi_plus.torus_part == coeff * k, "chi+ is not K", chi_plus, coeff * k)
+    total = monomial_character(act, (1,) * 5)
+    chi = GroupCharacter(-total.torus_part, -total.finite_part % a)
+    terms = [
+        monomial_character(act, exps)
+        for exps in ((params.b, 0, 0, 0, 0), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0))
+    ]
+    _require(len(set(terms)) == 1, "relation is not homogeneous", terms)
+    chi_prime = terms[0]
+    chi_plus = GroupCharacter(
+        chi.torus_part + chi_prime.torus_part,
+        (chi.finite_part + chi_prime.finite_part) % a,
+    )
+    d = characters(params)["D"]
+    want = GroupCharacter(coeff * d.torus_part, coeff * d.finite_part % a)
+    _require(chi_plus == want, "chi+ is not K", chi_plus, want)
     return CanonicalClass(coeff, coords, chi, chi_prime, chi_plus)
 
 

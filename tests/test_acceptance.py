@@ -14,13 +14,13 @@ from sl2flip.git import (
     monomial_character,
     semistable_locus,
     stabilizer_of_support,
-    standard_action,
-    standard_characters,
     u_invariant_exponents,
 )
-from sl2flip.semigroup import hilbert_basis, make_Mplus
+from sl2flip.semigroup import hilbert_basis
 from sl2flip.sl2core import (
+    action,
     canonical_class,
+    characters,
     class_group,
     colored_cones,
     derive_params,
@@ -28,6 +28,7 @@ from sl2flip.sl2core import (
     intersection_numbers,
     is_toric,
     iter_instances,
+    slice_semigroup,
     slice_surfaces,
     toric_degeneration,
 )
@@ -58,7 +59,8 @@ def test_criterion_01_closed_form_hilbert_bases():
     checked = 0
     for p, q, a in toric_triples():
         m = a * (q - p)
-        basis = set(hilbert_basis(make_Mplus(p, q, m)).generators)
+        semi = slice_semigroup(derive_params(p, q, m), "plus")
+        basis = set(hilbert_basis(semi).generators)
         want = {(m + t, t) for t in range(a * p + 1)}
         assert basis == want, (p, q, a)
         assert len(basis) == a * p + 1
@@ -70,8 +72,8 @@ def test_criterion_01_closed_form_hilbert_bases():
 def test_criterion_02_u_invariant_oracle():
     box = 20
     for params in SWEEP:
-        semi = make_Mplus(params.p, params.q, params.m)
-        found = u_invariant_exponents(params.p, params.q, params.m, box)
+        semi = slice_semigroup(params, "plus")
+        found = u_invariant_exponents(params, box)
         want = {
             (i, j)
             for i in range(box + 1)
@@ -138,8 +140,8 @@ def test_criterion_06_git_loci():
         "trivial": frozenset(),
     }
     for params in BELOW_ONE:
-        act = standard_action(params.p, params.q, params.m)
-        chars = standard_characters(params.p, params.q, params.m)
+        act = action(params)
+        chars = characters(params)
         for name, expected in want.items():
             report = semistable_locus(act, chars[name], params.b)
             assert not report.undecided, (params, name)
@@ -169,7 +171,7 @@ def test_criterion_07_free_action_on_mixed_supports():
         if s & {"X1", "X2"} and s & {"X3", "X4"}
     ]
     for params in SWEEP:
-        act = standard_action(params.p, params.q, params.m)
+        act = action(params)
         for support in mixed:
             group = stabilizer_of_support(act, support)
             assert group.order() == 1, (params, support)
@@ -213,7 +215,7 @@ def test_criterion_09_degeneration():
         assert gaifullin_criterion(
             sigma_of(p, q, params.a).rays, (p, p, q, q)
         )
-        basis = hilbert_basis(make_Mplus(p, q, params.m)).generators
+        basis = hilbert_basis(slice_semigroup(params, "plus")).generators
         assert {point for point, _ in deg.fibers} == set(basis)
         for point, count in deg.fibers:
             assert count == point[0] + point[1] + 1, (params, point)

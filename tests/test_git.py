@@ -14,17 +14,19 @@ from sl2flip.git import (
     _effective,
     _hermite_basis,
     _names,
-    default_budgets,
     monomial_character,
     semistable_locus,
     stabilizer_of_support,
-    standard_action,
-    standard_characters,
     u_invariant_exponents,
 )
 from sl2flip.lattice import iter_bounded_diophantine
-from sl2flip.semigroup import make_Mplus
-from sl2flip.sl2core import derive_params, iter_instances
+from sl2flip.sl2core import (
+    action,
+    characters,
+    derive_params,
+    iter_instances,
+    slice_semigroup,
+)
 from test_lattice import IntMatrix, cokernel, kernel_basis
 
 
@@ -43,11 +45,8 @@ def small_params(qmax=5, mmax=4):
 
 
 def run(p, q, m, which):
-    act = standard_action(p, q, m)
-    chi = standard_characters(p, q, m)[which]
-    k = m if p == q else math.gcd(q - p, m)
-    b = (q - p) // k
-    return semistable_locus(act, chi, b)
+    params = derive_params(p, q, m)
+    return semistable_locus(action(params), characters(params)[which], params.b)
 
 
 def budgeted_semistable_locus(act, chi, relation_degree, n_max, box):
@@ -196,27 +195,19 @@ def diagonal_actions(draw):
 
 class TestStandardAction:
     def test_frozen(self):
-        act = standard_action(1, 3, 1)
+        act = action(derive_params(1, 3, 1))
         assert act.torus_weights == (1, -1, -1, 3, 3)
         assert act.finite_order == 1
         assert act.finite_weights == (0, 0, 0, 0, 0)
 
-        act = standard_action(2, 3, 4)
+        act = action(derive_params(2, 3, 4))
         assert act.torus_weights == (1, -2, -2, 3, 3)
         assert act.finite_order == 4
         assert act.finite_weights == (0, 3, 3, 1, 1)
 
-        act = standard_action(1, 1, 5)
+        act = action(derive_params(1, 1, 5))
         assert act.torus_weights == (5, -1, -1, 1, 1)
         assert act.finite_order == 1
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            standard_action(2, 4, 1)
-        with pytest.raises(ValueError):
-            standard_action(3, 2, 1)
-        with pytest.raises(ValueError):
-            standard_action(1, 2, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -229,19 +220,19 @@ class TestStandardAction:
 
 class TestCharacters:
     def test_monomial_frozen(self):
-        act = standard_action(1, 3, 1)
+        act = action(derive_params(1, 3, 1))
         assert monomial_character(act, (1, 0, 0, 0, 0)) == GroupCharacter(1, 0)
         assert monomial_character(act, (0, 0, 1, 0, 0)) == GroupCharacter(-1, 0)
         assert monomial_character(act, (0, 0, 0, 0, 0)) == GroupCharacter(0, 0)
 
-        act = standard_action(2, 3, 4)
+        act = action(derive_params(2, 3, 4))
         assert monomial_character(act, (0, 0, 1, 0, 0)) == GroupCharacter(-2, 3)
         assert monomial_character(act, (0, 0, 0, 1, 0)) == GroupCharacter(3, 1)
 
     def test_matches_named_characters(self):
         for p, q, m in small_params():
-            act = standard_action(p, q, m)
-            chars = standard_characters(p, q, m)
+            params = derive_params(p, q, m)
+            act, chars = action(params), characters(params)
             assert monomial_character(act, (1, 0, 0, 0, 0)) == chars["D"]
             assert monomial_character(act, (0, 0, 1, 0, 0)) == chars["S_plus"]
             assert monomial_character(act, (0, 0, 0, 1, 0)) == chars["S_minus"]
@@ -250,7 +241,7 @@ class TestCharacters:
             assert plus.finite_part == minus.finite_part == 0
 
     def test_bad_exponents(self):
-        act = standard_action(1, 2, 1)
+        act = action(derive_params(1, 2, 1))
         with pytest.raises(ValueError):
             monomial_character(act, (1, 2, 3))
         with pytest.raises(ValueError):
@@ -272,17 +263,18 @@ class TestSemistableLocus:
 
     def test_paper_witness_121(self):
         # X1^(q-p+k) = X1^2 is invariant of character 1*plus
-        act = standard_action(1, 2, 1)
-        plus = standard_characters(1, 2, 1)["plus"]
+        params = derive_params(1, 2, 1)
+        act, plus = action(params), characters(params)["plus"]
         got = monomial_character(act, (0, 2, 0, 0, 0))
         assert (got.torus_part, got.finite_part) == (plus.torus_part, 0)
 
     def test_witness_characters_exact(self):
         for p, q, m in [(1, 2, 1), (1, 3, 2), (2, 3, 4), (1, 4, 3)]:
-            act = standard_action(p, q, m)
+            params = derive_params(p, q, m)
+            act = action(params)
             a = act.finite_order
             for which in ("plus", "minus"):
-                chi = standard_characters(p, q, m)[which]
+                chi = characters(params)[which]
                 report = run(p, q, m, which)
                 assert not report.undecided
                 for pattern, (n, exps) in report.witness_monomials.items():
@@ -330,8 +322,8 @@ class TestSemistableLocus:
 
     def test_nontrivial_finite_part_scaling(self):
         # S_minus has finite part 1; witnesses must scale it correctly
-        act = standard_action(2, 3, 4)
-        chi = standard_characters(2, 3, 4)["S_minus"]
+        params = derive_params(2, 3, 4)
+        act, chi = action(params), characters(params)["S_minus"]
         report = semistable_locus(act, chi, 0)
         assert not report.undecided
         for pattern, (n, exps) in report.witness_monomials.items():
@@ -339,8 +331,8 @@ class TestSemistableLocus:
             assert got == GroupCharacter(n * chi.torus_part, (n * chi.finite_part) % 4)
 
     def test_bad_bounds(self):
-        act = standard_action(1, 2, 1)
-        chi = standard_characters(1, 2, 1)["plus"]
+        params = derive_params(1, 2, 1)
+        act, chi = action(params), characters(params)["plus"]
         with pytest.raises(ValueError):
             semistable_locus(act, chi, -1)
 
@@ -354,9 +346,11 @@ class TestSemistableLocus:
         undecided = single = 0
         for params in iter_instances(9, 8):
             p, q, m, b = params.p, params.q, params.m, params.b
-            act = standard_action(p, q, m)
-            for chi in standard_characters(p, q, m).values():
-                old = budgeted_semistable_locus(act, chi, b, *default_budgets(p, q, m))
+            act = action(params)
+            for chi in characters(params).values():
+                # the former default budgets 2s and 4s, s = p + q + k
+                s = p + q + params.k
+                old = budgeted_semistable_locus(act, chi, b, 2 * s, 4 * s)
                 new = semistable_locus(act, chi, b)
                 where = (p, q, m, chi)
                 assert new.unstable_vanishing == old.unstable_vanishing, where
@@ -396,8 +390,8 @@ class TestSemistableLocusAtScale:
     @settings(max_examples=60, deadline=None)
     @given(params=huge_instances())
     def test_standard_loci(self, params):
-        act = standard_action(params.p, params.q, params.m)
-        chars = standard_characters(params.p, params.q, params.m)
+        act = action(params)
+        chars = characters(params)
         want = {
             "plus": fs("X1", "X2"),
             "minus": fs("X3", "X4"),
@@ -412,7 +406,7 @@ class TestSemistableLocusAtScale:
     @settings(max_examples=60, deadline=None)
     @given(params=huge_instances(), data=st.data())
     def test_custom_character(self, params, data):
-        act = standard_action(params.p, params.q, params.m)
+        act = action(params)
         torus = data.draw(st.integers(-(10**12), 10**12))
         finite = data.draw(st.integers(0, params.a - 1))
         chi = GroupCharacter(torus, finite)
@@ -454,33 +448,33 @@ class TestHermiteBasis:
 
 class TestStabilizer:
     def test_y0_support(self):
-        act = standard_action(2, 3, 4)
+        act = action(derive_params(2, 3, 4))
         g = stabilizer_of_support(act, {"Y0"})
         assert g.order() == 4
 
     def test_mixed_support_trivial(self):
         for p, q, m in small_params():
-            act = standard_action(p, q, m)
+            act = action(derive_params(p, q, m))
             for one in ("X1", "X2"):
                 for other in ("X3", "X4"):
                     assert stabilizer_of_support(act, {one, other}).is_trivial()
 
     def test_empty_support(self):
-        act = standard_action(2, 3, 4)
+        act = action(derive_params(2, 3, 4))
         g = stabilizer_of_support(act, set())
         assert g.free_rank == 1
         assert g.structure() == "Z x Z/4"
 
     def test_empty_support_ineffective_kernel(self):
         # at (1,3,4) the abstract group has a diagonal mu_2 acting trivially
-        act = standard_action(1, 3, 4)
+        act = action(derive_params(1, 3, 4))
         g = stabilizer_of_support(act, set())
         assert g.free_rank == 1 and g.torsion == ()
 
     def test_oracle_sweep(self):
         instances = [(1, 2, 1), (1, 3, 1), (2, 3, 4), (1, 3, 4), (1, 1, 3), (2, 5, 6)]
         for p, q, m in instances:
-            act = standard_action(p, q, m)
+            act = action(derive_params(p, q, m))
             supports = [set(s) for s in combinations(COORDS, 1)]
             supports += [set(s) for s in combinations(COORDS, 2)]
             supports += [{"Y0", "X1", "X3"}, {"X1", "X2", "X3"}]
@@ -490,7 +484,7 @@ class TestStabilizer:
 
     def test_agrees_with_smith_oracle_on_instances(self):
         for params in iter_instances(16, 16):
-            act = standard_action(params.p, params.q, params.m)
+            act = action(params)
             trivial = trivial_covectors(act)
             for support in ALL_SUPPORTS:
                 g = stabilizer_of_support(act, support)
@@ -528,7 +522,7 @@ class TestStabilizer:
 
     def test_monotone(self):
         for p, q, m in small_params(4, 4):
-            act = standard_action(p, q, m)
+            act = action(derive_params(p, q, m))
             for small in combinations(COORDS, 1):
                 for extra in COORDS:
                     if extra in small:
@@ -540,22 +534,19 @@ class TestStabilizer:
 
 class TestUInvariants:
     def test_frozen_121(self):
-        got = u_invariant_exponents(1, 2, 1, 6)
+        got = u_invariant_exponents(derive_params(1, 2, 1), 6)
         assert got == {(i, j) for i in range(7) for j in range(7) if 2 * j <= i}
 
     def test_box_zero(self):
-        assert u_invariant_exponents(1, 2, 1, 0) == {(0, 0)}
+        assert u_invariant_exponents(derive_params(1, 2, 1), 0) == {(0, 0)}
 
     def test_matches_semigroup_132(self):
-        s = make_Mplus(1, 3, 2)
-        got = u_invariant_exponents(1, 3, 2, 6)
+        params = derive_params(1, 3, 2)
+        s = slice_semigroup(params, "plus")
+        got = u_invariant_exponents(params, 6)
         assert got == {
             (i, j)
             for i in range(7)
             for j in range(7)
             if s.contains((i, j))
         }
-
-    def test_default_budgets(self):
-        assert default_budgets(1, 2, 1) == (8, 16)
-        assert default_budgets(2, 3, 4) == (12, 24)

@@ -3,6 +3,7 @@ class, flip data, colored cones, degeneration."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 from collections import Counter
 from fractions import Fraction
@@ -155,7 +156,7 @@ def mplus_exponents(params, box):
 
 
 # the instances of iter_instances(9, 8) with gcd(a, k) > 1: there the finite
-# weights of git.standard_action grade Cl by a map that is not injective, so
+# weights of sl2core.action grade Cl by a map that is not injective, so
 # the quotient loses part of the finite group; a fix of the weights must
 # turn these xfails into passes
 COX_GRADING_NOT_ISOMORPHIC = [
@@ -308,6 +309,20 @@ class TestCanonicalClass:
             )
             assert can.chi.finite_part == can.chi_prime.finite_part == 0
 
+    def test_inhomogeneous_relation_is_a_cross_check_error(self, monkeypatch):
+        # chi' is read off the action: X3 of weight q + 1 gives X1*X4 and
+        # X2*X3 two different characters
+        real = sl2core.action
+
+        def bent(params):
+            act = real(params)
+            weights = act.torus_weights[:3] + (params.q + 1,) + act.torus_weights[4:]
+            return dataclasses.replace(act, torus_weights=weights)
+
+        monkeypatch.setattr(sl2core, "action", bent)
+        with pytest.raises(CrossCheckError, match="relation is not homogeneous"):
+            canonical_class(derive_params(2, 5, 6))
+
 
 class TestIntersectionNumbers:
     def test_half_one(self):
@@ -405,11 +420,11 @@ class TestSliceSurfaces:
 
     def test_twist_is_ray_order_independent(self):
         # same_type identifies a surface with its mirror presentation
-        from sl2flip.semigroup import dual_cone_rays, make_Mminus
+        from sl2flip.semigroup import dual_cone_rays
         from sl2flip.toricgeom import Cone, classify_2d
 
         for params in instances(4, 3, below_one=True):
-            rays = dual_cone_rays(make_Mminus(params.p, params.q, params.m))
+            rays = dual_cone_rays(slice_semigroup(params, "minus"))
             direct = classify_2d(Cone(rays))
             swapped = classify_2d(Cone((rays[1], rays[0])))
             assert direct.same_type(swapped)
@@ -604,8 +619,7 @@ class TestComputedOncePerInstance:
         "hilbert_basis": semigroup.hilbert_basis,
         "congruence_lattice_basis": semigroup.congruence_lattice_basis,
         "column_quotient": sl2core._column_quotient,
-        "standard_action": git.standard_action,
-        "standard_characters": git.standard_characters,
+        "DiagonalAction": git.DiagonalAction,
     }
 
     def count_calls(self, monkeypatch) -> Counter:
@@ -627,24 +641,42 @@ class TestComputedOncePerInstance:
         return calls
 
     @staticmethod
+    def record_tables(monkeypatch) -> list:
+        """The distinct character tables that sl2core.characters returns."""
+        tables = []
+        real = sl2core.characters
+
+        def recorded(params):
+            table = real(params)
+            if not any(table is seen for seen in tables):
+                tables.append(table)
+            return table
+
+        for mod in (cli, sl2core):
+            monkeypatch.setattr(mod, "characters", recorded)
+        return tables
+
+    @staticmethod
     def info():
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["info", "3/7", "12", "--json"]) == 0
 
     def test_info_computes_each_invariant_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
+        tables = self.record_tables(monkeypatch)
         self.info()
         first = Counter(calls)
         # S+ once, for the degeneration and the embedding; one class_group
-        # (two column quotients); one action
+        # (two column quotients); one action and one character table
         assert first["hilbert_basis"] == 1
         assert first["column_quotient"] == 2
-        assert first["standard_action"] == 1
-        assert first["standard_characters"] == 1
+        assert first["DiagonalAction"] == 1
+        assert len(tables) == 1
         assert first["congruence_lattice_basis"] <= 3
         # nothing is kept between calls: a second call recomputes everything
         self.info()
         assert calls == first + first
+        assert len(tables) == 2
 
     @pytest.mark.parametrize(
         "argv, bases", [(("flip", "13/29", "120"), 0), (("info", "3/7", "12"), 1)]
@@ -724,6 +756,17 @@ class TestCrossChecks:
             and "RuntimeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
         ]
         assert found == []
+
+    def test_only_the_datum_and_its_readers_call_derive_params(self):
+        # (k, a, b) is derived once per input; every other module takes the
+        # validated SL2Params
+        callers = {
+            name
+            for name, node in package_nodes()
+            if isinstance(node, ast.Call)
+            and "derive_params" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        }
+        assert callers <= {"params.py", "sl2core.py", "cli.py"}
 
     def test_one_exception_everywhere(self):
         assert sl2flip.CrossCheckError is CrossCheckError is lattice.CrossCheckError

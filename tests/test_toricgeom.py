@@ -10,10 +10,8 @@ from sl2flip.semigroup import (
     congruence_lattice_basis,
     dual_cone_rays,
     hilbert_basis,
-    make_Mminus,
-    make_Mplus,
-    make_Mprime,
 )
+from sl2flip.sl2core import derive_params, slice_semigroup
 from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
@@ -207,7 +205,7 @@ class TestClassify2d:
 
     def test_mprime_dual(self):
         # index-2 character cone of the slice semigroup at (1,3,1)
-        dual = Cone(dual_cone_rays(make_Mprime(1, 3, 1)))
+        dual = Cone(dual_cone_rays(slice_semigroup(derive_params(1, 3, 1), "prime")))
         got = classify_2d(dual)
         assert got.order == 2
         assert got == CyclicSingularity(2, 1)
@@ -224,11 +222,11 @@ class TestClassify2d:
         # order, satisfies u_{i-1} + u_{i+1} = c_i*u_i, and [c_1, ..., c_s]
         # is the continued fraction n/(n-c) of the dual type 1/n(1, c)
         slices = [
-            factory(p, q, m)
+            slice_semigroup(derive_params(p, q, m), which)
             for p, q in [(1, 1)] + pq_sweep(11)
             for m in range(1, 15)
-            for factory in (make_Mplus, make_Mminus, make_Mprime)
-            if not (factory is make_Mprime and p == q)  # not pointed
+            for which in ("plus", "minus", "prime")
+            if not (which == "prime" and p == q)  # not pointed
         ]
         assert len(slices) == 1750
         for s in slices:
