@@ -13,12 +13,16 @@ One binary, seven subcommands:
 Heights are exact fractions ("p/q" or a bare integer); decimals are
 rejected.  Exit codes: 0 success, 2 usage error, 3 domain error (any
 `ValueError` the library raises for a datum or a query it does not
-support), 4 verification failure.  `main(argv)` returns the exit code
-rather than exiting and may be called any number of times in one process;
-only the argument parser, built on the first call, is kept between calls.
+support), 4 verification failure: a `verify` row that failed, or a
+`CrossCheckError` in any command, reported in one line on stderr.
+`main(argv)` returns the exit code rather than exiting and may be called
+any number of times in one process; only the argument parser, built on
+the first call, is kept between calls.
 
 `info`, `flip`, `cones` and `degeneration` print sections of one report,
-listed per subcommand in `REPORTS`.
+listed per subcommand in `REPORTS`.  `verify` runs the rows of
+`VERIFY_ROWS`; each failed row gets a line `FAIL p/q m=M: row: Type:
+message` on stderr.
 
 Semistability is decided exactly, so there are no search budgets to set;
 the n_max / box fields of the git JSON sections are kept at their former
@@ -40,7 +44,7 @@ from .git import (
     stabilizer_of_support,
     u_invariant_exponents,
 )
-from .lattice import det2
+from .lattice import CrossCheckError, _require, det2
 from .sl2core import (
     CONVENTION_NOTE,
     SL2Params,
@@ -431,11 +435,15 @@ def _cmd_git(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify sweep: a row calls a library function, which passes when it returns
-# (its cross-checks raise CrossCheckError), or an independent oracle below
+# verify sweep: each property is one row of VERIFY_ROWS, (name, applies to
+# b, check), which passes when its check returns and fails when it raises.
+# Five checks are library calls, whose cross-checks raise CrossCheckError;
+# the oracles below raise it through _require.  A library row looks up
+# cli's name for its function at call time, so a tracer that rebinds the
+# name still sees the call.
 
 
-def _check_hilbert(params: SL2Params) -> bool:
+def _check_hilbert(params: SL2Params) -> None:
     """The S+ basis passes the Hirzebruch-Jung certificate of a 2-d cone
     (Oda, Convex Bodies, 1.6): sorted by angle it runs from (m, 0) to
     (aq, ap), the minimal points of the two rays; each consecutive pair has
@@ -444,117 +452,104 @@ def _check_hilbert(params: SL2Params) -> bool:
     redundant.  That proves it is the Hilbert basis in O(|basis|)."""
     p, q, m, a = params.p, params.q, params.m, params.a
     gens = slice_basis(params, "plus").generators
-    if params.b == 1 and set(gens) != {(m + t, t) for t in range(a * p + 1)}:
-        return False
+    if params.b == 1:
+        closed = {(m + t, t) for t in range(a * p + 1)}
+        _require(set(gens) == closed, "basis at b = 1 is not {(m + t, t)}", set(gens) ^ closed)
     semi = slice_semigroup(params, "plus")
     # a nonzero point of S+ has i > 0, which the angle key needs
-    if not all(semi.contains(g) and g[0] > 0 for g in gens):
-        return False
+    outside = [g for g in gens if not (semi.contains(g) and g[0] > 0)]
+    _require(not outside, "generators outside S+ \\ 0", outside)
     chain = sorted(gens, key=lambda g: Fraction(g[1], g[0]))
-    if (chain[0], chain[-1]) != ((m, 0), (a * q, a * p)):
-        return False
-    if any(det2(u, v) != m for u, v in zip(chain, chain[1:])):
-        return False
+    ends = (chain[0], chain[-1])
+    _require(ends == ((m, 0), (a * q, a * p)), "chain ends are not (m, 0), (aq, ap)", ends)
+    for u, v in zip(chain, chain[1:]):
+        _require(det2(u, v) == m, "neighbours without determinant m", u, v)
     for u, g, v in zip(chain, chain[1:], chain[2:]):
         s = (u[0] + v[0], u[1] + v[1])
         c = s[0] // g[0]
-        if c < 2 or s != (c * g[0], c * g[1]):
-            return False
-    return True
+        _require(c >= 2 and s == (c * g[0], c * g[1]), "not u + v = c*g, c >= 2", u, g, v)
 
 
-def _check_u_oracle(params: SL2Params) -> bool:
+def _check_u_oracle(params: SL2Params) -> None:
     box = 8
     semi = slice_semigroup(params, "plus")
     found = u_invariant_exponents(params, box)
-    want = {
-        (i, j)
-        for i in range(box + 1)
-        for j in range(box + 1)
-        if semi.contains((i, j))
-    }
-    return found == want
+    want = {(i, j) for i in range(box + 1) for j in range(box + 1) if semi.contains((i, j))}
+    _require(found == want, "U-invariant exponents other than S+", found ^ want)
 
 
-def _check_smoothness(params: SL2Params) -> bool:
+def _check_smoothness(params: SL2Params) -> None:
     if params.b == 0:
         try:
             intersection_numbers(params)
         except ValueError:
-            return True
-        return False
-    return True
+            return
+        raise CrossCheckError("intersection numbers defined at height 1")
 
 
-def _check_k_signs(params: SL2Params) -> bool:
+def _check_k_signs(params: SL2Params) -> None:
     minus, plus = intersection_numbers(params)
-    product = -Fraction(
-        (1 + params.b) ** 2 * params.k**2,
-        params.a**2 * params.p**2 * params.q**2,
-    )
-    return minus < 0 < plus and minus * plus == product
+    p, q, k, a, b = params.p, params.q, params.k, params.a, params.b
+    product = -Fraction((1 + b) ** 2 * k**2, a**2 * p**2 * q**2)
+    _require(minus < 0 < plus, "K-degree signs", minus, plus)
+    _require(minus * plus == product, "K-degree product", minus * plus, product)
 
 
-def _check_toric_bridge(params: SL2Params) -> bool:
+def _check_toric_bridge(params: SL2Params) -> None:
     # intersection_numbers cross-checks wall degrees internally when b = 1
     intersection_numbers(params)
     fan = star_subdivide_at_v5(sigma_of(params.p, params.q, params.a))
-    return all(multiplicity(c) == 1 for c in fan.max_cones)
+    singular = [c for c in fan.max_cones if multiplicity(c) != 1]
+    _require(not singular, "singular cones in the star subdivision", singular)
 
 
-def _check_git_loci(params: SL2Params) -> bool:
+def _check_git_loci(params: SL2Params) -> None:
     act, chars = action(params), characters(params)
-    want = {
-        "plus": frozenset({"X1", "X2"}),
-        "minus": frozenset({"X3", "X4"}),
-        "trivial": frozenset(),
-    }
+    want = {"plus": {"X1", "X2"}, "minus": {"X3", "X4"}, "trivial": set()}
     for name, expected in want.items():
-        report = semistable_locus(act, chars[name], params.b)
-        if report.unstable_vanishing != expected:
-            return False
-    return True
+        found = semistable_locus(act, chars[name], params.b).unstable_vanishing
+        _require(found == expected, f"{name}-unstable coordinates", sorted(found))
 
 
-def _check_stabilizer(params: SL2Params) -> bool:
+def _check_stabilizer(params: SL2Params) -> None:
     act = action(params)
     for left in ("X1", "X2"):
         for right in ("X3", "X4"):
             group = stabilizer_of_support(act, frozenset({left, right}))
-            if not group.is_trivial():
-                return False
-    return True
+            _require(group.is_trivial(), f"stabilizer on {left}, {right}", group)
+
+
+VERIFY_ROWS = (
+    ("hilbert", lambda b: True, _check_hilbert),
+    ("u-oracle", lambda b: True, _check_u_oracle),
+    ("class-group", lambda b: True, lambda params: class_group(params)),
+    ("canonical", lambda b: True, lambda params: canonical_class(params)),
+    ("smoothness", lambda b: True, _check_smoothness),
+    ("stabilizer", lambda b: True, _check_stabilizer),
+    ("k-signs", lambda b: b >= 1, _check_k_signs),
+    ("toric-bridge", lambda b: b == 1, _check_toric_bridge),
+    ("slices", lambda b: b >= 1, lambda params: slice_surfaces(params)),
+    ("git-loci", lambda b: b >= 1, _check_git_loci),
+    ("cones", lambda b: b >= 1, lambda params: colored_cones(params)),
+    ("degeneration", lambda b: b >= 1, lambda params: toric_degeneration(params)),
+)
 
 
 def _cmd_verify(args) -> int:
     failures: list[str] = []
     for params in iter_instances(args.qmax, args.mmax):
-        checks: list[tuple[str, object]] = [
-            ("hilbert", _check_hilbert),
-            ("u-oracle", _check_u_oracle),
-            ("class-group", class_group),
-            ("canonical", canonical_class),
-            ("smoothness", _check_smoothness),
-            ("stabilizer", _check_stabilizer),
-        ]
-        if params.b >= 1:
-            checks.append(("k-signs", _check_k_signs))
-            if params.b == 1:
-                checks.append(("toric-bridge", _check_toric_bridge))
-            checks.append(("slices", slice_surfaces))
-            checks.append(("git-loci", _check_git_loci))
-            checks.append(("cones", colored_cones))
-            checks.append(("degeneration", toric_degeneration))
+        head = f"{params.p}/{params.q} m={params.m}"
         cells = []
-        for name, fn in checks:
-            try:
-                passed, error = bool(fn(params)), ""
-            except Exception as exc:
-                passed, error = False, f": {type(exc).__name__}: {exc}"
-            cells.append(f"{name} {'ok' if passed else 'FAIL'}")
-            if not passed:
-                failures.append(f"FAIL {params.p}/{params.q} m={params.m}: {name}{error}")
-        print(f"{params.p}/{params.q} m={params.m}: " + "  ".join(cells))
+        for name, applies, check in VERIFY_ROWS:
+            if applies(params.b):
+                try:
+                    check(params)
+                except Exception as exc:
+                    cells.append(f"{name} FAIL")
+                    failures.append(f"FAIL {head}: {name}: {type(exc).__name__}: {exc}")
+                else:
+                    cells.append(f"{name} ok")
+        print(f"{head}: " + "  ".join(cells))
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
@@ -635,6 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CrossCheckError as exc:
+        print(f"cross-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

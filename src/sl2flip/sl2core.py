@@ -11,9 +11,10 @@ the instance's objects, wires them together and cross-checks the answers
 against each other.
 
 Each cross-check is written once, next to the value it checks, and raises
-CrossCheckError, so it runs in every mode, python -O included.  verify's
-rows are these checks (class-group, canonical, slices, cones, degeneration
-pass when the library call returns) plus independent oracles in cli.
+CrossCheckError, so it runs in every mode, python -O included, and the
+CLI exits 4 on it in every command.  Five of verify's rows are these
+checks (class-group, canonical, slices, cones and degeneration pass when
+the library call returns); the other rows are oracles in cli.
 
 Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
@@ -565,20 +566,6 @@ def flip_report(params: SL2Params) -> FlipReport:
             slice_singularity=None,
             notes=("isolated singularity at the fixed point O",),
         ),
-        "E-": VarietySummary(
-            name="E-",
-            orbits=(f"SL(2)/C_{m}", "flipped curve C-"),
-            smooth=s_minus.singularity.is_smooth,
-            slice_singularity=s_minus.singularity,
-            notes=(f"homogeneous slice bundle over P^1 with slice {s_minus.singularity}",),
-        ),
-        "E+": VarietySummary(
-            name="E+",
-            orbits=(f"SL(2)/C_{m}", "flipped curve C+"),
-            smooth=s_plus.singularity.is_smooth,
-            slice_singularity=s_plus.singularity,
-            notes=(f"homogeneous slice bundle over P^1 with slice {s_plus.singularity}",),
-        ),
         "E'": VarietySummary(
             name="E'",
             orbits=(f"SL(2)/C_{m}", "exceptional divisor D'", "curve C"),
@@ -590,6 +577,14 @@ def flip_report(params: SL2Params) -> FlipReport:
             ),
         ),
     }
+    for name, surface, curve in (("E-", s_minus, "C-"), ("E+", s_plus, "C+")):
+        varieties[name] = VarietySummary(
+            name=name,
+            orbits=(f"SL(2)/C_{m}", f"flipped curve {curve}"),
+            smooth=surface.singularity.is_smooth,
+            slice_singularity=surface.singularity,
+            notes=(f"homogeneous slice bundle over P^1 with slice {surface.singularity}",),
+        )
     proj = {
         "E+": "Proj of the section ring of nK, n >= 0",
         "E-": "Proj of the section ring of -nK, n >= 0",

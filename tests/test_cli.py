@@ -8,12 +8,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sl2flip import CrossCheckError, cli, sl2core
+from sl2flip import CrossCheckError, cli, git, sl2core
+from sl2flip.lattice import FinAbGroup
 from sl2flip.semigroup import AffineSemigroup, hilbert_basis
 from sl2flip.sl2core import iter_instances, slice_basis, slice_semigroup
 from test_semigroup import brute_minimal_generators
@@ -92,11 +96,12 @@ class TestHilbert:
             {"point": [3, 1], "count": 5},
         ]
 
-    def test_tilde_fibers_are_cross_checked(self, monkeypatch):
+    def test_tilde_fibers_are_cross_checked(self, capsys, monkeypatch):
         # hilbert ... tilde prints the fibers toric_degeneration checks
         monkeypatch.setattr(sl2core, "fiber_count", lambda s, base: base[0] + base[1])
-        with pytest.raises(CrossCheckError, match="i \\+ j \\+ 1"):
-            cli.main(["hilbert", "2/5", "9", "tilde"])
+        code, out, err = run(capsys, "hilbert", "2/5", "9", "tilde")
+        assert (code, out) == (4, "")
+        assert err.startswith("cross-check failed: ") and "i + j + 1" in err, err
 
     def test_tilde_at_height_one(self, capsys):
         doc = run_json(capsys, "hilbert", "1/1", "3", "tilde")
@@ -256,6 +261,36 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--qmax", "8", "--mmax", "6")
         assert (code, err) == (0, "")
         assert "git-loci FAIL" not in out and "all properties pass" in out
+        # every row of VERIFY_ROWS, in order, on 160 instances
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee30195c6a708145a50d061fafdde15897ffe05a7d18cae9ff8df7f215540553"
+        )
+
+    def test_a_wrong_hilbert_basis_fails_with_its_reason(self, capsys, monkeypatch):
+        real = cli.slice_basis
+
+        def mutant(params, which):
+            basis = real(params, which)
+            gens = tuple(_drop_inner(params, basis.generators))
+            return dataclasses.replace(basis, generators=gens)
+
+        monkeypatch.setattr(cli, "slice_basis", mutant)
+        code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "3")
+        assert code == 4
+        *fails, summary = err.splitlines()
+        assert fails and summary == f"{len(fails)} properties failed"
+        assert all(": hilbert: CrossCheckError: " in line for line in fails), fails
+
+    def test_a_nontrivial_stabilizer_fails_with_its_reason(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "stabilizer_of_support", lambda act, support: FinAbGroup(0, (2,)))
+        code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
+        assert code == 4
+        assert "stabilizer FAIL" in out
+        assert err.splitlines() == [
+            f"FAIL {head}: stabilizer: CrossCheckError: stabilizer on X1, X3: "
+            "(FinAbGroup(free_rank=0, torsion=(2,), generator_images=()),)"
+            for head in ("1/1 m=1", "1/2 m=1")
+        ] + ["2 properties failed"]
 
 
     def test_cross_checks_run_under_python_O(self):
@@ -336,7 +371,7 @@ def _other_lattice(params, gens):
 class TestHilbertCertificate:
     def test_passes_and_agrees_with_the_box_scan(self):
         for params in iter_instances(9, 8):
-            assert cli._check_hilbert(params), params
+            cli._check_hilbert(params)
             box = params.m + params.a * params.q
             semi = slice_semigroup(params, "plus")
             brute = brute_minimal_generators(semi, (0, 0), (box, box))
@@ -364,7 +399,8 @@ class TestHilbertCertificate:
         # the b = 1 closed form would catch a mutant there on its own
         assert any(params.b != 1 for params in changed)
         for params in changed:
-            assert not cli._check_hilbert(params), params
+            with pytest.raises(CrossCheckError):
+                cli._check_hilbert(params)
 
 
 class TestParsingAndExitCodes:
@@ -407,6 +443,63 @@ class TestParsingAndExitCodes:
                     assert code in (0, 3), argv
                     if code == 3:
                         assert out == "" and err.startswith("error: "), argv
+
+    @pytest.mark.parametrize("command", ["info", "flip"])
+    def test_a_cross_check_error_in_any_command_exits_4(self, capsys, monkeypatch, command):
+        # a wrong S+ character fails class_group's cross-check
+        real = sl2core.characters
+
+        def shifted(params):
+            chars = dict(real(params))
+            s_plus = chars["S_plus"]
+            chars["S_plus"] = git.GroupCharacter(s_plus.torus_part + 1, s_plus.finite_part)
+            return chars
+
+        monkeypatch.setattr(sl2core, "characters", shifted)
+        code, out, err = run(capsys, command, "1/3", "2")
+        assert (code, out) == (4, "")
+        assert err == "cross-check failed: generator character: ('S_plus',)\n"
+
+
+@st.composite
+def _coprime_heights(draw):
+    q = draw(st.integers(2, 10**6))
+    p = draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    return f"{p}/{q}"
+
+
+_characters = st.one_of(
+    st.sampled_from(["plus", "minus", "trivial"]),
+    st.builds("{},{}".format, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+)
+
+
+class TestHugeInputs:
+    # flip, cones and git build no Hilbert basis, so their cost does not
+    # grow with the size of (p, q, m); run() clears capsys on every call
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        h=_coprime_heights(),
+        m=st.integers(1, 10**12),
+        command=st.one_of(st.sampled_from([("flip",), ("cones",)]),
+                          st.tuples(st.just("git"), st.just("--"), _characters)),
+        as_json=st.booleans(),
+    )
+    def test_below_height_one_answers_at_once(self, capsys, h, m, command, as_json):
+        argv = (command[0], h, str(m), *(("--json",) if as_json else ()), *command[1:])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert time.perf_counter() - start < 1.0, argv
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(m=st.integers(1, 10**12), command=st.sampled_from(["flip", "cones"]))
+    def test_height_one_is_a_domain_error(self, capsys, m, command):
+        code, out, err = run(capsys, command, "1", str(m))
+        assert (code, out) == (3, "")
+        assert err == "error: no flip for height 1\n"
 
 
 class TestDeterminism:
