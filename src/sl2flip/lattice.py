@@ -94,15 +94,6 @@ class FinAbGroup:
             return None
         return math.prod(self.torsion)
 
-    def element_order(self, coords: Sequence[int]) -> int | None:
-        coords = self.reduce(coords)
-        if any(coords[: self.free_rank]):
-            return None
-        n = 1
-        for c, d in zip(coords[self.free_rank:], self.torsion):
-            n = math.lcm(n, d // math.gcd(d, c))
-        return n
-
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 

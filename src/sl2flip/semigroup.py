@@ -10,7 +10,9 @@ sublattice L.  That makes membership a constraint check, and it makes the
 rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
 the generators are the lattice points on the compact boundary of the convex
 hull of the nonzero cone points, found one after another from one extremal
-ray to the other.
+ray to the other.  Over a base point of a rank-3 semigroup the fiber is
+one arithmetic progression cut to one interval, so it is counted without
+a scan.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -143,18 +145,50 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
 
 
 def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
-    """Number of third coordinates over a rank-2 base point.
+    """Number of l with (i, j, l) in a rank-3 semigroup, in closed form.
 
-    For the degeneration semigroup this is i + j + 1 over members of S+
-    and 0 elsewhere; the count is taken by scanning, not by
-    trusting that formula.
+    Each covector c bounds l on one side, from below when c2 > 0 and from
+    above when c2 < 0, or, when c2 == 0, holds for every l or for none.
+    Each congruence leaves no l or one class mod n/gcd(g2, n), and the
+    classes combine by the Chinese remainder theorem.  The count is the
+    number of points of that progression in that interval.  For the
+    degeneration semigroup it is i + j + 1 over members of S+ and 0
+    elsewhere, which degeneration_fibers checks against these data.
+    Raises ValueError when l is unbounded above or below.
     """
     if s.rank != 3:
         raise ValueError("fiber_count needs a rank-3 semigroup")
     i, j = base
-    if i + j < 0:
+    lows, highs = [], []
+    empty = False
+    for c0, c1, c2 in s.effective_inequalities():
+        rest = c0 * i + c1 * j
+        if c2 > 0:
+            lows.append(-(rest // c2))
+        elif c2 < 0:
+            highs.append(rest // -c2)
+        elif rest < 0:
+            empty = True
+    if not lows or not highs:
+        raise ValueError("the fiber over a base point is unbounded")
+    # l == r mod step solves every congruence seen so far
+    r, step = 0, 1
+    for (g0, g1, g2), n in s.congruences:
+        rest = g0 * i + g1 * j
+        x, _, e = xgcd(g2, n)
+        if rest % e:
+            return 0
+        mod = n // e
+        u, _, d = xgcd(step, mod)
+        res = -x * (rest // e) - r
+        if res % d:
+            return 0
+        r += step * (u * (res // d) % (mod // d))
+        step *= mod // d
+    lo, hi = max(lows), min(highs)
+    if empty or hi < lo:
         return 0
-    return sum(1 for l in range(i + j + 1) if s.contains((i, j, l)))
+    return (hi - r) // step - (lo - 1 - r) // step
 
 
 def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:

@@ -479,7 +479,9 @@ class ToricDegeneration:
 def degeneration_fibers(params: SL2Params) -> tuple[tuple[Vec, int], ...]:
     """The count of the rank-3 semigroup's fiber over each S+ generator g,
     checked to be g[0] + g[1] + 1, the dimension of the module V_{i+j} that
-    g spans.  Defined at height 1 as well."""
+    g spans.  semigroup.fiber_count reads each count off the semigroup's
+    covectors and congruences in closed form, one fiber at a time, so the
+    cost follows the number of generators.  Defined at height 1 as well."""
     tilde = slice_semigroup(params, "tilde")
     fibers = []
     for g in slice_basis(params, "plus").generators:

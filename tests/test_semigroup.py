@@ -1,9 +1,10 @@
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2flip.lattice import det2
@@ -15,7 +16,7 @@ from sl2flip.semigroup import (
     fiber_count,
     hilbert_basis,
 )
-from sl2flip.sl2core import derive_params, make_Mtilde, slice_semigroup
+from sl2flip.sl2core import degeneration_fibers, derive_params, make_Mtilde, slice_semigroup
 
 
 def slice_of(which, p, q, m):
@@ -371,6 +372,18 @@ class TestHilbertBasis:
 
 
 class TestFiberCount:
+    @staticmethod
+    def _fiber_count_scan(s, base):
+        """Oracle for fiber_count: the scan it replaced.  It sees only the
+        box 0 <= l <= i + j, which is the whole fiber exactly when the
+        semigroup has the covector (1, 1, -1) and a nonnegative l."""
+        if s.rank != 3:
+            raise ValueError("fiber_count needs a rank-3 semigroup")
+        i, j = base
+        if i + j < 0:
+            return 0
+        return sum(1 for l in range(i + j + 1) if s.contains((i, j, l)))
+
     def test_frozen(self):
         s = make_Mtilde(derive_params(1, 3, 2))
         assert fiber_count(s, (2, 0)) == 3
@@ -398,6 +411,62 @@ class TestFiberCount:
     def test_rank2_rejected(self):
         with pytest.raises(ValueError):
             fiber_count(slice_of("plus", 1, 2, 1), (1, 0))
+
+    def test_matches_scan_on_degeneration_semigroups(self):
+        for p, q, m in small_params():
+            for transpose in (False, True):
+                s = make_Mtilde(derive_params(p, q, m), transpose_ij=transpose)
+                for i in range(-3, 13):
+                    for j in range(-3, 13):
+                        want = self._fiber_count_scan(s, (i, j))
+                        assert fiber_count(s, (i, j)) == want, (p, q, m, transpose, i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        covectors=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=2),
+        congruences=st.lists(
+            st.tuples(st.tuples(*[st.integers(-6, 6)] * 3), st.integers(1, 12)),
+            max_size=2,
+        ),
+        nonneg=st.sets(st.sampled_from((0, 1))),
+        i=st.integers(-3, 12),
+        j=st.integers(-3, 12),
+    )
+    # a lower bound above l >= 0 and an upper bound below l <= i + j
+    @example(covectors=[(-1, 0, 2)], congruences=[], nonneg=set(), i=5, j=4)
+    @example(covectors=[(1, 0, -2)], congruences=[], nonneg=set(), i=5, j=4)
+    # two residue classes mod 4 and 2 that merge, and two that clash
+    @example(
+        covectors=[], congruences=[((-1, 0, -1), 4), ((-1, 0, -3), 2)], nonneg=set(), i=11, j=3
+    )
+    @example(
+        covectors=[], congruences=[((-1, 0, -1), 2), ((0, 1, -3), 2)], nonneg=set(), i=2, j=3
+    )
+    def test_matches_scan_on_random_semigroups(self, covectors, congruences, nonneg, i, j):
+        # (1, 1, -1) and l >= 0 make the scan's box the whole fiber
+        s = AffineSemigroup(
+            3,
+            ((1, 1, -1), *covectors),
+            tuple(congruences),
+            nonneg_coords=tuple(sorted(nonneg | {2})),
+        )
+        assert fiber_count(s, (i, j)) == self._fiber_count_scan(s, (i, j))
+
+    def test_unbounded_fiber_rejected(self):
+        # l >= 0 and nothing bounds it above; the scan cut it at i + j
+        s = AffineSemigroup(3, ((0, 1, 0),), nonneg_coords=(0, 2))
+        assert self._fiber_count_scan(s, (2, 1)) == 4
+        with pytest.raises(ValueError, match="unbounded"):
+            fiber_count(s, (2, 1))
+
+    def test_cost_follows_output_degeneration(self):
+        # 4001 S+ generators, the last with a 14001-point fiber; the scan
+        # tests 4e7 points here, the closed form a few divisions per fiber
+        start = time.perf_counter()
+        fibers = degeneration_fibers(derive_params(2, 5, 6000))
+        assert time.perf_counter() - start < 1.0
+        assert len(fibers) == 4001
+        assert fibers[-1] == ((10000, 4000), 14001)
 
 
 class TestDualCone:
