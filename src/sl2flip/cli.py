@@ -456,10 +456,10 @@ def _check_hilbert(params: SL2Params) -> None:
         closed = {(m + t, t) for t in range(a * p + 1)}
         _require(set(gens) == closed, "basis at b = 1 is not {(m + t, t)}", set(gens) ^ closed)
     semi = slice_semigroup(params, "plus")
-    # a nonzero point of S+ has i > 0, which the angle key needs
+    # a nonzero point of S+ has i > 0, which the angle comparison needs
     outside = [g for g in gens if not (semi.contains(g) and g[0] > 0)]
     _require(not outside, "generators outside S+ \\ 0", outside)
-    chain = sorted(gens, key=lambda g: Fraction(g[1], g[0]))
+    chain = sorted(gens, key=functools.cmp_to_key(lambda u, v: det2(v, u)))
     ends = (chain[0], chain[-1])
     _require(ends == ((m, 0), (a * q, a * p)), "chain ends are not (m, 0), (aq, ap)", ends)
     for u, v in zip(chain, chain[1:]):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .lattice import FinAbGroup, _require, xgcd
 from .params import SL2Params
@@ -68,8 +69,8 @@ def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
         raise ValueError("exponent length mismatch")
     if any(e < 0 for e in exponents):
         raise ValueError("exponents must be nonnegative")
-    t = sum(e * w for e, w in zip(exponents, act.torus_weights))
-    f = sum(e * w for e, w in zip(exponents, act.finite_weights))
+    t = sum(map(mul, exponents, act.torus_weights))
+    f = sum(map(mul, exponents, act.finite_weights))
     return GroupCharacter(t, f % act.finite_order)
 
 
@@ -116,11 +117,13 @@ def semistable_locus(
     part t.  Otherwise each such coordinate j gives an invariant: with
     g = gcd(w_j, t), w' = |w_j|/g, t' = |t|/g and c the finite part of chi,
     X_j^(s*t') has character (s*w')*chi for s = a / gcd(a, t'*f_j - w'*c),
-    the least s making the finite parts agree.  The witness is the one with
-    the smallest n = s*w' (lowest index on ties), which is the least n of
-    any single-coordinate invariant.  unstable_vanishing collects the
-    coordinates common to all minimal patterns proven unstable, which for
-    the standard characters describes the unstable locus exactly.
+    the least s making the finite parts agree.  Each such candidate's
+    character is checked once, whether or not a pattern picks it.  A
+    pattern's witness is the candidate off it with the smallest n = s*w'
+    (lowest index on ties), which is the least n of any single-coordinate
+    invariant.  unstable_vanishing collects the coordinates common to all
+    minimal patterns proven unstable, which for the standard characters
+    describes the unstable locus exactly.
     """
     if relation_degree < 0:
         raise ValueError("relation degree must be >= 0")
@@ -142,27 +145,28 @@ def semistable_locus(
             witnesses[_names(pat)] = (n0, zero)
         return SemistableReport(frozenset(), witnesses, {})
 
-    # the least invariant power of each coordinate whose weight has t's sign
-    powers = {}
+    # the least invariant power of each coordinate whose weight has t's
+    # sign, its character checked once, in the order witnesses are chosen
+    candidates = []
     for j, (w, f) in enumerate(zip(act.torus_weights, act.finite_weights)):
         if w * t > 0:
             g = gcd(w, t)
             w1, t1 = abs(w) // g, abs(t) // g
             s = a // gcd(a, (t1 * f - w1 * chi_f) % a)
-            powers[j] = (s * w1, s * t1)
+            power = s * w1
+            exps = tuple(s * t1 if i == j else 0 for i in range(n))
+            ok = monomial_character(act, exps) == GroupCharacter(power * t, power * chi_f % a)
+            _require(ok, "witness character", exps, COORDS[j], power, (t, chi_f))
+            candidates.append((power, j, exps))
+    candidates.sort()
 
     for pat in patterns:
-        allowed = [j for j in powers if j not in _effective(pat, relation_degree)]
-        if not allowed:
+        effective = _effective(pat, relation_degree)
+        pick = next((c for c in candidates if c[1] not in effective), None)
+        if pick is None:
             unstable.append(pat)
-            continue
-        j = min(allowed, key=lambda i: (powers[i][0], i))
-        power, e = powers[j]
-        exps = tuple(e if i == j else 0 for i in range(n))
-        names = _names(pat)
-        ok = monomial_character(act, exps) == GroupCharacter(power * t, power * chi_f % a)
-        _require(ok, "witness character", exps, names, power, (t, chi_f))
-        witnesses[names] = (power, exps)
+        else:
+            witnesses[_names(pat)] = (pick[0], pick[2])
 
     minimal = [
         pat for pat in unstable

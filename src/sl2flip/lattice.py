@@ -44,7 +44,7 @@ def det2(u: Sequence[int], v: Sequence[int]) -> int:
 
 def primitive(v: Sequence[int]) -> Vec:
     """Divide an integer vector by the gcd of its entries, keeping direction."""
-    g = math.gcd(*(abs(x) for x in v)) if v else 0
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .lattice import Vec, det2, primitive, xgcd
@@ -61,10 +62,10 @@ class AffineSemigroup:
             if x[i] < 0:
                 return False
         for c in self.inequalities:
-            if sum(ci * xi for ci, xi in zip(c, x)) < 0:
+            if sum(map(mul, c, x)) < 0:
                 return False
         for g, n in self.congruences:
-            if sum(gi * xi for gi, xi in zip(g, x)) % n != 0:
+            if sum(map(mul, g, x)) % n != 0:
                 return False
         return True
 

@@ -1,12 +1,13 @@
 """Simplicial cones, small fans, and wall-curve intersection numbers.
 
-Everything is exact integer or rational arithmetic.  The fans that show up
-here have at most four maximal cones (one wall, two chambers, or a star
-subdivision), so face compatibility is checked by exhaustive pairwise
-inspection instead of anything clever.  Every linear system is at most
-3x3, so determinants are explicit minors (det2, or a cross product dotted
-with the third column) and solves use Cramer's rule; nothing here runs a
-general elimination.
+Everything is exact integer arithmetic; the one Fraction is the K-degree
+that wall_curve_K_degree returns.  The fans that show up here have at most
+four maximal cones (one wall, two chambers, or a star subdivision), so face
+compatibility is checked by exhaustive pairwise inspection instead of
+anything clever.  Every linear system is at most 3x3, so determinants are
+explicit minors (det2, or a cross product dotted with the third column)
+and solves use Cramer's rule with the division left undone; nothing here
+runs a general elimination.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .lattice import Vec, _require, det2, primitive, xgcd
 
@@ -44,7 +46,7 @@ def _cross(u: Vec, v: Vec) -> Vec:
 
 
 def _dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _proportional(u: Vec, v: Vec) -> bool:
@@ -96,13 +98,15 @@ def _det(cols: tuple[Vec, ...]) -> int:
     return _dot(_cross(u, v), w)
 
 
-def _solve(cols: tuple[Vec, ...], x) -> list[Fraction] | None:
-    """Solve sum_j c_j cols[j] = x over the rationals by Cramer's rule.
+def _solve(cols: tuple[Vec, ...], x) -> tuple[list[int], int] | None:
+    """Solve sum_j c_j cols[j] = x over the rationals by Cramer's rule, in
+    integers: returns (numerators, d) with d > 0 and c_j = numerators[j]/d.
 
     Takes 1 to 3 columns in Z^2 or Z^3; raises ValueError when they are
     dependent, and returns None when x is outside their span.  A square
-    system divides the minors by det(cols).  One column u spans x iff they
-    are proportional, with coefficient (x.u)/(u.u).  Two columns u, v in Z^3
+    system gives the minors over det(cols), negated together when the
+    determinant is negative.  One column u spans x iff they are
+    proportional, with coefficient (x.u)/(u.u).  Two columns u, v in Z^3
     have the normal n = u x v: x is in their span iff x.n = 0, and then its
     coefficients are ((x x v).n, (u x x).n)/(n.n).
     """
@@ -112,28 +116,30 @@ def _solve(cols: tuple[Vec, ...], x) -> list[Fraction] | None:
         d = _det(cols)
         if d == 0:
             raise ValueError("dependent columns")
-        return [Fraction(_det(cols[:j] + (x,) + cols[j + 1:])) / d for j in range(len(cols))]
+        nums = [_det(cols[:j] + (x,) + cols[j + 1:]) for j in range(len(cols))]
+        return (nums, d) if d > 0 else ([-v for v in nums], -d)
     if len(cols) == 1:
         (u,) = cols
         if not any(u):
             raise ValueError("dependent columns")
-        return [Fraction(_dot(x, u)) / _dot(u, u)] if _proportional(u, x) else None
+        return ([_dot(x, u)], _dot(u, u)) if _proportional(u, x) else None
     u, v = cols
     n = _cross(u, v)
     if n == (0, 0, 0):
         raise ValueError("dependent columns")
     if _dot(x, n):
         return None
-    nn = _dot(n, n)
-    return [Fraction(_dot(_cross(x, v), n)) / nn, Fraction(_dot(_cross(u, x), n)) / nn]
+    return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
 
 
 def cone_contains(c: Cone, x: Vec) -> bool:
-    """Weak membership test for a simplicial cone."""
+    """Weak membership test for a simplicial cone: x is in the span of the
+    rays with nonnegative coefficients, read off the signs of the Cramer
+    numerators (the denominator is positive)."""
     if len(x) != c.dim:
         raise ValueError("dimension mismatch")
     sol = _solve(c.rays, x)
-    return sol is not None and all(v >= 0 for v in sol)
+    return sol is not None and min(sol[0]) >= 0
 
 
 def multiplicity(c: Cone) -> int:
@@ -165,18 +171,6 @@ class CyclicSingularity:
     @property
     def is_smooth(self) -> bool:
         return self.order == 1
-
-    def same_type(self, other: "CyclicSingularity") -> bool:
-        # 1/n(1,c) and 1/n(1,c') are isomorphic iff c' = c or cc' = 1 mod n;
-        # swapping the rays of a cone inverts the twist
-        if self.order != other.order:
-            return False
-        if self.order == 1:
-            return True
-        return (
-            self.twist == other.twist
-            or (self.twist * other.twist) % self.order == 1
-        )
 
     def __str__(self) -> str:
         if self.order == 1:
@@ -404,15 +398,15 @@ def wall_curve_K_degree(f: Fan, wall: Cone) -> Fraction:
         raise ValueError("wall must be a face of exactly two maximal cones")
     completing = [next(r for r in c.rays if r not in wset) for c in carriers]
     mt = multiplicity(wall)
-    coeffs = [Fraction(mt, multiplicity(c)) for c in carriers]
-    target = tuple(
-        -(coeffs[0] * completing[0][i] + coeffs[1] * completing[1][i])
-        for i in range(3)
-    )
+    m0, m1 = (multiplicity(c) for c in carriers)
+    # scaled by m0*m1, the completing rays pair with mt*m1 and mt*m0
+    c0, c1 = mt * m1, mt * m0
+    target = tuple(-(c0 * r0 + c1 * r1) for r0, r1 in zip(*completing))
     sol = _solve(wall.rays, target)
     if sol is None:
         raise ValueError("wall relation is inconsistent")
-    return -(coeffs[0] + coeffs[1] + sol[0] + sol[1])
+    (s0, s1), d = sol
+    return -Fraction((c0 + c1) * d + s0 + s1, m0 * m1 * d)
 
 
 def gaifullin_criterion(rays, coefficients) -> bool:

@@ -296,6 +296,56 @@ class TestSemistableLocus:
         with pytest.raises(CrossCheckError, match="witness character"):
             run(1, 2, 1, "plus")
 
+    def test_one_character_check_per_candidate(self, monkeypatch):
+        # a candidate is a coordinate whose torus weight has the sign of
+        # chi's; its witness is built and checked once, not once per pattern
+        real = git.monomial_character
+        calls = []
+
+        def counting(act, exps):
+            calls.append(exps)
+            return real(act, exps)
+
+        monkeypatch.setattr(git, "monomial_character", counting)
+        for p, q, m in small_params():
+            params = derive_params(p, q, m)
+            act, chars = action(params), characters(params)
+            for which in ("plus", "minus", "trivial"):
+                t = chars[which].torus_part
+                calls.clear()
+                semistable_locus(act, chars[which], params.b)
+                assert len(calls) == sum(w * t > 0 for w in act.torus_weights) <= 5
+
+    def test_every_candidate_character_is_checked(self, monkeypatch):
+        # shifting the character of any one candidate coordinate raises,
+        # also for a candidate that no pattern picks: at (1/2, m = 2) with
+        # chi = (2, 1), X3 and X4 need power 1 and Y0 power 2, and every
+        # pattern leaves X3 or X4 except {X3, X4}, which also kills Y0
+        params = derive_params(1, 2, 2)
+        act = action(params)
+        custom = GroupCharacter(2, 1)
+        witnesses = semistable_locus(act, custom, params.b).witness_monomials
+        assert all(exps[0] == 0 for _, exps in witnesses.values())
+        cases = [(act, custom, params.b)]
+        for p, q, m in small_params(4, 3):
+            params = derive_params(p, q, m)
+            act, chars = action(params), characters(params)
+            cases += [(act, chars[which], params.b) for which in ("plus", "minus")]
+        real = git.monomial_character
+        for act, chi, b in cases:
+            candidates = [j for j, w in enumerate(act.torus_weights) if w * chi.torus_part > 0]
+            assert candidates
+            for j in candidates:
+
+                def shifted(act, exps, j=j):
+                    got = real(act, exps)
+                    return GroupCharacter(got.torus_part + bool(exps[j]), got.finite_part)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(git, "monomial_character", shifted)
+                    with pytest.raises(CrossCheckError, match="witness character"):
+                        semistable_locus(act, chi, b)
+
     def test_trivial_character_sweep(self):
         for p, q, m in small_params(4, 3):
             report = run(p, q, m, "trivial")

@@ -70,6 +70,32 @@ def solve_by_elimination(cols, target):
     return [Fraction(aug[i][n]) / aug[i][i] for i in range(n)]
 
 
+def same_type(c, d):
+    """1/n(1,c) and 1/n(1,c') are isomorphic iff c' = c or cc' = 1 mod n;
+    swapping the rays of a cone inverts the twist."""
+    if c.order != d.order:
+        return False
+    if c.order == 1:
+        return True
+    return c.twist == d.twist or (c.twist * d.twist) % c.order == 1
+
+
+def wall_degree_by_fractions(f, wall):
+    """Oracle for wall_curve_K_degree: the same pairings mt/m_i kept as
+    Fractions, and the wall relation solved by rational elimination."""
+    wset = set(wall.rays)
+    carriers = [c for c in f.max_cones if wset <= set(c.rays)]
+    completing = [next(r for r in c.rays if r not in wset) for c in carriers]
+    mt = multiplicity(wall)
+    coeffs = [Fraction(mt, multiplicity(c)) for c in carriers]
+    target = tuple(
+        -(coeffs[0] * completing[0][i] + coeffs[1] * completing[1][i])
+        for i in range(3)
+    )
+    sol = solve_by_elimination(wall.rays, target)
+    return -(coeffs[0] + coeffs[1] + sol[0] + sol[1])
+
+
 def pq_sweep(qmax=6):
     return [
         (p, q)
@@ -145,18 +171,24 @@ class TestMinors:
             coeffs = [data.draw(st.integers(-4, 4)) for _ in cols]
             target = tuple(sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(dim))
         got = outcome(_solve, cols, target)
-        assert got == outcome(solve_by_elimination, cols, target)
-        if isinstance(got, list):
-            assert all(type(x) is Fraction for x in got)
+        want = outcome(solve_by_elimination, cols, target)
+        if isinstance(got, tuple):
+            nums, d = got
+            assert type(d) is int and d > 0
+            assert all(type(v) is int for v in nums)
+            got = [Fraction(v, d) for v in nums]
+        assert got == want
 
     def test_solve_frozen(self):
-        # in the span, off it, dependent, and four rays in Z^3
-        assert _solve((E1, E2), (3, -2, 0)) == [3, -2]
+        # in the span, off it, dependent, and four rays in Z^3; the pairs
+        # are (numerators, d) with d > 0, undivided
+        assert _solve((E1, E2), (3, -2, 0)) == ([3, -2], 1)
         assert _solve((E1, E2), (3, -2, 1)) is None
-        assert _solve(((1, 1, 0), (1, -1, 0)), (1, 0, 0)) == [Fraction(1, 2), Fraction(1, 2)]
-        assert _solve(((2, 1),), (4, 2)) == [2]
+        assert _solve(((1, 1, 0), (1, -1, 0)), (1, 0, 0)) == ([2, 2], 4)
+        assert _solve(((2, 1),), (4, 2)) == ([10], 5)
         assert _solve(((2, 1),), (4, 3)) is None
-        assert _solve(((1, 0), (-1, 2)), (0, 1)) == [Fraction(1, 2), Fraction(1, 2)]
+        assert _solve(((1, 0), (-1, 2)), (0, 1)) == ([1, 1], 2)
+        assert _solve(((-1, 2), (1, 0)), (0, 1)) == ([1, 1], 2)  # det < 0
         for cols in [((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 2, 3), (2, 4, 6)),
                      (E1, E2, E3, (1, 1, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 0),)]:
             with pytest.raises(ValueError, match="dependent"):
@@ -215,7 +247,7 @@ class TestClassify2d:
         d = classify_2d(Cone(((-2, 5), (1, 0))))
         assert c.order == d.order == 5
         assert (c.twist * d.twist) % 5 == 1
-        assert c.same_type(d)
+        assert same_type(c, d)
 
     def test_hilbert_basis_is_the_hj_chain_of_the_slice(self):
         # the basis of S, in congruence-lattice coordinates and boundary
@@ -322,10 +354,10 @@ class TestClassify2d:
         assert str(CyclicSingularity(5, 2)) == "1/5(1,2)"
 
     def test_same_type(self):
-        assert CyclicSingularity(5, 2).same_type(CyclicSingularity(5, 3))
-        assert not CyclicSingularity(5, 2).same_type(CyclicSingularity(5, 4))
-        assert CyclicSingularity(1, 0).same_type(CyclicSingularity(1, 0))
-        assert not CyclicSingularity(2, 1).same_type(CyclicSingularity(3, 1))
+        assert same_type(CyclicSingularity(5, 2), CyclicSingularity(5, 3))
+        assert not same_type(CyclicSingularity(5, 2), CyclicSingularity(5, 4))
+        assert same_type(CyclicSingularity(1, 0), CyclicSingularity(1, 0))
+        assert not same_type(CyclicSingularity(2, 1), CyclicSingularity(3, 1))
 
 
 class TestSigma:
@@ -485,6 +517,15 @@ class TestWallCurveDegree:
                 assert multiplicity(common_wall(plus)) == a * p
                 assert multiplicity(common_wall(minus)) == a * q
 
+    def test_agrees_with_the_rational_computation(self):
+        for p, q in pq_sweep():
+            for a in range(1, 7):
+                for fan in flip_subdivisions(sigma_of(p, q, a)):
+                    wall = common_wall(fan)
+                    got = wall_curve_K_degree(fan, wall)
+                    assert type(got) is Fraction
+                    assert got == wall_degree_by_fractions(fan, wall), (p, q, a)
+
     def test_bad_wall_rejected(self):
         sigma = sigma_of(1, 2, 1)
         plus, _ = flip_subdivisions(sigma)
@@ -576,6 +617,25 @@ class TestFanValidation:
         c2 = Cone(((1, 0, 0), (0, 1, 0)))
         assert cone_contains(c2, (3, 2, 0))
         assert not cone_contains(c2, (3, 2, 1))  # off the span
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_cone_contains_agrees_with_elimination(self, dim, data):
+        # a simplicial cone contains x iff the rational solve has a
+        # solution with every coefficient >= 0; targets are drawn both
+        # freely and as small combinations of the rays, so both answers occur
+        count = data.draw(st.integers(1, dim))
+        rays = random_rays(data, count, dim, 5)
+        if data.draw(st.booleans()):
+            x = data.draw(vectors(dim, 9))
+        else:
+            coeffs = [data.draw(st.integers(-3, 3)) for _ in rays]
+            x = tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(dim))
+        try:
+            sol = solve_by_elimination(rays, x)
+        except ValueError:
+            return  # dependent rays: not simplicial
+        assert cone_contains(Cone(rays), x) == (sol is not None and min(sol) >= 0)
 
     def test_fan_rays_deduplicated(self):
         fan = star_subdivide_at_v5(sigma_of(1, 2, 1))
