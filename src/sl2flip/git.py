@@ -18,7 +18,6 @@ from math import gcd
 from operator import mul
 
 from .lattice import FinAbGroup, _require, xgcd
-from .params import SL2Params
 
 COORDS = ("Y0", "X1", "X2", "X3", "X4")
 
@@ -30,7 +29,6 @@ __all__ = [
     "monomial_character",
     "semistable_locus",
     "stabilizer_of_support",
-    "u_invariant_exponents",
 ]
 
 
@@ -243,19 +241,3 @@ def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:
         free_rank, factors = 0, (d1, alpha_r * gamma_r // d1)
     return FinAbGroup(free_rank, tuple(d for d in factors if d > 1))
 
-
-def u_invariant_exponents(params: SL2Params, box: int) -> set[tuple[int, int]]:
-    """Exponent pairs (i, j) in [0, box]^2 for which X0^e0 X1^i X3^j can be
-    made invariant under the torus acting with weights (1, -p, q) and the
-    mu_m action with weights (0, -1, 1): the torus forces e0 = pi - qj,
-    which must be a legal exponent, and mu_m forces m | i - j."""
-    p, q, m = params.p, params.q, params.m
-    if box < 0:
-        raise ValueError("box must be >= 0")
-    out = set()
-    for i in range(box + 1):
-        for j in range(box + 1):
-            e0 = p * i - q * j
-            if e0 >= 0 and (j - i) % m == 0:
-                out.add((i, j))
-    return out

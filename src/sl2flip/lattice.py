@@ -88,12 +88,6 @@ class FinAbGroup:
     def element(self, generator_index: int) -> Vec:
         return self.reduce(self.generator_images[generator_index])
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank > 0:
-            return None
-        return math.prod(self.torsion)
-
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 

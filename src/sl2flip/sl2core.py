@@ -351,15 +351,16 @@ def canonical_class(params: SL2Params) -> CanonicalClass:
 def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     """(K . C-, K . C+) on the two sides of the flip.
 
-    Closed forms -(1+b)k/(aq^2) and (1+b)k/(ap^2); for toric instances the
-    values are recomputed from wall curves of the degeneration cone and
-    must agree.
+    Closed forms -(1+b)k/(aq^2) and (1+b)k/(ap^2), checked to have the
+    signs of a flip; for toric instances the values are recomputed from
+    wall curves of the degeneration cone and must agree.
     """
     p, q, k, a, b = params.p, params.q, params.k, params.a, params.b
     if b == 0:
         raise ValueError("no flip for height 1")
     minus = Fraction(-(1 + b) * k, a * q * q)
     plus = Fraction((1 + b) * k, a * p * p)
+    _require(minus < 0 < plus, "K-degree signs", minus, plus)
     if b == 1:
         fan_plus, fan_minus = flip_subdivisions(sigma_of(p, q, a))
         for fan, want in ((fan_plus, plus), (fan_minus, minus)):
@@ -549,7 +550,6 @@ def flip_report(params: SL2Params) -> FlipReport:
     if b == 0:
         raise ValueError("no flip for height 1")
     k_minus, k_plus = intersection_numbers(params)
-    _require(k_minus < 0 < k_plus, "K-degree signs", k_minus, k_plus)
 
     act, chars = action(params), characters(params)
     semistable = {

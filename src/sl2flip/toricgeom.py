@@ -236,14 +236,6 @@ class Fan:
                 if r not in shared and cone_contains(second, r):
                     raise ValueError("ray of one cone lies inside another")
 
-    def rays(self) -> tuple[Vec, ...]:
-        out: list[Vec] = []
-        for c in self.max_cones:
-            for r in c.rays:
-                if r not in out:
-                    out.append(r)
-        return tuple(out)
-
 
 def _check_pq(p: int, q: int) -> None:
     if not (0 < p < q and gcd(p, q) == 1):
@@ -285,43 +277,6 @@ def sigma0_of(p: int, q: int) -> Cone:
     return Cone((v1, v2, v3, v4))
 
 
-def _facets_of_4cone(c: Cone) -> list[tuple[int, int, Vec]]:
-    """Facet pairs (i, j) of a 4-ray cone with inward normals."""
-    out = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            n = _cross(c.rays[i], c.rays[j])
-            rest = [c.rays[k] for k in range(4) if k not in (i, j)]
-            signs = [_dot(n, r) for r in rest]
-            if all(v > 0 for v in signs):
-                out.append((i, j, n))
-            elif all(v < 0 for v in signs):
-                out.append((i, j, tuple(-x for x in n)))
-    return out
-
-
-V5: Vec = (0, 0, 1)
-
-
-def star_subdivide_at_v5(c: Cone) -> Fan:
-    """Star subdivision of a 4-ray cone through v5 = e3.
-
-    Requires e3 to lie in the interior; returns the four cones spanned by
-    v5 and the facets of the input.
-    """
-    if c.dim != 3 or len(c.rays) != 4:
-        raise ValueError("expected a 4-ray cone in rank 3")
-    facets = _facets_of_4cone(c)
-    if len(facets) != 4:
-        raise ValueError("rays are not in convex position")
-    for _, _, n in facets:
-        if _dot(n, V5) <= 0:
-            raise ValueError("e3 does not lie in the interior")
-    return Fan(
-        tuple(Cone((c.rays[i], c.rays[j], V5)) for i, j, _ in facets)
-    )
-
-
 def _relation(rays: tuple[Vec, ...]) -> Vec:
     """Primitive integer relation of four vectors spanning Q^3, first entry
     made nonnegative.  By Cramer's rule the signed 3x3 minors,
@@ -336,15 +291,15 @@ def _relation(rays: tuple[Vec, ...]) -> Vec:
     return rel if rel[0] >= 0 else tuple(-v for v in rel)
 
 
-def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
-    """The two 2-cone triangulations of a 4-ray cone.
+def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
+    """The relation of a 4-ray cone in rank 3 and the index pairs of its
+    rays with positive and with negative coefficients.
 
-    The rays satisfy a unique relation splitting them into two pairs with
-    positive coefficients on each side.  Returned as (plus, minus), where
-    the plus fan is subdivided through the pair with the larger coefficient
-    sum; the wall curve of that fan is the one K pairs positively with.  On
-    a tie both wall curves have K-degree 0 and the choice is stabilized by
-    putting the lexicographically smallest ray on the plus wall.
+    Two coefficients of each sign is the one shape this module takes: then
+    no ray lies in the cone of the other three and no relation is
+    nonnegative, so the cone is pointed over a quadrilateral whose
+    diagonals are the two pairs, and its facets are the four pairs that
+    take one ray from each.  Raises ValueError for any other shape.
     """
     if c.dim != 3 or len(c.rays) != 4:
         raise ValueError("expected a 4-ray cone in rank 3")
@@ -355,6 +310,42 @@ def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
     neg = tuple(i for i in range(4) if rel[i] < 0)
     if len(pos) != 2:
         raise ValueError("relation does not split the rays into pairs")
+    return rel, pos, neg
+
+
+V5: Vec = (0, 0, 1)
+
+
+def star_subdivide_at_v5(c: Cone) -> Fan:
+    """Star subdivision of a 4-ray cone through v5 = e3.
+
+    Requires e3 to lie in the interior: strictly on the side of each facet
+    plane where the other two rays lie.  Returns the four cones spanned by
+    v5 and the facets of the input, the pairs (i, j), i < j, with one ray
+    on each diagonal, in sorted order.
+    """
+    _, pos, neg = _diagonals(c)
+    cones = []
+    for i, j in sorted((min(i, j), max(i, j)) for i in pos for j in neg):
+        n = _cross(c.rays[i], c.rays[j])
+        other = c.rays[next(k for k in pos if k not in (i, j))]
+        if _dot(n, V5) * _dot(n, other) <= 0:
+            raise ValueError("e3 does not lie in the interior")
+        cones.append(Cone((c.rays[i], c.rays[j], V5)))
+    return Fan(tuple(cones))
+
+
+def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
+    """The two 2-cone triangulations of a 4-ray cone.
+
+    The rays satisfy a unique relation splitting them into two pairs with
+    positive coefficients on each side.  Returned as (plus, minus), where
+    the plus fan is subdivided through the pair with the larger coefficient
+    sum; the wall curve of that fan is the one K pairs positively with.  On
+    a tie both wall curves have K-degree 0 and the choice is stabilized by
+    putting the lexicographically smallest ray on the plus wall.
+    """
+    rel, pos, neg = _diagonals(c)
     pos_sum = rel[pos[0]] + rel[pos[1]]
     neg_sum = -rel[neg[0]] - rel[neg[1]]
     if pos_sum != neg_sum:

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from sl2flip import CrossCheckError, cli, git, sl2core
 from sl2flip.lattice import FinAbGroup
 from sl2flip.semigroup import AffineSemigroup, hilbert_basis
-from sl2flip.sl2core import iter_instances, slice_basis, slice_semigroup
+from sl2flip.sl2core import derive_params, iter_instances, slice_basis, slice_semigroup
+from test_git import u_invariant_exponents
 from test_semigroup import brute_minimal_generators
 
 
@@ -323,6 +324,78 @@ class TestVerify:
             line.startswith("FAIL 2/3 m=2: class-group: CrossCheckError: ")
             for line in proc.stderr.splitlines()
         ), proc.stderr
+
+
+def _u_oracle_row():
+    return next(check for name, _, check in cli.VERIFY_ROWS if name == "u-oracle")
+
+
+def _plus_with(monkeypatch, at, inequalities, congruences):
+    """Replace S+ at the instance (p, q, m) `at` by a semigroup with the
+    given covectors and congruences, i, j >= 0."""
+    real = cli.slice_semigroup
+
+    def mutant(params, which):
+        if which == "plus" and (params.p, params.q, params.m) == at:
+            return AffineSemigroup(2, inequalities, congruences, nonneg_coords=(0, 1))
+        return real(params, which)
+
+    monkeypatch.setattr(cli, "slice_semigroup", mutant)
+
+
+class TestUOracle:
+    """The u-oracle row compares the cone and the congruence lattice of its
+    U-invariant model with those of S+; the box enumeration is the oracle."""
+
+    def test_agrees_with_the_box_oracle(self):
+        row = _u_oracle_row()
+        for params in iter_instances(12, 12):
+            row(params)  # raises on a mismatch
+            box = 2 * params.m + 2
+            semi = slice_semigroup(params, "plus")
+            want = {(i, j) for i in range(box + 1) for j in range(box + 1) if semi.contains((i, j))}
+            assert u_invariant_exponents(params, box) == want, params
+
+    def test_a_mutant_the_box_cannot_see_fails(self, monkeypatch):
+        # p i - q j >= 0 and 101 i - 201 j >= 0 agree on [0, 100]^2 at
+        # h = 1/2, so the former 9 x 9 box comparison passed this S+
+        params = derive_params(1, 2, 2)
+        ineqs, congs = ((101, -201),), (((1, -1), 2),)
+        mutant = AffineSemigroup(2, ineqs, congs, nonneg_coords=(0, 1))
+        box = {(i, j) for i in range(9) for j in range(9) if mutant.contains((i, j))}
+        assert box == u_invariant_exponents(params, 8)
+        _plus_with(monkeypatch, (1, 2, 2), ineqs, congs)
+        with pytest.raises(CrossCheckError, match="U-invariant cone and lattice"):
+            _u_oracle_row()(params)
+
+    @pytest.mark.parametrize("ineqs, congs", [
+        (((1, -3),), (((1, -1), 2),)),  # another cone
+        (((1, -2),), (((1, -1), 4),)),  # another lattice
+        (((1, -2),), (((1, 1), 2),)),  # the same lattice: passes
+    ])
+    def test_fails_exactly_when_the_box_differs(self, monkeypatch, ineqs, congs):
+        params = derive_params(1, 2, 2)
+        mutant = AffineSemigroup(2, ineqs, congs, nonneg_coords=(0, 1))
+        differs = u_invariant_exponents(params, 8) != {
+            (i, j) for i in range(9) for j in range(9) if mutant.contains((i, j))
+        }
+        _plus_with(monkeypatch, (1, 2, 2), ineqs, congs)
+        if differs:
+            with pytest.raises(CrossCheckError):
+                _u_oracle_row()(params)
+        else:
+            _u_oracle_row()(params)
+
+    def test_verify_names_the_row(self, capsys, monkeypatch):
+        _plus_with(monkeypatch, (1, 2, 2), ((101, -201),), (((1, -1), 2),))
+        code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "2")
+        assert code == 4
+        assert "1/2 m=2: hilbert ok  u-oracle FAIL  class-group ok" in out
+        *fails, summary = err.splitlines()
+        assert summary == "1 properties failed"
+        assert [line.split(": CrossCheckError: ")[0] for line in fails] == [
+            "FAIL 1/2 m=2: u-oracle"
+        ]
 
 
 def _by_angle(gens):

@@ -357,6 +357,25 @@ class TestIntersectionNumbers:
             )
             assert minus * plus == want
 
+    def test_sign_check_runs_for_every_reader(self, monkeypatch):
+        # closed forms with the wrong signs: intersection_numbers refuses
+        # them, so each command and verify row that reads them fails there
+        monkeypatch.setattr(sl2core, "Fraction", lambda n, d: -Fraction(n, d))
+        for argv in (["info", "1/3", "1"], ["flip", "2/5", "3"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 4
+            assert "K-degree signs" in err.getvalue()
+        rows = {name: check for name, _, check in cli.VERIFY_ROWS}
+        for name in ("k-signs", "toric-bridge"):
+            with pytest.raises(CrossCheckError, match="K-degree signs"):
+                rows[name](derive_params(1, 2, 1))
+        found = [
+            name for name, node in package_nodes()
+            if isinstance(node, ast.Constant) and node.value == "K-degree signs"
+        ]
+        assert found == ["sl2core.py"]
+
     def test_toric_instances_cross_check(self):
         # b = 1 instances run the wall-curve comparison internally
         ran = 0

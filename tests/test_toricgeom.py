@@ -16,7 +16,10 @@ from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
     Fan,
+    _cross,
     _det,
+    _diagonals,
+    _dot,
     _relation,
     _solve,
     classify_2d,
@@ -68,6 +71,54 @@ def solve_by_elimination(cols, target):
     if any(aug[i][n] for i in range(row, rows)):
         return None
     return [Fraction(aug[i][n]) / aug[i][i] for i in range(n)]
+
+
+def facets_of_4cone(c):
+    """Facet pairs (i, j) of a 4-ray cone with inward normals, by scanning
+    the six pairs for a plane with the other two rays strictly on one
+    side: the oracle of the facets that star_subdivide_at_v5 reads off
+    the relation."""
+    out = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            n = _cross(c.rays[i], c.rays[j])
+            signs = [_dot(n, c.rays[k]) for k in range(4) if k not in (i, j)]
+            if all(v > 0 for v in signs):
+                out.append((i, j, n))
+            elif all(v < 0 for v in signs):
+                out.append((i, j, tuple(-x for x in n)))
+    return out
+
+
+def star_subdivide_by_scan(c):
+    """star_subdivide_at_v5 with the facets found by facets_of_4cone."""
+    facets = facets_of_4cone(c)
+    if len(facets) != 4:
+        raise ValueError("rays are not in convex position")
+    if any(_dot(n, E3) <= 0 for _, _, n in facets):
+        raise ValueError("e3 does not lie in the interior")
+    return Fan(tuple(Cone((c.rays[i], c.rays[j], E3)) for i, j, _ in facets))
+
+
+def mixed_pairs(c):
+    """The pairs (i, j), i < j, with one ray on each diagonal, sorted."""
+    _, pos, neg = _diagonals(c)
+    return sorted((min(i, j), max(i, j)) for i in pos for j in neg)
+
+
+def subdivided(subdivide, c):
+    try:
+        return subdivide(c).max_cones
+    except ValueError:
+        return ValueError
+
+
+def fan_rays(fan):
+    """The distinct rays of a fan, in order of first appearance."""
+    out = []
+    for c in fan.max_cones:
+        out.extend(r for r in c.rays if r not in out)
+    return tuple(out)
 
 
 def same_type(c, d):
@@ -429,6 +480,46 @@ class TestStarSubdivision:
         # e3 interior is fine even off the standard family
         assert len(star_subdivide_at_v5(shifted).max_cones) == 4
 
+    def test_agrees_with_the_scan_oracle(self):
+        # same cones in the same order, or ValueError from both: sigma0 has
+        # e3 as a ray, so e3 is not interior there
+        shifted = Cone(((1, 0, 1), (-1, 0, 3), (0, 1, 2), (0, -1, 2)))
+        cones = [sigma_of(p, q, a) for p, q in pq_sweep() for a in (1, 2, 3)]
+        cones += [sigma0_of(p, q) for p, q in pq_sweep()] + [shifted]
+        for c in cones:
+            got = subdivided(star_subdivide_at_v5, c)
+            assert got == subdivided(star_subdivide_by_scan, c), c
+            assert got is not ValueError or c.rays[0] == E3, c
+            assert mixed_pairs(c) == [(i, j) for i, j, _ in facets_of_4cone(c)], c
+
+    @pytest.mark.parametrize("rays", [
+        ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 1)),  # v3 + v1 = v4
+        ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)),  # v1 + v2 = v3
+        ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)),  # coplanar
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),  # not pointed
+    ])
+    def test_degenerate_cones_rejected(self, rays):
+        c = Cone(rays)
+        assert len(facets_of_4cone(c)) != 4
+        for fn in (star_subdivide_at_v5, flip_subdivisions, _diagonals):
+            with pytest.raises(ValueError):
+                fn(c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_relation_split_agrees_with_the_scan(self, data):
+        # the relation splits 2 + 2 exactly when the scan finds four facets,
+        # and then the facets are the pairs across the split
+        c = Cone(random_rays(data, 4, 3, 3))
+        facets = [(i, j) for i, j, _ in facets_of_4cone(c)]
+        try:
+            pairs = mixed_pairs(c)
+        except ValueError:
+            assert len(facets) != 4
+            return
+        assert pairs == facets
+        assert subdivided(star_subdivide_at_v5, c) == subdivided(star_subdivide_by_scan, c)
+
 
 class TestFlipSubdivisions:
     def test_walls_121(self):
@@ -639,5 +730,5 @@ class TestFanValidation:
 
     def test_fan_rays_deduplicated(self):
         fan = star_subdivide_at_v5(sigma_of(1, 2, 1))
-        rays = fan.rays()
+        rays = fan_rays(fan)
         assert len(rays) == len(set(rays)) == 5
