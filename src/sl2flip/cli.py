@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -273,6 +272,8 @@ def _document(params: SL2Params, sections: dict, warnings: list[str]) -> dict:
 
 def _emit(doc: dict, as_json: bool) -> None:
     if as_json:
+        import json  # here, not at the top: start-up and text output skip it
+
         # Fractions are the only values json cannot encode itself
         print(json.dumps(doc, indent=2, sort_keys=True, default=lambda f: {
             "num": f.numerator, "den": f.denominator}))

@@ -13,11 +13,10 @@ quotient of two rank-2 character lattices, read off their Hermite bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .lattice import FinAbGroup, _require, xgcd
+from .lattice import FinAbGroup, _require, record, xgcd
 
 COORDS = ("Y0", "X1", "X2", "X3", "X4")
 
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalAction:
     """Action of C* x mu_a by diagonal matrices.
 
@@ -53,7 +52,7 @@ class DiagonalAction:
             raise ValueError("finite_weights must be reduced")
 
 
-@dataclass(frozen=True)
+@record
 class GroupCharacter:
     """Character (t, zeta) -> t^torus_part * zeta^finite_part."""
 
@@ -72,7 +71,7 @@ def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
     return GroupCharacter(t, f % act.finite_order)
 
 
-@dataclass(frozen=True)
+@record
 class SemistableReport:
     """Outcome of the pattern-by-pattern semistability decision.
 

@@ -6,16 +6,67 @@ invariant-factor form.  Every lattice the package meets has rank at most
 3, so its callers read cokernels, Hermite bases, multiplicities and solves
 off xgcd and explicit minors; no general matrix normal form is computed.
 The bounded Diophantine enumerator, a test oracle, lists solutions in
-lexicographic order.
+lexicographic order.  The record decorator gives every value class of the
+package its frozen-dataclass methods.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 Vec = tuple[int, ...]
+
+
+def record(cls):
+    """Give cls the methods dataclasses.dataclass(frozen=True) would: an
+    __init__ over the annotated fields, with the class-level defaults, that
+    calls __post_init__ when the class has one; a repr in dataclass format;
+    equality and hash of the field tuple, equal only within one class; and
+    assignment and deletion refused with AttributeError.  Instances keep a
+    __dict__, where sl2core._once and cached_property store their values.
+
+    The methods that read the fields are compiled from one source per
+    class, so each call runs the code a dataclass would run; importing
+    dataclasses instead would pull inspect into the start-up of every
+    command.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {f"_default_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = ", ".join(f"{n}=_default_{n}" if n in cls.__dict__ else n for n in names)
+    own = "".join(f"self.{n}," for n in names)
+    other = "".join(f"other.{n}," for n in names)
+    fields = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    source = "\n".join([
+        f"def __init__(self, {params}):",
+        *(f"    _setattr(self, {n!r}, {n})" for n in names),
+        *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "def __repr__(self):",
+        f"    return self.__class__.__qualname__ + f'({fields})'",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({own}) == ({other})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({own}))",
+    ])
+    namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__, **defaults}
+    exec(source, namespace)
+    for method in ("__init__", "__repr__", "__eq__", "__hash__"):
+        fn = namespace[method]
+        fn.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, fn)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 class CrossCheckError(Exception):
@@ -65,7 +116,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-@dataclass(frozen=True)
+@record
 class FinAbGroup:
     """Finitely generated abelian group Z^free_rank x prod Z/d.
 

@@ -4,16 +4,15 @@ every object of an instance from an SL2Params."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .lattice import _require
+from .lattice import _require, record
 
 __all__ = ["SL2Params", "derive_params", "iter_instances"]
 
 
-@dataclass(frozen=True)
+@record
 class SL2Params:
     """Classification datum (h = p/q, m) with the derived (k, a, b).
 

@@ -21,15 +21,14 @@ sl2core.slice_semigroup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property
 from operator import mul
-from typing import Sequence
 
-from .lattice import Vec, det2, primitive, xgcd
+from .lattice import Vec, det2, primitive, record, xgcd
 
 
-@dataclass(frozen=True)
+@record
 class AffineSemigroup:
     rank: int
     inequalities: tuple[Vec, ...]
@@ -105,7 +104,7 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     return tuple(sorted(rays))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@record
 class HilbertBasis:
     generators: tuple[Vec, ...]
     rays: tuple[Vec, Vec]

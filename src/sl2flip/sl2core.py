@@ -30,7 +30,6 @@ time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .git import (
@@ -40,7 +39,7 @@ from .git import (
     monomial_character,
     semistable_locus,
 )
-from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2
+from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2, record
 from .params import SL2Params, derive_params, iter_instances
 from .semigroup import (
     AffineSemigroup,
@@ -99,7 +98,7 @@ __all__ = [
 
 def _once(fn):
     """Compute fn(params, *args) once per SL2Params object and keep the
-    value in that object's __dict__, which the dataclass's fields, equality
+    value in that object's __dict__, which the record's fields, equality
     and hash ignore.  An exception is not kept."""
     name = fn.__name__
 
@@ -202,7 +201,7 @@ def is_smooth(params: SL2Params) -> bool:
     return params.b == 0
 
 
-@dataclass(frozen=True)
+@record
 class CoxPresentation:
     """Total coordinate ring data: one equation in five variables plus the
     diagonal action whose quotient recovers the variety."""
@@ -230,7 +229,7 @@ def orbit_structure(params: SL2Params) -> tuple[str, ...]:
     return (open_orbit, f"SL(2)/U_{params.a * (params.p + params.q)}", "O")
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClassGroup:
     """Class group in normal form with two generator systems.
 
@@ -306,7 +305,7 @@ def class_group(params: SL2Params) -> DivisorClassGroup:
     return DivisorClassGroup(group, alt, chars)
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalClass:
     """K = coefficient * [D], with the character it pulls back to on the
     Cox ring and its two adjunction factors."""
@@ -370,7 +369,7 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     return minus, plus
 
 
-@dataclass(frozen=True)
+@record
 class SliceSurface:
     """A two-dimensional slice: its exponent semigroup and the cyclic
     quotient type at the fixed point (None when the cone is not pointed and
@@ -409,7 +408,7 @@ def slice_surfaces(
     return s_plus, s_minus, s_prime
 
 
-@dataclass(frozen=True)
+@record
 class ColoredConeData:
     """Spherical description in the lattice {(i,j) : index | i - j}, with
     the two colors as the dual basis vectors."""
@@ -464,7 +463,7 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
     return data
 
 
-@dataclass(frozen=True)
+@record
 class ToricDegeneration:
     """Flat degeneration data: the rank-3 semigroup, the limit cone, and
     the fiber counts that match the module dimensions upstairs."""
@@ -512,7 +511,7 @@ def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:
     return tuple((g, f"V_{g[0] + g[1]}", g[0] + g[1] + 1) for g in gens)
 
 
-@dataclass(frozen=True)
+@record
 class VarietySummary:
     name: str
     orbits: tuple[str, ...]
@@ -521,7 +520,7 @@ class VarietySummary:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class FlipReport:
     """Everything about the flip diagram E- -> E <- E+ plus the one-step
     resolution E'."""
@@ -547,9 +546,7 @@ CONVENTION_NOTE = (
 
 def flip_report(params: SL2Params) -> FlipReport:
     m, b = params.m, params.b
-    if b == 0:
-        raise ValueError("no flip for height 1")
-    k_minus, k_plus = intersection_numbers(params)
+    k_minus, k_plus = intersection_numbers(params)  # raises at height 1
 
     act, chars = action(params), characters(params)
     semistable = {

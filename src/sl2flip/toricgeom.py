@@ -12,13 +12,12 @@ runs a general elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
 
-from .lattice import Vec, _require, det2, primitive, xgcd
+from .lattice import Vec, _require, det2, primitive, record, xgcd
 
 __all__ = [
     "Cone",
@@ -55,7 +54,7 @@ def _proportional(u: Vec, v: Vec) -> bool:
     return _cross(u, v) == (0, 0, 0)
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """Rational polyhedral cone given by its extremal rays.
 
@@ -153,7 +152,7 @@ def multiplicity(c: Cone) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class CyclicSingularity:
     """Cyclic quotient surface singularity of type 1/order (1, twist)."""
 
@@ -196,7 +195,7 @@ def classify_2d(c: Cone) -> CyclicSingularity:
     return CyclicSingularity(n, (-s) % n)
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """A set of maximal simplicial cones intersecting in common faces.
 

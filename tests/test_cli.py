@@ -1,6 +1,5 @@
 """CLI tests: frozen command outputs, exit codes, JSON determinism."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 from sl2flip import CrossCheckError, cli, git, sl2core
 from sl2flip.lattice import FinAbGroup
-from sl2flip.semigroup import AffineSemigroup, hilbert_basis
+from sl2flip.semigroup import AffineSemigroup, HilbertBasis, hilbert_basis
 from sl2flip.sl2core import derive_params, iter_instances, slice_basis, slice_semigroup
 from test_git import u_invariant_exponents
 from test_semigroup import brute_minimal_generators
@@ -245,7 +244,7 @@ class TestVerify:
         def empty_at_one_third(params, which):
             basis = real(params, which)
             if (params.p, params.q, params.m) == (1, 3, 1):
-                return dataclasses.replace(basis, generators=())
+                return HilbertBasis((), basis.rays, basis.ray_points)
             return basis
 
         monkeypatch.setattr(cli, "slice_basis", empty_at_one_third)
@@ -273,7 +272,7 @@ class TestVerify:
         def mutant(params, which):
             basis = real(params, which)
             gens = tuple(_drop_inner(params, basis.generators))
-            return dataclasses.replace(basis, generators=gens)
+            return HilbertBasis(gens, basis.rays, basis.ray_points)
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "3")
@@ -460,7 +459,7 @@ class TestHilbertCertificate:
         def mutant(params, which):
             basis = real(params, which)
             gens = tuple(mutate(params, basis.generators))
-            return dataclasses.replace(basis, generators=gens)
+            return HilbertBasis(gens, basis.rays, basis.ray_points)
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         changed = [
@@ -671,6 +670,42 @@ def _fresh_process_env():
     # argparse wraps help text to $COLUMNS, or to the terminal if unset
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
             "COLUMNS": "80"}
+
+
+class TestStartUp:
+    # pytest itself imports these, so only a fresh interpreter shows whether
+    # the package does; -S keeps site's own imports out of the picture
+    HEAVY = ("dataclasses", "inspect", "json", "typing")
+
+    def _run(self, script):
+        return subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["sl2flip", "sl2flip.cli"])
+    def test_import_loads_none_of_the_heavy_modules(self, module):
+        script = f"import {module}, sys; print(sorted(set({self.HEAVY}) & set(sys.modules)))"
+        proc = self._run(script)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_only_json_output_imports_json(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import sl2flip.cli as cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["info", "1/3", "1"]) == 0
+            assert "json" not in sys.modules
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["info", "1/3", "1", "--json"]) == 0
+            import json
+            assert json.loads(out.getvalue())["params"]["q"] == 3
+            """
+        )
+        proc = self._run(script)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestParserReuse:

@@ -5,9 +5,12 @@ The package computes no matrix normal form: its cokernels are rank-2
 closed forms (sl2core._column_quotient, git.stabilizer_of_support).  Smith
 normal form, with the cokernel and integer kernel read off its unimodular
 transforms, lives here as their brute-force oracle; test_toricgeom,
-test_git and test_sl2core import it from this file.
+test_git and test_sl2core import it from this file.  The record decorator
+is checked against dataclasses.dataclass(frozen=True), on a twin of every
+record class of the package.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2flip import git, lattice, params, semigroup, sl2core, toricgeom
 from sl2flip.lattice import (
     FinAbGroup,
     Vec,
@@ -477,3 +481,129 @@ class TestSmallHelpers:
         assert laplace_det([[0, 1], [1, 0]]) == -1
         assert laplace_det([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 1
         assert laplace_det([]) == 1
+
+
+RECORDS = [
+    cls
+    for mod in (lattice, params, git, semigroup, toricgeom, sl2core)
+    for cls in vars(mod).values()
+    if isinstance(cls, type)
+    and cls.__module__ == mod.__name__
+    and "__annotations__" in vars(cls)
+]
+RECORD_METHODS = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+
+
+def dataclass_twin(cls):
+    """The class body of cls made a frozen dataclass: the reference that
+    lattice.record must agree with."""
+    skip = (*RECORD_METHODS, "__dict__", "__weakref__")
+    body = {k: v for k, v in vars(cls).items() if k not in skip}
+    return dataclasses.dataclass(frozen=True)(
+        type(cls.__name__, (), {**body, "__qualname__": cls.__qualname__})
+    )
+
+
+def field_names(cls):
+    return tuple(cls.__annotations__)
+
+
+def record_samples():
+    """Every record reachable from the results of three instances, by class."""
+    found = {}
+
+    def walk(obj):
+        if type(obj) in RECORDS:
+            found.setdefault(type(obj), []).append(obj)
+            children = [getattr(obj, n) for n in field_names(type(obj))]
+        elif isinstance(obj, (tuple, frozenset)):
+            children = obj
+        elif isinstance(obj, dict):
+            children = [*obj, *obj.values()]
+        else:
+            return
+        for child in children:
+            walk(child)
+
+    for p, q, m in [(2, 5, 6), (1, 3, 1), (3, 7, 4)]:
+        inst = sl2core.derive_params(p, q, m)
+        walk(sl2core.flip_report(inst))
+        walk(sl2core.cox_presentation(inst))
+        walk(sl2core.class_group(inst))
+        walk(sl2core.slice_surfaces(inst))
+        walk(sl2core.toric_degeneration(inst))
+        walk(tuple(sl2core.slice_basis(inst, w) for w in ("plus", "minus", "prime")))
+        walk(toricgeom.flip_subdivisions(toricgeom.sigma_of(inst.p, inst.q, inst.a)))
+    return found
+
+
+SAMPLES = record_samples()
+
+
+def raised(fn, *args, **kwargs):
+    """(exception type or None, message or result) of fn(*args, **kwargs)."""
+    try:
+        return None, fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestRecord:
+    def test_every_record_class_is_sampled(self):
+        assert len(RECORDS) == 18
+        assert set(SAMPLES) == set(RECORDS)
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_agrees_with_a_frozen_dataclass(self, cls):
+        twin = dataclass_twin(cls)
+        names = field_names(cls)
+        values = [tuple(getattr(s, n) for n in names) for s in SAMPLES[cls]]
+        for sample, v in zip(SAMPLES[cls], values):
+            ours, ref = cls(*v), twin(*v)
+            assert repr(ours) == repr(ref) == repr(sample)
+            assert ours == sample and not ours != sample
+            assert cls(**dict(zip(names, v))) == ours
+            assert raised(hash, ours) == raised(hash, ref)  # a value, or unhashable
+            for attempt in (lambda o: setattr(o, names[0], v[0]),
+                            lambda o: delattr(o, names[0]),
+                            lambda o: setattr(o, "extra", 1)):
+                kind, message = raised(attempt, ours)
+                ref_kind, ref_message = raised(attempt, ref)  # FrozenInstanceError
+                assert kind is AttributeError and issubclass(ref_kind, AttributeError)
+                assert message == ref_message
+        for u, v in zip(values, values[1:]):
+            assert (cls(*u) == cls(*v)) == (twin(*u) == twin(*v))
+            assert (cls(*u) != cls(*v)) == (twin(*u) != twin(*v))
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+    def test_defaults_and_missing_fields(self, cls):
+        twin = dataclass_twin(cls)
+        names = field_names(cls)
+        sample = SAMPLES[cls][0]
+        v = tuple(getattr(sample, n) for n in names if n not in vars(cls))
+        assert repr(cls(*v)) == repr(twin(*v))
+        assert raised(cls, *v[:-1])[0] is raised(twin, *v[:-1])[0] is TypeError
+        every = tuple(getattr(sample, n) for n in names)
+        assert raised(cls, *every, None)[0] is raised(twin, *every, None)[0] is TypeError
+        assert raised(cls, *v, bogus=1)[0] is raised(twin, *v, bogus=1)[0] is TypeError
+
+    @pytest.mark.parametrize("cls, args", [
+        pytest.param(toricgeom.Cone, (((2, 0), (0, 1)),), id="Cone-not-primitive"),
+        pytest.param(toricgeom.Cone, (((1, 0), (-1, 0)),), id="Cone-proportional"),
+        pytest.param(toricgeom.CyclicSingularity, (4, 2), id="CyclicSingularity-not-unit"),
+        pytest.param(toricgeom.Fan, ((),), id="Fan-empty"),
+        pytest.param(git.DiagonalAction, ((1, 2), 3, (0, 3)), id="DiagonalAction-unreduced"),
+        pytest.param(semigroup.AffineSemigroup, (2, ((1, 0, 0),)), id="AffineSemigroup-length"),
+        pytest.param(params.SL2Params, (2, 4, 1, 1, 1, 2), id="SL2Params-unreduced"),
+        pytest.param(params.SL2Params, (1, 3, 6, 1, 6, 2), id="SL2Params-wrong-k"),
+    ])
+    def test_post_init_still_validates(self, cls, args):
+        kind, message = raised(cls, *args)
+        assert kind is ValueError
+        assert raised(dataclass_twin(cls), *args) == (kind, message)
+
+    def test_equal_fields_of_different_classes_are_unequal(self):
+        assert git.GroupCharacter(1, 0) != toricgeom.CyclicSingularity(1, 0)
+        assert git.GroupCharacter(1, 0) != (1, 0)
+        assert toricgeom.Cone(((1, 0),)) != toricgeom.Fan((toricgeom.Cone(((1, 0),)),))
+        assert len({git.GroupCharacter(1, 0), git.GroupCharacter(1, 0)}) == 1

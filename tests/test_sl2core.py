@@ -3,7 +3,6 @@ class, flip data, colored cones, degeneration."""
 
 import ast
 import contextlib
-import dataclasses
 import io
 from collections import Counter
 from fractions import Fraction
@@ -317,7 +316,7 @@ class TestCanonicalClass:
         def bent(params):
             act = real(params)
             weights = act.torus_weights[:3] + (params.q + 1,) + act.torus_weights[4:]
-            return dataclasses.replace(act, torus_weights=weights)
+            return git.DiagonalAction(weights, act.finite_order, act.finite_weights)
 
         monkeypatch.setattr(sl2core, "action", bent)
         with pytest.raises(CrossCheckError, match="relation is not homogeneous"):
