@@ -11,9 +11,10 @@ One binary, seven subcommands:
     sl2flip verify --qmax 4 --mmax 3
 
 Heights are exact fractions ("p/q" or a bare integer); decimals are
-rejected.  Exit codes: 0 success, 2 usage error, 3 domain error (any
-`ValueError` the library raises for a datum or a query it does not
-support), 4 verification failure: a `verify` row that failed, or a
+rejected.  Exit codes: 0 success, 1 output cut short (stdout closed
+before everything was written, as by `| head`), 2 usage error, 3 domain
+error (any `ValueError` the library raises for a datum or a query it does
+not support), 4 verification failure: a `verify` row that failed, or a
 `CrossCheckError` in any command, reported in one line on stderr.
 `main(argv)` returns the exit code rather than exiting and may be called
 any number of times in one process; only the argument parser, built on
@@ -473,13 +474,15 @@ def _check_u_oracle(params: SL2Params) -> None:
     its exponents (i, j >= 0) form the semigroup written below.  A saturated
     semigroup is its cone intersected with its lattice (Oda, Convex Bodies,
     1.6): equal rays and equal Hermite bases mean equal semigroups, with no
-    box to search."""
+    box to search.  The model's rays and basis are computed here, fresh;
+    S+'s are the ones its Hilbert basis was read from, cached on the
+    semigroup."""
     model = AffineSemigroup(
         2, ((params.p, -params.q),), (((-1, 1), params.m),), nonneg_coords=(0, 1)
     )
     semi = slice_semigroup(params, "plus")
     found = (cone_rays(model), congruence_lattice_basis(model))
-    want = (cone_rays(semi), congruence_lattice_basis(semi))
+    want = (semi._rays, semi._lattice_basis)
     _require(found == want, "U-invariant cone and lattice other than S+", found, want)
 
 
@@ -621,6 +624,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        # a reader that left early shows here, not in the final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        import os  # here, not at the top: only a cut-off pipe needs it
+
+        # stdout is gone; point it at devnull so that the interpreter's
+        # final flush stays silent (Python docs, signal, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

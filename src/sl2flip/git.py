@@ -13,6 +13,7 @@ quotient of two rank-2 character lattices, read off their Hermite bases.
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
@@ -50,6 +51,13 @@ class DiagonalAction:
             raise ValueError("weight vectors of different length")
         if any(not 0 <= f < self.finite_order for f in self.finite_weights):
             raise ValueError("finite_weights must be reduced")
+
+    # the character lattice L of stabilizer_of_support, the same for every
+    # support, so computed once per object
+    @cached_property
+    def _character_lattice(self) -> tuple[int, int, int]:
+        weights = zip(self.torus_weights, self.finite_weights)
+        return _hermite_basis([*weights, (0, self.finite_order)])
 
 
 @record
@@ -101,6 +109,20 @@ def _effective(pattern: frozenset[int], relation_degree: int) -> frozenset[int]:
     return pattern
 
 
+@cache
+def _pattern_table(n: int, relation: bool):
+    """Every singleton and pair of the n coordinate indices, in the order
+    witnesses are reported, as (pattern, its names, the coordinates that
+    vanish on it).  It depends only on n and on whether relation_degree
+    >= 1, so it is built once per pair."""
+    patterns = [frozenset((i,)) for i in range(n)] + [
+        frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
+    ]
+    return tuple(
+        (pat, _names(pat), _effective(pat, int(relation))) for pat in patterns
+    )
+
+
 def semistable_locus(
     act: DiagonalAction,
     chi: GroupCharacter,
@@ -126,9 +148,7 @@ def semistable_locus(
         raise ValueError("relation degree must be >= 0")
     n = len(act.torus_weights)
     a = act.finite_order
-    patterns = [frozenset((i,)) for i in range(n)] + [
-        frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
-    ]
+    table = _pattern_table(n, relation_degree >= 1)
     witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
     unstable: list[frozenset[int]] = []
 
@@ -138,8 +158,8 @@ def semistable_locus(
         # constants are invariant once the finite part cancels
         n0 = 1 if chi_f == 0 else a // gcd(a, chi_f)
         zero = (0,) * n
-        for pat in patterns:
-            witnesses[_names(pat)] = (n0, zero)
+        for _, names, _ in table:
+            witnesses[names] = (n0, zero)
         return SemistableReport(frozenset(), witnesses, {})
 
     # the least invariant power of each coordinate whose weight has t's
@@ -157,13 +177,13 @@ def semistable_locus(
             candidates.append((power, j, exps))
     candidates.sort()
 
-    for pat in patterns:
-        effective = _effective(pat, relation_degree)
-        pick = next((c for c in candidates if c[1] not in effective), None)
-        if pick is None:
-            unstable.append(pat)
+    for pat, names, dead in table:
+        for power, j, exps in candidates:
+            if j not in dead:
+                witnesses[names] = (power, exps)
+                break
         else:
-            witnesses[_names(pat)] = (pick[0], pick[2])
+            unstable.append(pat)
 
     minimal = [
         pat for pat in unstable
@@ -213,10 +233,11 @@ def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:
     are L = span{(w_i, f_i)} + (0, a)Z modulo (0, a)Z, and the stabilizer
     of the support is dual to L/R, where R = span{(w_i, f_i) : i in
     support} + (0, a)Z.  With the Hermite basis (alpha, beta), (0, gamma)
-    of L, write the generators of R in that basis, and let (alpha_R, .),
-    (0, gamma_R) be their Hermite basis.  When alpha_R = 0 (no supported
-    coordinate has a torus weight), L/R is Z x Z/gamma_R, or Z/gamma_R
-    when L itself has rank 1 (every torus weight is 0).  Otherwise L/R is
+    of L, computed once per action, write the generators of R in that
+    basis, and let (alpha_R, .), (0, gamma_R) be their Hermite basis.
+    When alpha_R = 0 (no supported coordinate has a torus weight), L/R is
+    Z x Z/gamma_R, or Z/gamma_R when L itself has rank 1 (every torus
+    weight is 0).  Otherwise L/R is
     finite of order alpha_R*gamma_R, with first invariant factor d1, the
     gcd of all the coordinates of R.
 
@@ -224,9 +245,11 @@ def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:
     no caller reads images of the coordinate characters.
     """
     a = act.finite_order
-    weights = list(zip(act.torus_weights, act.finite_weights))
-    alpha, beta, gamma = _hermite_basis(weights + [(0, a)])
-    relations = [weights[COORDS.index(c)] for c in set(support)] + [(0, a)]
+    alpha, beta, gamma = act._character_lattice
+    relations = [
+        (act.torus_weights[i], act.finite_weights[i])
+        for i in map(COORDS.index, set(support))
+    ] + [(0, a)]
     if alpha == 0:
         # L = (0, gamma)Z has rank 1
         coords = [(0, f // gamma) for _, f in relations]

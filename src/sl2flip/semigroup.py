@@ -48,11 +48,7 @@ class AffineSemigroup:
 
     def effective_inequalities(self) -> tuple[Vec, ...]:
         """Inequality covectors with the nonnegativity constraints unfolded."""
-        units = tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in self.nonneg_coords
-        )
-        return self.inequalities + units
+        return self._effective_inequalities
 
     def contains(self, x: Sequence[int]) -> bool:
         if len(x) != self.rank:
@@ -68,8 +64,17 @@ class AffineSemigroup:
                 return False
         return True
 
-    # computed once per object and shared by hilbert_basis and
-    # dual_cone_rays; a ValueError is not kept and is raised again
+    # read by cone_rays and by fiber_count once per base point
+    @cached_property
+    def _effective_inequalities(self) -> tuple[Vec, ...]:
+        units = tuple(
+            tuple(1 if j == i else 0 for j in range(self.rank))
+            for i in self.nonneg_coords
+        )
+        return self.inequalities + units
+
+    # computed once per object and shared by hilbert_basis, dual_cone_rays
+    # and verify's u-oracle row; a ValueError is not kept and is raised again
     @cached_property
     def _rays(self) -> tuple[Vec, Vec]:
         return cone_rays(self)
@@ -92,7 +97,8 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     for c in ineqs:
         if c == (0, 0):
             continue
-        for d in (primitive((-c[1], c[0])), primitive((c[1], -c[0]))):
+        d0 = primitive((-c[1], c[0]))
+        for d in (d0, (-d0[0], -d0[1])):
             if all(c2[0] * d[0] + c2[1] * d[1] >= 0 for c2 in ineqs):
                 if d not in rays:
                     rays.append(d)

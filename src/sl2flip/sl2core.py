@@ -450,9 +450,11 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
     _require(rho[0] + rho[1] <= 0, "rho is off the valuation cone", rho)
     for name, (gens, colors) in data.cones.items():
         _require(det2(gens[0], gens[1]) != 0, "cone is not strictly convex", name)
-        for color in colors:
-            inside = cone_contains(Cone(gens), data.color_vector(color))
-            _require(inside, "color off cone", name, color)
+        if colors:
+            cone = Cone(gens)
+            for color in colors:
+                inside = cone_contains(cone, data.color_vector(color))
+                _require(inside, "color off cone", name, color)
     # the exceptional chart sees no color at all
     exceptional = Cone(data.cones["E'"][0])
     for color in ("rho+", "rho-"):

@@ -58,8 +58,11 @@ def _proportional(u: Vec, v: Vec) -> bool:
 class Cone:
     """Rational polyhedral cone given by its extremal rays.
 
-    Rays must be primitive and pairwise non-proportional.  Nothing here
-    checks that the listed rays really are extremal for their hull; the
+    Rays must be primitive and pairwise non-proportional.  A ray is
+    primitive when the gcd of its entries is 1, and two primitive rays are
+    proportional exactly when they are equal or opposite, so both tests
+    are read off the rays without a pairwise scan.  Nothing here checks
+    that the listed rays really are extremal for their hull; the
     constructors in this module only ever build cones where they are.
     """
 
@@ -74,12 +77,16 @@ class Cone:
         for r in self.rays:
             if len(r) != dim:
                 raise ValueError("rays of mixed dimension")
-            if r != primitive(r):
+            g = gcd(*r)
+            if g != 1:
+                if g == 0:
+                    primitive(r)  # raises its zero-vector error
                 raise ValueError(f"ray {r} is not primitive")
-        for i in range(len(self.rays)):
-            for j in range(i + 1, len(self.rays)):
-                if _proportional(self.rays[i], self.rays[j]):
-                    raise ValueError("proportional rays")
+        seen = set(self.rays)
+        if len(seen) < len(self.rays) or any(
+            tuple(-x for x in r) in seen for r in self.rays
+        ):
+            raise ValueError("proportional rays")
 
     @property
     def dim(self) -> int:
@@ -93,8 +100,8 @@ def _det(cols: tuple[Vec, ...]) -> int:
         return cols[0][0]
     if len(cols) == 2:
         return det2(*cols)
-    u, v, w = cols
-    return _dot(_cross(u, v), w)
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _solve(cols: tuple[Vec, ...], x) -> tuple[list[int], int] | None:

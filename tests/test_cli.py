@@ -385,6 +385,17 @@ class TestUOracle:
         else:
             _u_oracle_row()(params)
 
+    def test_one_cone_rays_call_per_row(self, monkeypatch):
+        # S+'s rays are read from the semigroup, where its Hilbert basis
+        # cached them; only the model's are computed in the row
+        real = cli.cone_rays
+        calls = []
+        monkeypatch.setattr(cli, "cone_rays", lambda s: calls.append(s) or real(s))
+        for params in iter_instances(5, 5):
+            calls.clear()
+            _u_oracle_row()(params)
+            assert len(calls) == 1, params
+
     def test_verify_names_the_row(self, capsys, monkeypatch):
         _plus_with(monkeypatch, (1, 2, 2), ((101, -201),), (((1, -1), 2),))
         code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "2")
@@ -670,6 +681,26 @@ def _fresh_process_env():
     # argparse wraps help text to $COLUMNS, or to the terminal if unset
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""),
             "COLUMNS": "80"}
+
+
+class TestClosedStdout:
+    # the reader is gone before the command writes a byte, as when
+    # `| head` has read its lines, so every write meets a broken pipe
+    @pytest.mark.parametrize("argv", [
+        ("info", "2/9", "8"),
+        ("info", "2/9", "8", "--json"),
+        ("verify", "--qmax", "6", "--mmax", "6"),
+    ])
+    def test_exits_1_without_a_traceback(self, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sl2flip.cli", *argv],
+            env=_fresh_process_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, "")
 
 
 class TestStartUp:

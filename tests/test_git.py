@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2flip import CrossCheckError, git
+from sl2flip import CrossCheckError, cli, git
 from sl2flip.git import (
     COORDS,
     DiagonalAction,
@@ -14,6 +14,7 @@ from sl2flip.git import (
     _effective,
     _hermite_basis,
     _names,
+    _pattern_table,
     monomial_character,
     semistable_locus,
     stabilizer_of_support,
@@ -315,6 +316,27 @@ class TestSemistableLocus:
                 semistable_locus(act, chars[which], params.b)
                 assert len(calls) == sum(w * t > 0 for w in act.torus_weights) <= 5
 
+    @pytest.mark.parametrize("relation_degree", [0, 1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pattern_table_agrees_with_the_per_call_enumeration(self, n, relation_degree):
+        # the enumeration semistable_locus ran on every call before the
+        # table; past the five named coordinates both fail alike
+        def per_call():
+            patterns = [frozenset((i,)) for i in range(n)] + [
+                frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
+            ]
+            return tuple(
+                (pat, _names(pat), _effective(pat, relation_degree)) for pat in patterns
+            )
+
+        if n > len(COORDS):
+            with pytest.raises(IndexError):
+                per_call()
+            with pytest.raises(IndexError):
+                _pattern_table(n, relation_degree >= 1)
+        else:
+            assert _pattern_table(n, relation_degree >= 1) == per_call()
+
     def test_every_candidate_character_is_checked(self, monkeypatch):
         # shifting the character of any one candidate coordinate raises,
         # also for a candidate that no pattern picks: at (1/2, m = 2) with
@@ -519,6 +541,17 @@ class TestStabilizer:
         act = action(derive_params(1, 3, 4))
         g = stabilizer_of_support(act, set())
         assert g.free_rank == 1 and g.torsion == ()
+
+    def test_character_lattice_once_per_action(self, monkeypatch):
+        # L is the same for every support: one Hermite basis for it and one
+        # per support R, so the four supports of the verify row take five
+        real = git._hermite_basis
+        calls = []
+        monkeypatch.setattr(git, "_hermite_basis", lambda v: calls.append(v) or real(v))
+        for p, q, m in small_params():
+            calls.clear()
+            cli._check_stabilizer(derive_params(p, q, m))
+            assert len(calls) == 5, (p, q, m)
 
     def test_oracle_sweep(self):
         instances = [(1, 2, 1), (1, 3, 1), (2, 3, 4), (1, 3, 4), (1, 1, 3), (2, 5, 6)]

@@ -510,6 +510,14 @@ class TestSharedPerObject:
         assert calls == {"cone_rays": 2, "congruence_lattice_basis": 2}
         assert one == two and hash(one) == hash(two)
 
+    def test_unfolded_covectors_are_built_once(self):
+        # fiber_count reads them once per base point; equal semigroups
+        # still build their own, and the unfolding is the documented one
+        s, t = make_Mtilde(derive_params(2, 5, 9)), make_Mtilde(derive_params(2, 5, 9))
+        assert s.effective_inequalities() is s.effective_inequalities()
+        assert s.effective_inequalities() == t.effective_inequalities()
+        assert s.effective_inequalities() == s.inequalities + ((0, 1, 0), (0, 0, 1))
+
     def test_not_pointed_raises_every_time(self):
         s = slice_of("prime", 1, 1, 3)
         for fn in (hilbert_basis, dual_cone_rays, hilbert_basis):

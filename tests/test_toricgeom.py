@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2flip import toricgeom
 from sl2flip.lattice import det2, primitive, xgcd
 from sl2flip.semigroup import (
     congruence_lattice_basis,
@@ -20,6 +21,7 @@ from sl2flip.toricgeom import (
     _det,
     _diagonals,
     _dot,
+    _proportional,
     _relation,
     _solve,
     classify_2d,
@@ -48,6 +50,43 @@ def random_rays(data, count, dim, bound):
                      unique_by=lambda v: max(v, tuple(-x for x in v)))
         )
     )
+
+
+def validate_cone_pairwise(rays):
+    """The former Cone validation, kept as the oracle of the set test:
+    primitivity by comparing each ray with primitive(ray), then
+    proportionality by a cross product (or 2x2 determinant) per pair."""
+    if not rays:
+        raise ValueError("cone needs at least one ray")
+    dim = len(rays[0])
+    if dim not in (2, 3):
+        raise ValueError("only rank 2 and 3 cones are supported")
+    for r in rays:
+        if len(r) != dim:
+            raise ValueError("rays of mixed dimension")
+        if r != primitive(r):
+            raise ValueError(f"ray {r} is not primitive")
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            if _proportional(rays[i], rays[j]):
+                raise ValueError("proportional rays")
+
+
+@st.composite
+def ray_tuples(draw):
+    """Rank-2 and rank-3 ray tuples that hit every branch of the Cone
+    validation: zero, non-primitive and primitive rays, repeats, r next
+    to -r, and now and then a ray of the other rank."""
+    dim = draw(st.sampled_from((2, 3)))
+    vec = lambda d: st.tuples(*[st.integers(-4, 4)] * d)
+    rays = draw(st.lists(st.one_of(vec(dim), vec(dim).filter(any).map(primitive)),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.sampled_from(rays))
+        rays.append(draw(st.sampled_from((r, tuple(-x for x in r)))))
+    if draw(st.integers(0, 9)) == 0:
+        rays.append(draw(vec(5 - dim)))
+    return tuple(draw(st.permutations(rays)))
 
 
 def solve_by_elimination(cols, target):
@@ -699,6 +738,28 @@ class TestFanValidation:
             Cone(((0, 0),))
         with pytest.raises(ValueError):
             Cone(())
+
+    @settings(max_examples=500, deadline=None)
+    @given(ray_tuples())
+    def test_cone_validation_agrees_with_the_pairwise_oracle(self, rays):
+        def outcome(check):
+            try:
+                check(rays)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        assert outcome(Cone) == outcome(validate_cone_pairwise)
+
+    def test_cone_validation_calls_no_primitive(self, monkeypatch):
+        # primitivity is gcd == 1, not a comparison with primitive(ray)
+        calls = []
+        monkeypatch.setattr(toricgeom, "primitive", lambda v: calls.append(v) or primitive(v))
+        Cone((E1, E2, E3))
+        sigma_of(2, 5, 3)
+        assert calls == []
+        with pytest.raises(ValueError, match="zero vector"):
+            Cone(((0, 0, 0), E1))
 
     def test_cone_contains(self):
         c = Cone((E1, E2, E3))
