@@ -282,32 +282,44 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(_render_text(doc))
 
 
+def _fmt_fraction(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+# A document holds only dicts, lists and the scalar types below, never a
+# subclass, so rendering dispatches on type(value): isinstance against
+# Fraction goes through ABCMeta on every scalar.
+_SCALAR_FORMATS = {
+    int: str,
+    str: str,
+    Fraction: _fmt_fraction,
+    bool: lambda value: "yes" if value else "no",
+    type(None): lambda value: "-",
+}
+
+
 def _fmt_scalar(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if value is None:
-        return "-"
-    return str(value)
+    return _SCALAR_FORMATS.get(type(value), str)(value)
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
-    if isinstance(value, dict):
+    kind = type(value)
+    if kind is dict:
         for key, sub in value.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), sub, rows)
         if not value:
             rows.append((prefix, "-"))
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            rows.append(
-                (prefix, "(" + ", ".join(_fmt_scalar(v) for v in value) + ")")
-            )
+    elif kind is list:
+        for v in value:
+            if type(v) is dict or type(v) is list:
+                break
         else:
-            for i, sub in enumerate(value):
-                _flatten(f"{prefix}[{i}]", sub, rows)
+            rows.append((prefix, "(" + ", ".join(map(_fmt_scalar, value)) + ")"))
+            return
+        for i, sub in enumerate(value):
+            _flatten(f"{prefix}[{i}]", sub, rows)
     else:
         rows.append((prefix, _fmt_scalar(value)))
 

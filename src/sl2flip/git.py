@@ -34,7 +34,7 @@ __all__ = [
 
 @record
 class DiagonalAction:
-    """Action of C* x mu_a by diagonal matrices.
+    """Action of C* x mu_a by diagonal matrices on the five COORDS.
 
     torus_weights are the C*-exponents per coordinate; finite_weights the
     mu_a exponents, stored reduced mod finite_order.
@@ -47,6 +47,8 @@ class DiagonalAction:
     def __post_init__(self):
         if self.finite_order < 1:
             raise ValueError("finite_order must be positive")
+        if len(self.torus_weights) != len(COORDS):
+            raise ValueError(f"need {len(COORDS)} torus weights, one per coordinate")
         if len(self.torus_weights) != len(self.finite_weights):
             raise ValueError("weight vectors of different length")
         if any(not 0 <= f < self.finite_order for f in self.finite_weights):

@@ -94,12 +94,18 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
         raise ValueError("cone_rays handles rank 2 only")
     ineqs = s.effective_inequalities()
     rays: list[Vec] = []
-    for c in ineqs:
-        if c == (0, 0):
+    for c0, c1 in ineqs:
+        g = math.gcd(c0, c1)
+        if g == 0:
             continue
-        d0 = primitive((-c[1], c[0]))
-        for d in (d0, (-d0[0], -d0[1])):
-            if all(c2[0] * d[0] + c2[1] * d[1] >= 0 for c2 in ineqs):
+        # the primitive directions of the boundary line c . x = 0
+        x, y = -c1 // g, c0 // g
+        for d in ((x, y), (-x, -y)):
+            dx, dy = d
+            for e0, e1 in ineqs:
+                if e0 * dx + e1 * dy < 0:
+                    break
+            else:
                 if d not in rays:
                     rays.append(d)
     for r in rays:

@@ -4,18 +4,20 @@ Everything is exact integer arithmetic; the one Fraction is the K-degree
 that wall_curve_K_degree returns.  The fans that show up here have at most
 four maximal cones (one wall, two chambers, or a star subdivision), so face
 compatibility is checked by exhaustive pairwise inspection instead of
-anything clever.  Every linear system is at most 3x3, so determinants are
-explicit minors (det2, or a cross product dotted with the third column)
-and solves use Cramer's rule with the division left undone; nothing here
-runs a general elimination.
+anything clever.
+
+Every cone built here has rank 2 or 3 and at most four rays, so the
+arithmetic is written out for those shapes on unpacked tuples, with no
+loop over an index set: a 2x2 minor is det2, a 3x3 minor is a cross
+product dotted with the third column, the minors of two rays in rank 3
+are their cross product, and square systems are solved by Cramer's rule
+with the division left undone.  Nothing here runs a general elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
-from operator import mul
 
 from .lattice import Vec, _require, det2, primitive, record, xgcd
 
@@ -37,15 +39,16 @@ __all__ = [
 
 
 def _cross(u: Vec, v: Vec) -> Vec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
 
 
 def _dot(u: Vec, v: Vec) -> int:
-    return sum(map(mul, u, v))
+    """Dot product in Z^3."""
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return u0 * v0 + u1 * v1 + u2 * v2
 
 
 def _proportional(u: Vec, v: Vec) -> bool:
@@ -69,12 +72,13 @@ class Cone:
     rays: tuple[Vec, ...]
 
     def __post_init__(self):
-        if not self.rays:
+        rays = self.rays
+        if not rays:
             raise ValueError("cone needs at least one ray")
-        dim = len(self.rays[0])
-        if dim not in (2, 3):
+        dim = len(rays[0])
+        if dim != 2 and dim != 3:
             raise ValueError("only rank 2 and 3 cones are supported")
-        for r in self.rays:
+        for r in rays:
             if len(r) != dim:
                 raise ValueError("rays of mixed dimension")
             g = gcd(*r)
@@ -82,11 +86,17 @@ class Cone:
                 if g == 0:
                     primitive(r)  # raises its zero-vector error
                 raise ValueError(f"ray {r} is not primitive")
-        seen = set(self.rays)
-        if len(seen) < len(self.rays) or any(
-            tuple(-x for x in r) in seen for r in self.rays
-        ):
+        seen = set(rays)
+        if len(seen) < len(rays):
             raise ValueError("proportional rays")
+        if dim == 2:
+            for x, y in rays:
+                if (-x, -y) in seen:
+                    raise ValueError("proportional rays")
+        else:
+            for x, y, z in rays:
+                if (-x, -y, -z) in seen:
+                    raise ValueError("proportional rays")
 
     @property
     def dim(self) -> int:
@@ -111,24 +121,40 @@ def _solve(cols: tuple[Vec, ...], x) -> tuple[list[int], int] | None:
     Takes 1 to 3 columns in Z^2 or Z^3; raises ValueError when they are
     dependent, and returns None when x is outside their span.  A square
     system gives the minors over det(cols), negated together when the
-    determinant is negative.  One column u spans x iff they are
-    proportional, with coefficient (x.u)/(u.u).  Two columns u, v in Z^3
-    have the normal n = u x v: x is in their span iff x.n = 0, and then its
-    coefficients are ((x x v).n, (u x x).n)/(n.n).
+    determinant is negative: for u, v in Z^2 they are det2(x, v) and
+    det2(u, x) over det2(u, v); for u, v, w in Z^3, with the three cross
+    products v x w, w x u and u x v, they are x dotted with each over
+    u.(v x w).  One column u spans x iff they are proportional, with
+    coefficient (x.u)/(u.u).  Two columns u, v in Z^3 have the normal
+    n = u x v: x is in their span iff x.n = 0, and then its coefficients
+    are ((x x v).n, (u x x).n)/(n.n).
     """
-    if len(cols) > len(x):
+    k, dim = len(cols), len(x)
+    if k > dim:
         raise ValueError("dependent columns")
-    if len(cols) == len(x):
-        d = _det(cols)
+    if k == dim:
+        if k == 3:
+            u, v, w = cols
+            vw, wu, uv = _cross(v, w), _cross(w, u), _cross(u, v)
+            d = _dot(u, vw)
+            nums = [_dot(x, vw), _dot(x, wu), _dot(x, uv)]
+        else:
+            u, v = cols
+            d = det2(u, v)
+            nums = [det2(x, v), det2(u, x)]
         if d == 0:
             raise ValueError("dependent columns")
-        nums = [_det(cols[:j] + (x,) + cols[j + 1:]) for j in range(len(cols))]
         return (nums, d) if d > 0 else ([-v for v in nums], -d)
-    if len(cols) == 1:
+    if k == 1:
         (u,) = cols
         if not any(u):
             raise ValueError("dependent columns")
-        return ([_dot(x, u)], _dot(u, u)) if _proportional(u, x) else None
+        if not _proportional(u, x):
+            return None
+        if dim == 2:
+            (u0, u1), (x0, x1) = u, x
+            return [x0 * u0 + x1 * u1], u0 * u0 + u1 * u1
+        return [_dot(x, u)], _dot(u, u)
     u, v = cols
     n = _cross(u, v)
     if n == (0, 0, 0):
@@ -142,7 +168,7 @@ def cone_contains(c: Cone, x: Vec) -> bool:
     """Weak membership test for a simplicial cone: x is in the span of the
     rays with nonnegative coefficients, read off the signs of the Cramer
     numerators (the denominator is positive)."""
-    if len(x) != c.dim:
+    if len(x) != len(c.rays[0]):
         raise ValueError("dimension mismatch")
     sol = _solve(c.rays, x)
     return sol is not None and min(sol[0]) >= 0
@@ -151,9 +177,23 @@ def cone_contains(c: Cone, x: Vec) -> bool:
 def multiplicity(c: Cone) -> int:
     """Index of the subgroup spanned by the rays inside the lattice points
     of their linear span, the gcd of the maximal minors of the ray matrix.
-    1 means the cone is smooth."""
-    coords = list(zip(*c.rays))
-    out = gcd(*(_det(rows) for rows in combinations(coords, len(c.rays))))
+    1 means the cone is smooth.
+
+    n rays in rank n have one maximal minor, the determinant.  Two rays in
+    rank 3 have their cross product as minors, and one ray its entries.
+    More rays than the rank, the 4-ray cones in rank 3 among them, have no
+    maximal minor, and like a zero determinant they are not simplicial.
+    """
+    rays = c.rays
+    n, dim = len(rays), len(rays[0])
+    if n == dim:
+        out = abs(_det(rays))
+    elif n > dim:
+        out = 0
+    elif n == 1:
+        out = gcd(*rays[0])
+    else:
+        out = gcd(*_cross(*rays))
     if out == 0:
         raise ValueError("cone is not simplicial")
     return out
@@ -214,24 +254,25 @@ class Fan:
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        if not self.max_cones:
+        cones = self.max_cones
+        if not cones:
             raise ValueError("fan needs at least one cone")
-        dim = self.max_cones[0].dim
-        for c in self.max_cones:
-            if c.dim != dim:
+        dim = len(cones[0].rays[0])
+        for c in cones:
+            if len(c.rays[0]) != dim:
                 raise ValueError("cones of mixed dimension")
             multiplicity(c)  # rejects non-simplicial cones
-        for i in range(len(self.max_cones)):
-            for j in range(i + 1, len(self.max_cones)):
-                self._check_pair(self.max_cones[i], self.max_cones[j])
+        for i in range(len(cones)):
+            for j in range(i + 1, len(cones)):
+                self._check_pair(cones[i], cones[j], dim)
 
     @staticmethod
-    def _check_pair(a: Cone, b: Cone) -> None:
+    def _check_pair(a: Cone, b: Cone, dim: int) -> None:
         shared = [r for r in a.rays if r in b.rays]
         if len(shared) == min(len(a.rays), len(b.rays)):
             raise ValueError("duplicate or nested cones")
-        if len(shared) == 2 and a.dim == 3 and len(a.rays) == 3 == len(b.rays):
-            n = _cross(shared[0], shared[1])
+        if len(shared) == 2 and dim == 3 and len(a.rays) == 3 == len(b.rays):
+            n = _cross(*shared)
             sa = _dot(n, next(r for r in a.rays if r not in shared))
             sb = _dot(n, next(r for r in b.rays if r not in shared))
             if sa * sb >= 0:
@@ -287,14 +328,15 @@ def _relation(rays: tuple[Vec, ...]) -> Vec:
     """Primitive integer relation of four vectors spanning Q^3, first entry
     made nonnegative.  By Cramer's rule the signed 3x3 minors,
     (-1)^i det(rays without i), are a relation; when one is nonzero the
-    rays have rank 3 and the minors span the kernel."""
-    minors = tuple(
-        (-1) ** i * _det(rays[:i] + rays[i + 1:]) for i in range(4)
-    )
+    rays have rank 3 and the minors span the kernel.  With r0 x r1 and
+    r2 x r3 each minor is one dot product."""
+    r0, r1, r2, r3 = rays
+    n01, n23 = _cross(r0, r1), _cross(r2, r3)
+    minors = (_dot(r1, n23), -_dot(r0, n23), _dot(r3, n01), -_dot(r2, n01))
     if not any(minors):
         raise ValueError("rays do not span the lattice")
-    rel = primitive(minors)
-    return rel if rel[0] >= 0 else tuple(-v for v in rel)
+    a, b, c, d = primitive(minors)
+    return (a, b, c, d) if a >= 0 else (-a, -b, -c, -d)
 
 
 def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
@@ -307,10 +349,10 @@ def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
     diagonals are the two pairs, and its facets are the four pairs that
     take one ray from each.  Raises ValueError for any other shape.
     """
-    if c.dim != 3 or len(c.rays) != 4:
+    if len(c.rays) != 4 or len(c.rays[0]) != 3:
         raise ValueError("expected a 4-ray cone in rank 3")
     rel = _relation(c.rays)
-    if any(v == 0 for v in rel):
+    if 0 in rel:
         raise ValueError("some three rays are dependent")
     pos = tuple(i for i in range(4) if rel[i] > 0)
     neg = tuple(i for i in range(4) if rel[i] < 0)
@@ -330,14 +372,16 @@ def star_subdivide_at_v5(c: Cone) -> Fan:
     v5 and the facets of the input, the pairs (i, j), i < j, with one ray
     on each diagonal, in sorted order.
     """
+    rays = c.rays
     _, pos, neg = _diagonals(c)
+    p0, p1 = pos
     cones = []
     for i, j in sorted((min(i, j), max(i, j)) for i in pos for j in neg):
-        n = _cross(c.rays[i], c.rays[j])
-        other = c.rays[next(k for k in pos if k not in (i, j))]
-        if _dot(n, V5) * _dot(n, other) <= 0:
+        n = _cross(rays[i], rays[j])
+        other = rays[p1 if p0 in (i, j) else p0]
+        if n[2] * _dot(n, other) <= 0:  # n[2] is n . V5
             raise ValueError("e3 does not lie in the interior")
-        cones.append(Cone((c.rays[i], c.rays[j], V5)))
+        cones.append(Cone((rays[i], rays[j], V5)))
     return Fan(tuple(cones))
 
 

@@ -210,12 +210,20 @@ class TestStandardAction:
         assert act.finite_order == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DiagonalAction((1, -1), 2, (0, 3))  # unreduced finite weight
-        with pytest.raises(ValueError):
-            DiagonalAction((1,), 2, (0, 1))
-        with pytest.raises(ValueError):
+        torus = (1, -1, -1, 1, 1)
+        with pytest.raises(ValueError, match="reduced"):
+            DiagonalAction(torus, 2, (0, 3, 0, 0, 0))  # unreduced finite weight
+        with pytest.raises(ValueError, match="different length"):
+            DiagonalAction(torus, 2, (0, 1))
+        with pytest.raises(ValueError, match="finite_order"):
             DiagonalAction((1,), 0, (0,))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_one_weight_per_coordinate(self, n):
+        # semistable_locus and stabilizer_of_support name coordinates
+        # through COORDS; six weights made the first raise IndexError
+        with pytest.raises(ValueError, match="need 5 torus weights"):
+            DiagonalAction((1,) * n, 2, (0,) * n)
 
 
 class TestCharacters:

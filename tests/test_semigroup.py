@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl2flip.lattice import det2
+from sl2flip.lattice import det2, primitive
 from sl2flip.semigroup import (
     AffineSemigroup,
     congruence_lattice_basis,
@@ -38,6 +38,37 @@ def small_params():
             for m in range(1, 5):
                 out.append((p, q, m))
     return out
+
+
+def cone_rays_by_primitive(s):
+    """The former cone_rays, kept as the oracle of the unpacked one: one
+    primitive() call per boundary line and an all() over the covectors per
+    candidate direction."""
+    if s.rank != 2:
+        raise ValueError("cone_rays handles rank 2 only")
+    ineqs = s.effective_inequalities()
+    rays = []
+    for c in ineqs:
+        if c == (0, 0):
+            continue
+        d0 = primitive((-c[1], c[0]))
+        for d in (d0, (-d0[0], -d0[1])):
+            if all(c2[0] * d[0] + c2[1] * d[1] >= 0 for c2 in ineqs):
+                if d not in rays:
+                    rays.append(d)
+    for r in rays:
+        if (-r[0], -r[1]) in rays:
+            raise ValueError("cone contains a line, not pointed")
+    if len(rays) != 2 or det2(rays[0], rays[1]) == 0:
+        raise ValueError(f"expected a pointed full 2d cone, found rays {rays}")
+    return tuple(sorted(rays))
+
+
+def rays_or_message(find_rays, s):
+    try:
+        return find_rays(s)
+    except ValueError as e:
+        return str(e)
 
 
 def brute_minimal_generators(s, lo, hi):
@@ -212,6 +243,32 @@ class TestConeRays:
             for r in cone_rays(s):
                 for c in s.effective_inequalities():
                     assert c[0] * r[0] + c[1] * r[1] >= 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        covectors=st.lists(st.tuples(*[st.integers(-4, 4)] * 2), max_size=4),
+        repeats=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=2),
+        nonneg=st.sets(st.sampled_from((0, 1))),
+    )
+    # zero covector, duplicate, half-plane, line, single ray, pointed
+    # cone, repeats that make a duplicate and a line, and no covector
+    @example(covectors=[(0, 0), (1, 0), (0, 1)], repeats=[], nonneg=set())
+    @example(covectors=[(1, 2), (1, 2), (-1, 3)], repeats=[], nonneg=set())
+    @example(covectors=[(2, -3)], repeats=[], nonneg=set())
+    @example(covectors=[(1, 1), (-1, -1)], repeats=[], nonneg=set())
+    @example(covectors=[(1, 0), (-1, 0)], repeats=[], nonneg={1})
+    @example(covectors=[(-1, 3)], repeats=[], nonneg={0, 1})
+    @example(covectors=[(2, 4), (0, 3)], repeats=[(0, False), (1, True)], nonneg={0})
+    @example(covectors=[], repeats=[], nonneg=set())
+    def test_agrees_with_the_primitive_scan(self, covectors, repeats, nonneg):
+        # repeats copy a drawn covector, or its negative, to make
+        # duplicates and lines; the rays or the ValueError message agree
+        for i, negate in repeats:
+            if covectors:
+                c = covectors[i % len(covectors)]
+                covectors.append((-c[0], -c[1]) if negate else c)
+        s = AffineSemigroup(2, tuple(covectors), nonneg_coords=tuple(sorted(nonneg)))
+        assert rays_or_message(cone_rays, s) == rays_or_message(cone_rays_by_primitive, s)
 
 
 class TestMinimalRayPoint:

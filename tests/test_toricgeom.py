@@ -303,11 +303,12 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             multiplicity(sigma_of(1, 2, 1))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 3), st.integers(2, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 3), st.data())
     def test_agrees_with_smith_normal_form(self, count, dim, data):
         # oracle: the product of the nonzero invariant factors, defined
-        # when there is one per ray
+        # when there is one per ray; more rays than the rank, 4 rays in
+        # rank 3 among them, are not simplicial
         rays = random_rays(data, count, dim, 6)
         diag = smith_normal_form(IntMatrix.from_cols(rays)).diag
         nonzero = [d for d in diag if d]
