@@ -51,6 +51,7 @@ from .semigroup import (
 from .toricgeom import (
     Cone,
     CyclicSingularity,
+    _relation,
     classify_2d,
     common_wall,
     cone_contains,
@@ -500,8 +501,8 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
         raise ValueError("no degeneration data at height 1")
     tilde = slice_semigroup(params, "tilde")
     sigma0 = sigma0_of(p, q)
-    coeffs = (p, p, p + q, 1)
-    quasi = gaifullin_criterion(sigma0.rays, coeffs)
+    coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
+    quasi = gaifullin_criterion(sigma0)
     _require(not quasi, "sigma0 is quasihomogeneous")
     return ToricDegeneration(tilde, sigma0, coeffs, quasi, degeneration_fibers(params))
 

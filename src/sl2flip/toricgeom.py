@@ -1,12 +1,12 @@
 """Simplicial cones, small fans, and wall-curve intersection numbers.
 
 Everything is exact integer arithmetic; the one Fraction is the K-degree
-that wall_curve_K_degree returns.  The fans that show up here have at most
-four maximal cones (one wall, two chambers, or a star subdivision), so face
-compatibility is checked by exhaustive pairwise inspection instead of
-anything clever.
+that wall_curve_K_degree returns.  Every fan built here comes from the
+diagonals of a pointed 4-ray cone (one wall, two chambers, or a star
+subdivision), so its cones meet in common faces by construction and a Fan
+checks only its cones one at a time.
 
-Every cone built here has rank 2 or 3 and at most four rays, so the
+Every cone built here has rank 2 or 3 and two to four rays, so the
 arithmetic is written out for those shapes on unpacked tuples, with no
 loop over an index set: a 2x2 minor is det2, a 3x3 minor is a cross
 product dotted with the third column, the minors of two rays in rank 3
@@ -51,17 +51,11 @@ def _dot(u: Vec, v: Vec) -> int:
     return u0 * v0 + u1 * v1 + u2 * v2
 
 
-def _proportional(u: Vec, v: Vec) -> bool:
-    if len(u) == 2:
-        return det2(u, v) == 0
-    return _cross(u, v) == (0, 0, 0)
-
-
 @record
 class Cone:
     """Rational polyhedral cone given by its extremal rays.
 
-    Rays must be primitive and pairwise non-proportional.  A ray is
+    At least two rays, primitive and pairwise non-proportional.  A ray is
     primitive when the gcd of its entries is 1, and two primitive rays are
     proportional exactly when they are equal or opposite, so both tests
     are read off the rays without a pairwise scan.  Nothing here checks
@@ -73,8 +67,8 @@ class Cone:
 
     def __post_init__(self):
         rays = self.rays
-        if not rays:
-            raise ValueError("cone needs at least one ray")
+        if len(rays) < 2:
+            raise ValueError("cone needs at least two rays")
         dim = len(rays[0])
         if dim != 2 and dim != 3:
             raise ValueError("only rank 2 and 3 cones are supported")
@@ -103,65 +97,43 @@ class Cone:
         return len(self.rays[0])
 
 
-def _det(cols: tuple[Vec, ...]) -> int:
-    """Determinant of the 1x1, 2x2 or 3x3 matrix with the given columns
-    (or rows: transposing keeps it)."""
-    if len(cols) == 1:
-        return cols[0][0]
-    if len(cols) == 2:
-        return det2(*cols)
-    (a, b, c), (d, e, f), (g, h, i) = cols
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _solve(cols: tuple[Vec, ...], x) -> tuple[list[int], int] | None:
     """Solve sum_j c_j cols[j] = x over the rationals by Cramer's rule, in
     integers: returns (numerators, d) with d > 0 and c_j = numerators[j]/d.
 
-    Takes 1 to 3 columns in Z^2 or Z^3; raises ValueError when they are
-    dependent, and returns None when x is outside their span.  A square
-    system gives the minors over det(cols), negated together when the
-    determinant is negative: for u, v in Z^2 they are det2(x, v) and
-    det2(u, x) over det2(u, v); for u, v, w in Z^3, with the three cross
-    products v x w, w x u and u x v, they are x dotted with each over
-    u.(v x w).  One column u spans x iff they are proportional, with
-    coefficient (x.u)/(u.u).  Two columns u, v in Z^3 have the normal
+    Takes the rays of a Cone, 2 to 4 columns in Z^2 or Z^3; raises
+    ValueError when they are dependent, and returns None when x is outside
+    their span.  A square system gives the minors over det(cols), negated
+    together when the determinant is negative: for u, v in Z^2 they are
+    det2(x, v) and det2(u, x) over det2(u, v); for u, v, w in Z^3, with
+    the three cross products v x w, w x u and u x v, they are x dotted with
+    each over u.(v x w).  Two columns u, v in Z^3 have the normal
     n = u x v: x is in their span iff x.n = 0, and then its coefficients
     are ((x x v).n, (u x x).n)/(n.n).
     """
     k, dim = len(cols), len(x)
     if k > dim:
         raise ValueError("dependent columns")
-    if k == dim:
-        if k == 3:
-            u, v, w = cols
-            vw, wu, uv = _cross(v, w), _cross(w, u), _cross(u, v)
-            d = _dot(u, vw)
-            nums = [_dot(x, vw), _dot(x, wu), _dot(x, uv)]
-        else:
-            u, v = cols
-            d = det2(u, v)
-            nums = [det2(x, v), det2(u, x)]
-        if d == 0:
+    if k == 3:
+        u, v, w = cols
+        vw, wu, uv = _cross(v, w), _cross(w, u), _cross(u, v)
+        d = _dot(u, vw)
+        nums = [_dot(x, vw), _dot(x, wu), _dot(x, uv)]
+    elif dim == 2:
+        u, v = cols
+        d = det2(u, v)
+        nums = [det2(x, v), det2(u, x)]
+    else:
+        u, v = cols
+        n = _cross(u, v)
+        if n == (0, 0, 0):
             raise ValueError("dependent columns")
-        return (nums, d) if d > 0 else ([-v for v in nums], -d)
-    if k == 1:
-        (u,) = cols
-        if not any(u):
-            raise ValueError("dependent columns")
-        if not _proportional(u, x):
+        if _dot(x, n):
             return None
-        if dim == 2:
-            (u0, u1), (x0, x1) = u, x
-            return [x0 * u0 + x1 * u1], u0 * u0 + u1 * u1
-        return [_dot(x, u)], _dot(u, u)
-    u, v = cols
-    n = _cross(u, v)
-    if n == (0, 0, 0):
+        return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
+    if d == 0:
         raise ValueError("dependent columns")
-    if _dot(x, n):
-        return None
-    return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
+    return (nums, d) if d > 0 else ([-v for v in nums], -d)
 
 
 def cone_contains(c: Cone, x: Vec) -> bool:
@@ -179,19 +151,21 @@ def multiplicity(c: Cone) -> int:
     of their linear span, the gcd of the maximal minors of the ray matrix.
     1 means the cone is smooth.
 
-    n rays in rank n have one maximal minor, the determinant.  Two rays in
-    rank 3 have their cross product as minors, and one ray its entries.
-    More rays than the rank, the 4-ray cones in rank 3 among them, have no
-    maximal minor, and like a zero determinant they are not simplicial.
+    n rays in rank n have one maximal minor, the determinant: det2 in rank
+    2, and u.(v x w) in rank 3.  Two rays in rank 3 have their cross
+    product as minors.  More rays than the rank, the 4-ray cones in rank 3
+    among them, have no maximal minor, and like a zero determinant they
+    are not simplicial.
     """
     rays = c.rays
     n, dim = len(rays), len(rays[0])
-    if n == dim:
-        out = abs(_det(rays))
-    elif n > dim:
+    if n > dim:
         out = 0
-    elif n == 1:
-        out = gcd(*rays[0])
+    elif n == 3:
+        u, v, w = rays
+        out = abs(_dot(u, _cross(v, w)))
+    elif dim == 2:
+        out = abs(det2(*rays))
     else:
         out = gcd(*_cross(*rays))
     if out == 0:
@@ -246,9 +220,10 @@ def classify_2d(c: Cone) -> CyclicSingularity:
 class Fan:
     """A set of maximal simplicial cones intersecting in common faces.
 
-    Validation is pairwise: cones sharing a 2-face must sit on strictly
-    opposite sides of it, and otherwise no ray of one cone may lie inside
-    another.  That suffices for the handful of small fans built here.
+    Checks that there is a cone, that all have one rank, and that each is
+    simplicial.  That the cones meet in common faces is left to the
+    constructors: each fan here takes its cones from the diagonals of a
+    pointed 4-ray cone, where it holds by construction.
     """
 
     max_cones: tuple[Cone, ...]
@@ -262,26 +237,6 @@ class Fan:
             if len(c.rays[0]) != dim:
                 raise ValueError("cones of mixed dimension")
             multiplicity(c)  # rejects non-simplicial cones
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                self._check_pair(cones[i], cones[j], dim)
-
-    @staticmethod
-    def _check_pair(a: Cone, b: Cone, dim: int) -> None:
-        shared = [r for r in a.rays if r in b.rays]
-        if len(shared) == min(len(a.rays), len(b.rays)):
-            raise ValueError("duplicate or nested cones")
-        if len(shared) == 2 and dim == 3 and len(a.rays) == 3 == len(b.rays):
-            n = _cross(*shared)
-            sa = _dot(n, next(r for r in a.rays if r not in shared))
-            sb = _dot(n, next(r for r in b.rays if r not in shared))
-            if sa * sb >= 0:
-                raise ValueError("cones overlap across a shared 2-face")
-            return
-        for first, second in ((a, b), (b, a)):
-            for r in first.rays:
-                if r not in shared and cone_contains(second, r):
-                    raise ValueError("ray of one cone lies inside another")
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -312,8 +267,9 @@ def sigma0_of(p: int, q: int) -> Cone:
 
         v1 = (0,0,1),  v2 = (1,1,-1),  v3 = (0,1,0),  v4 = (p,-q,0),
 
-    satisfying p(v1 + v2) = (p+q) v3 + v4.  Same abstract threefold as the
-    sigma_of cone for a = 1, but the relation coefficients are lopsided."""
+    satisfying p(v1 + v2) = (p+q) v3 + v4.  Its relation (p, p, p+q, 1) is
+    unequal on the second diagonal, where that of sigma_of is (p, p, q, q),
+    so gaifullin_criterion holds for sigma_of and fails here."""
     _check_pq(p, q)
     v1 = (0, 0, 1)
     v2 = (1, 1, -1)
@@ -450,23 +406,13 @@ def wall_curve_K_degree(f: Fan, wall: Cone) -> Fraction:
     return -Fraction((c0 + c1) * d + s0 + s1, m0 * m1 * d)
 
 
-def gaifullin_criterion(rays, coefficients) -> bool:
-    """Quasihomogeneity test for a 4-ray cone.
+def gaifullin_criterion(c: Cone) -> bool:
+    """Quasihomogeneity test for a pointed 4-ray cone in rank 3.
 
-    Given the relation n1 v1 + n2 v2 = n3 v3 + n4 v4 with positive integer
-    coefficients (verified), the affine toric threefold carries a
-    quasihomogeneous SL(2)-action iff n1 = n2 and n3 = n4.
+    Its relation n1 v1 + n2 v2 = n3 v3 + n4 v4, with positive coefficients
+    on the two diagonals as _diagonals reads them off, gives an affine
+    toric threefold with a quasihomogeneous SL(2)-action iff n1 = n2 and
+    n3 = n4 (Gaifullin).  Raises ValueError for any other cone.
     """
-    rays = tuple(tuple(r) for r in rays)
-    coefficients = tuple(coefficients)
-    if len(rays) != 4 or len(coefficients) != 4:
-        raise ValueError("need four rays and four coefficients")
-    if not all(isinstance(n, int) and n > 0 for n in coefficients):
-        raise ValueError("coefficients must be positive integers")
-    n1, n2, n3, n4 = coefficients
-    v1, v2, v3, v4 = rays
-    lhs = tuple(n1 * a + n2 * b for a, b in zip(v1, v2))
-    rhs = tuple(n3 * a + n4 * b for a, b in zip(v3, v4))
-    if lhs != rhs:
-        raise ValueError("relation does not hold")
-    return n1 == n2 and n3 == n4
+    rel, pos, neg = _diagonals(c)
+    return rel[pos[0]] == rel[pos[1]] and rel[neg[0]] == rel[neg[1]]

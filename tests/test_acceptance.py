@@ -218,10 +218,9 @@ def test_criterion_09_degeneration():
         lhs = tuple(p * (x + y) for x, y in zip(v1, v2))
         rhs = tuple((p + q) * z + w for z, w in zip(v3, v4))
         assert lhs == rhs, params
-        assert not gaifullin_criterion(deg.sigma0.rays, (p, p, p + q, 1))
-        assert gaifullin_criterion(
-            sigma_of(p, q, params.a).rays, (p, p, q, q)
-        )
+        assert deg.relation_coefficients == (p, p, p + q, 1), params
+        assert not gaifullin_criterion(deg.sigma0)
+        assert gaifullin_criterion(sigma_of(p, q, params.a))
         basis = hilbert_basis(slice_semigroup(params, "plus")).generators
         assert {point for point, _ in deg.fibers} == set(basis)
         for point, count in deg.fibers:

@@ -605,5 +605,6 @@ class TestRecord:
     def test_equal_fields_of_different_classes_are_unequal(self):
         assert git.GroupCharacter(1, 0) != toricgeom.CyclicSingularity(1, 0)
         assert git.GroupCharacter(1, 0) != (1, 0)
-        assert toricgeom.Cone(((1, 0),)) != toricgeom.Fan((toricgeom.Cone(((1, 0),)),))
+        cone = toricgeom.Cone(((1, 0), (0, 1)))
+        assert cone != toricgeom.Fan((cone,))
         assert len({git.GroupCharacter(1, 0), git.GroupCharacter(1, 0)}) == 1

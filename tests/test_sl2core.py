@@ -614,10 +614,8 @@ class TestDegenerationCriterion:
 
         for params in instances(5, 3, below_one=True):
             p, q, a = params.p, params.q, params.a
-            assert gaifullin_criterion(sigma_of(p, q, a).rays, (p, p, q, q))
-            assert not gaifullin_criterion(
-                sigma0_of(p, q).rays, (p, p, p + q, 1)
-            )
+            assert gaifullin_criterion(sigma_of(p, q, a))
+            assert not gaifullin_criterion(sigma0_of(p, q))
 
 
 class TestSmoothnessCoherence:

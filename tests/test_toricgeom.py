@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,16 +13,14 @@ from sl2flip.semigroup import (
     dual_cone_rays,
     hilbert_basis,
 )
-from sl2flip.sl2core import derive_params, slice_semigroup
+from sl2flip.sl2core import derive_params, slice_semigroup, toric_degeneration
 from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
     Fan,
     _cross,
-    _det,
     _diagonals,
     _dot,
-    _proportional,
     _relation,
     _solve,
     classify_2d,
@@ -56,8 +55,8 @@ def validate_cone_pairwise(rays):
     """The former Cone validation, kept as the oracle of the set test:
     primitivity by comparing each ray with primitive(ray), then
     proportionality by a cross product (or 2x2 determinant) per pair."""
-    if not rays:
-        raise ValueError("cone needs at least one ray")
+    if len(rays) < 2:
+        raise ValueError("cone needs at least two rays")
     dim = len(rays[0])
     if dim not in (2, 3):
         raise ValueError("only rank 2 and 3 cones are supported")
@@ -68,8 +67,38 @@ def validate_cone_pairwise(rays):
             raise ValueError(f"ray {r} is not primitive")
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            if _proportional(rays[i], rays[j]):
+            u, v = rays[i], rays[j]
+            if (det2(u, v) == 0) if dim == 2 else (_cross(u, v) == (0, 0, 0)):
                 raise ValueError("proportional rays")
+
+
+def validate_fan_pairwise(fan):
+    """The former Fan face check, kept as the oracle of the fans the
+    subdivisions build: cones sharing a 2-face must sit on strictly
+    opposite sides of it, and otherwise no ray of one cone may lie inside
+    another."""
+    cones = fan.max_cones
+    dim = len(cones[0].rays[0])
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            check_pair(cones[i], cones[j], dim)
+
+
+def check_pair(a, b, dim):
+    shared = [r for r in a.rays if r in b.rays]
+    if len(shared) == min(len(a.rays), len(b.rays)):
+        raise ValueError("duplicate or nested cones")
+    if len(shared) == 2 and dim == 3 and len(a.rays) == 3 == len(b.rays):
+        n = _cross(*shared)
+        sa = _dot(n, next(r for r in a.rays if r not in shared))
+        sb = _dot(n, next(r for r in b.rays if r not in shared))
+        if sa * sb >= 0:
+            raise ValueError("cones overlap across a shared 2-face")
+        return
+    for first, second in ((a, b), (b, a)):
+        for r in first.rays:
+            if r not in shared and cone_contains(second, r):
+                raise ValueError("ray of one cone lies inside another")
 
 
 @st.composite
@@ -245,12 +274,17 @@ def vectors(dim, bound=5):
 
 class TestMinors:
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: st.lists(vectors(n), min_size=n, max_size=n)))
+    @given(st.integers(2, 3).flatmap(lambda n: st.lists(vectors(n), min_size=n, max_size=n)))
     def test_det_is_the_laplace_expansion(self, cols):
-        assert _det(tuple(cols)) == laplace_det(cols)
+        # the two determinants written out here: det2, and u.(v x w)
+        if len(cols) == 2:
+            got = det2(*cols)
+        else:
+            got = _dot(cols[0], _cross(cols[1], cols[2]))
+        assert got == laplace_det(cols)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(2, 3), st.integers(1, 4), st.data())
+    @given(st.integers(2, 3), st.integers(2, 3), st.data())
     def test_solve_agrees_with_elimination(self, dim, count, data):
         # arbitrary columns, zero vectors and dependent sets included; the
         # target is either arbitrary (mostly off the span) or drawn inside it
@@ -275,12 +309,10 @@ class TestMinors:
         assert _solve((E1, E2), (3, -2, 0)) == ([3, -2], 1)
         assert _solve((E1, E2), (3, -2, 1)) is None
         assert _solve(((1, 1, 0), (1, -1, 0)), (1, 0, 0)) == ([2, 2], 4)
-        assert _solve(((2, 1),), (4, 2)) == ([10], 5)
-        assert _solve(((2, 1),), (4, 3)) is None
         assert _solve(((1, 0), (-1, 2)), (0, 1)) == ([1, 1], 2)
         assert _solve(((-1, 2), (1, 0)), (0, 1)) == ([1, 1], 2)  # det < 0
         for cols in [((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 2, 3), (2, 4, 6)),
-                     (E1, E2, E3, (1, 1, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 0),)]:
+                     (E1, E2, E3, (1, 1, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0))]:
             with pytest.raises(ValueError, match="dependent"):
                 _solve(cols, (0,) * len(cols[0]))
 
@@ -304,7 +336,7 @@ class TestMultiplicity:
             multiplicity(sigma_of(1, 2, 1))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4), st.integers(2, 3), st.data())
+    @given(st.integers(2, 4), st.integers(2, 3), st.data())
     def test_agrees_with_smith_normal_form(self, count, dim, data):
         # oracle: the product of the nonzero invariant factors, defined
         # when there is one per ray; more rays than the rank, 4 rays in
@@ -692,43 +724,92 @@ class TestWallCurveDegree:
         assert wall_curve_K_degree(fan, Cone((rays[0], rays[1]))) == 0
 
 
+CONIFOLD = ((0, 0, 1), (1, 1, 1), (1, 0, 1), (0, 1, 1))
+
+
 class TestGaifullin:
     def test_sigma_family(self):
         for p, q in pq_sweep():
             for a in (1, 2):
-                assert gaifullin_criterion(sigma_of(p, q, a).rays, (p, p, q, q))
+                assert gaifullin_criterion(sigma_of(p, q, a))
 
     def test_sigma0_family(self):
         for p, q in pq_sweep():
-            assert not gaifullin_criterion(sigma0_of(p, q).rays, (p, p, p + q, 1))
+            assert not gaifullin_criterion(sigma0_of(p, q))
 
     def test_conifold(self):
-        rays = ((0, 0, 1), (1, 1, 1), (1, 0, 1), (0, 1, 1))
-        assert gaifullin_criterion(rays, (1, 1, 1, 1))
+        assert gaifullin_criterion(Cone(CONIFOLD))
 
-    def test_relation_verified(self):
-        rays = sigma_of(1, 2, 1).rays
-        with pytest.raises(ValueError):
-            gaifullin_criterion(rays, (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            gaifullin_criterion(rays, (1, 1, 2, 0))
-        with pytest.raises(ValueError):
-            gaifullin_criterion(rays, (-1, -1, -2, -2))
+    def test_ray_order_is_irrelevant(self):
+        # the diagonals come from the signs of the relation, not from the
+        # positions of the rays
+        for rays, want in [(sigma_of(2, 5, 1).rays, True), (sigma_of(1, 3, 2).rays, True),
+                           (sigma0_of(2, 5).rays, False), (sigma0_of(1, 2).rays, False),
+                           (CONIFOLD, True)]:
+            for order in itertools.permutations(rays):
+                assert gaifullin_criterion(Cone(order)) is want, order
+
+    def test_degeneration_coefficients_are_the_kernel(self):
+        # read off sigma0 by _relation, they match the kernel oracle up to
+        # sign, with the two diagonals as the two signs
+        for p, q in pq_sweep(20):
+            sigma0 = sigma0_of(p, q)
+            want = primitive(kernel_basis(IntMatrix.from_cols(sigma0.rays))[0])
+            if want[0] < 0:
+                want = tuple(-x for x in want)
+            assert want == (p, p, -(p + q), -1)
+            deg = toric_degeneration(derive_params(p, q, q - p))
+            assert deg.relation_coefficients == tuple(abs(x) for x in want)
+
+    def test_needs_a_pointed_quadrilateral(self):
+        for rays in [(E1, E2, E3), (E1, E2, E3, (-1, -1, -1)), (E1, E2, (1, 1, 1), (2, 1, 1))]:
+            with pytest.raises(ValueError):
+                gaifullin_criterion(Cone(rays))
 
 
 class TestFanValidation:
     def test_duplicate_rejected(self):
         c = Cone((E1, E2, E3))
-        with pytest.raises(ValueError):
-            Fan((c, Cone((E1, E2, E3))))
+        with pytest.raises(ValueError, match="duplicate"):
+            validate_fan_pairwise(Fan((c, Cone((E1, E2, E3)))))
 
     def test_overlap_across_face_rejected(self):
-        with pytest.raises(ValueError):
-            Fan((Cone((E1, E2, E3)), Cone((E1, E2, (1, 1, 1)))))
+        with pytest.raises(ValueError, match="overlap"):
+            validate_fan_pairwise(Fan((Cone((E1, E2, E3)), Cone((E1, E2, (1, 1, 1))))))
 
     def test_foreign_ray_inside_rejected(self):
-        with pytest.raises(ValueError):
-            Fan((Cone((E1, E2, E3)), Cone(((1, 1, 1), (2, 1, 1), (1, 2, 1)))))
+        fan = Fan((Cone((E1, E2, E3)), Cone(((1, 1, 1), (2, 1, 1), (1, 2, 1)))))
+        with pytest.raises(ValueError, match="inside"):
+            validate_fan_pairwise(fan)
+
+    def test_fan_checks_each_cone(self):
+        with pytest.raises(ValueError, match="at least one"):
+            Fan(())
+        with pytest.raises(ValueError, match="mixed"):
+            Fan((Cone((E1, E2, E3)), Cone(((1, 0), (0, 1)))))
+        with pytest.raises(ValueError, match="not simplicial"):
+            Fan((sigma_of(1, 2, 1),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_subdivisions_pass_the_pairwise_oracle(self, data):
+        # every fan the package builds, from a random primitive 4-ray cone
+        # or from sigma, meets in common faces
+        if data.draw(st.booleans()):
+            c = Cone(random_rays(data, 4, 3, 4))
+        else:
+            q = data.draw(st.integers(2, 12))
+            p = data.draw(st.integers(1, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+            c = sigma_of(p, q, data.draw(st.integers(1, 5)))
+        fans = []
+        for subdivide in (flip_subdivisions, star_subdivide_at_v5):
+            try:
+                got = subdivide(c)
+            except ValueError:
+                continue
+            fans.extend(got if isinstance(got, tuple) else (got,))
+        for fan in fans:
+            validate_fan_pairwise(fan)
 
     def test_cone_validation(self):
         with pytest.raises(ValueError):
@@ -739,6 +820,10 @@ class TestFanValidation:
             Cone(((0, 0),))
         with pytest.raises(ValueError):
             Cone(())
+
+    def test_one_ray_rejected(self):
+        with pytest.raises(ValueError, match="at least two rays"):
+            Cone(((1, 0),))
 
     @settings(max_examples=500, deadline=None)
     @given(ray_tuples())
@@ -777,7 +862,7 @@ class TestFanValidation:
         # a simplicial cone contains x iff the rational solve has a
         # solution with every coefficient >= 0; targets are drawn both
         # freely and as small combinations of the rays, so both answers occur
-        count = data.draw(st.integers(1, dim))
+        count = data.draw(st.integers(2, dim))
         rays = random_rays(data, count, dim, 5)
         if data.draw(st.booleans()):
             x = data.draw(vectors(dim, 9))
