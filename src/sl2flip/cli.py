@@ -14,8 +14,10 @@ Heights are exact fractions ("p/q" or a bare integer); decimals are
 rejected.  Exit codes: 0 success, 1 output cut short (stdout closed
 before everything was written, as by `| head`), 2 usage error, 3 domain
 error (any `ValueError` the library raises for a datum or a query it does
-not support), 4 verification failure: a `verify` row that failed, or a
-`CrossCheckError` in any command, reported in one line on stderr.
+not support, and a Hilbert basis of more than MAX_LISTED_GENERATORS
+generators where a command would list it), 4 verification failure: a
+`verify` row that failed, or a `CrossCheckError` in any command, reported
+in one line on stderr.
 `main(argv)` returns the exit code rather than exiting and may be called
 any number of times in one process; only the argument parser, built on
 the first call, is kept between calls.
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 from .git import GroupCharacter, semistable_locus, stabilizer_of_support
 from .lattice import CrossCheckError, _require, det2
-from .semigroup import AffineSemigroup, cone_rays, congruence_lattice_basis
+from .semigroup import AffineSemigroup, HilbertBasis, cone_rays, congruence_lattice_basis
 from .sl2core import (
     CONVENTION_NOTE,
     SL2Params,
@@ -71,6 +73,11 @@ SCHEMA_VERSION = "1.0"
 PARAM_KEYS = ("p", "q", "m", "k", "a", "b")
 
 NO_FLIP = "no flip (height 1)"
+
+# The most generators a command lists: a basis is counted from its runs
+# before any is expanded, and a larger one is a domain error (exit 3).
+# Every documented, tested and benchmarked call stays far below it.
+MAX_LISTED_GENERATORS = 10**6
 
 TILDE_NOTE = (
     "rank-3 semigroup convention: the projection covector is aligned with "
@@ -237,7 +244,21 @@ def _sec_cones(params: SL2Params) -> dict:
     }
 
 
+def _listed_basis(params: SL2Params, which: str) -> HilbertBasis:
+    """The basis of slice_semigroup(params, which), for a command that lists
+    its generators or one fiber per generator; a domain error when it has
+    more than MAX_LISTED_GENERATORS, counted from its runs."""
+    basis = slice_basis(params, which)
+    if basis.size > MAX_LISTED_GENERATORS:
+        raise ValueError(
+            f"the {which} Hilbert basis has {basis.size} generators, more than "
+            f"the {MAX_LISTED_GENERATORS} a command lists"
+        )
+    return basis
+
+
 def _sec_degeneration(params: SL2Params) -> dict:
+    _listed_basis(params, "plus")
     deg = toric_degeneration(params)
     return {
         "sigma0_rays": [list(r) for r in deg.sigma0.rays],
@@ -250,6 +271,7 @@ def _sec_degeneration(params: SL2Params) -> dict:
 
 
 def _sec_embedding(params: SL2Params) -> dict:
+    _listed_basis(params, "plus")
     return {
         "generators": [
             {"point": list(gen), "module": label, "dimension": dim}
@@ -398,6 +420,7 @@ def _cmd_hilbert(args) -> int:
                 "the rank-3 semigroup supports membership and fiber queries "
                 "only; no Hilbert basis is reported"
             )
+        _listed_basis(params, "plus")
         fibers = [
             {"point": list(gen), "count": count}
             for gen, count in degeneration_fibers(params)
@@ -405,11 +428,8 @@ def _cmd_hilbert(args) -> int:
         section = {"which": "tilde", "fibers": fibers}
         warnings.append(TILDE_NOTE)
     else:
-        basis = slice_basis(params, args.which)
-        section = {
-            "which": args.which,
-            "generators": [list(gen) for gen in basis.generators],
-        }
+        basis = _listed_basis(params, args.which)
+        section = {"which": args.which, "generators": list(map(list, basis.generators))}
     sections = {"params": _sec_params(params), "hilbert": section}
     _emit(_document(params, sections, warnings), args.json)
     return 0
@@ -455,29 +475,51 @@ def _cmd_git(args) -> int:
 
 def _check_hilbert(params: SL2Params) -> None:
     """The S+ basis passes the Hirzebruch-Jung certificate of a 2-d cone
-    (Oda, Convex Bodies, 1.6): sorted by angle it runs from (m, 0) to
+    (Oda, Convex Bodies, 1.6): along its chain it runs from (m, 0) to
     (aq, ap), the minimal points of the two rays; each consecutive pair has
     determinant m, the index of {i = j mod m}, so it generates; and each
     inner g has neighbours summing to c*g with c >= 2, so none is
-    redundant.  That proves it is the Hilbert basis in O(|basis|)."""
+    redundant.  That proves it is the Hilbert basis.
+
+    The chain is read off the basis's runs in O(#runs).  On a run
+    start + t*step each pair of neighbours has determinant det(start, step),
+    each inner triple sums to 2 * its middle point, and i > 0 all along
+    when it holds at both ends.  So each run is checked at its ends and its
+    first two and last two points, and the pairs and triples where two
+    runs meet are checked one by one.  Every point then lies in S+ \\ 0:
+    from (m, 0) each step lies in {i = j mod m}, and so does each point
+    c*g - u after a join; with i > 0 and positive determinants the points
+    turn counterclockwise from one ray point to the other, inside the cone.
+    At b = 1 the closed form {(m + t, t) : t = 0..ap} is the one run from
+    (m, 0) by (1, 1)."""
     p, q, m, a = params.p, params.q, params.m, params.a
-    gens = slice_basis(params, "plus").generators
+    runs = slice_basis(params, "plus").runs
     if params.b == 1:
-        closed = {(m + t, t) for t in range(a * p + 1)}
-        _require(set(gens) == closed, "basis at b = 1 is not {(m + t, t)}", set(gens) ^ closed)
-    semi = slice_semigroup(params, "plus")
-    # a nonzero point of S+ has i > 0, which the angle comparison needs
-    outside = [g for g in gens if not (semi.contains(g) and g[0] > 0)]
-    _require(not outside, "generators outside S+ \\ 0", outside)
-    chain = sorted(gens, key=functools.cmp_to_key(lambda u, v: det2(v, u)))
-    ends = (chain[0], chain[-1])
+        closed = (((m, 0), (1, 1), a * p + 1),)
+        _require(runs == closed, "basis at b = 1 is not {(m + t, t)}", runs)
+    # the chain without the inner points of runs longer than 4, as pieces
+    # of consecutive points
+    pieces, piece = [], []
+    for start, step, count in runs:
+        end = (start[0] + (count - 1) * step[0], start[1] + (count - 1) * step[1])
+        # i > 0 at both ends, so along the run: the c test divides by i
+        inside = start[0] > 0 and end[0] > 0 and (step[0] - step[1]) % m == 0
+        _require(inside, "run outside S+ \\ 0", start, step, count)
+        if count <= 4:
+            piece += [(start[0] + t * step[0], start[1] + t * step[1]) for t in range(count)]
+        else:
+            pieces.append([*piece, start, (start[0] + step[0], start[1] + step[1])])
+            piece = [(end[0] - step[0], end[1] - step[1]), end]
+    pieces.append(piece)
+    ends = (pieces[0][0], pieces[-1][-1])
     _require(ends == ((m, 0), (a * q, a * p)), "chain ends are not (m, 0), (aq, ap)", ends)
-    for u, v in zip(chain, chain[1:]):
-        _require(det2(u, v) == m, "neighbours without determinant m", u, v)
-    for u, g, v in zip(chain, chain[1:], chain[2:]):
-        s = (u[0] + v[0], u[1] + v[1])
-        c = s[0] // g[0]
-        _require(c >= 2 and s == (c * g[0], c * g[1]), "not u + v = c*g, c >= 2", u, g, v)
+    for chain in pieces:
+        for u, v in zip(chain, chain[1:]):
+            _require(det2(u, v) == m, "neighbours without determinant m", u, v)
+        for u, g, v in zip(chain, chain[1:], chain[2:]):
+            s = (u[0] + v[0], u[1] + v[1])
+            c = s[0] // g[0]
+            _require(c >= 2 and s == (c * g[0], c * g[1]), "not u + v = c*g, c >= 2", u, g, v)
 
 
 def _check_u_oracle(params: SL2Params) -> None:

@@ -9,10 +9,10 @@ i.e. the lattice points of a rational cone intersected with a finite-index
 sublattice L.  That makes membership a constraint check, and it makes the
 rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
 the generators are the lattice points on the compact boundary of the convex
-hull of the nonzero cone points, found one after another from one extremal
-ray to the other.  Over a base point of a rank-3 semigroup the fiber is
-one arithmetic progression cut to one interval, so it is counted without
-a scan.
+hull of the nonzero cone points, found one edge of that boundary at a time,
+from one extremal ray to the other.  Over a base point of a rank-3
+semigroup the fiber is one arithmetic progression cut to one interval, so
+it is counted without a scan.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import chain, repeat
 from operator import mul
 
 from .lattice import Vec, det2, primitive, record, xgcd
@@ -116,15 +117,41 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     return tuple(sorted(rays))  # type: ignore[return-value]
 
 
+Run = tuple[Vec, Vec, int]
+
+
+def _progression(first: int, step: int, count: int):
+    return range(first, first + count * step, step) if step else repeat(first, count)
+
+
 @record
 class HilbertBasis:
-    generators: tuple[Vec, ...]
+    """A Hilbert basis as runs of its chain.  A run (start, step, count) is
+    the points start + t*step, t = 0..count-1.  The runs follow the chain
+    counterclockwise from one ray point to the other, and each run after
+    the first starts one step past the end of the run before it.
+    generators, the points in lex order, is expanded on first use."""
+
+    runs: tuple[Run, ...]
     rays: tuple[Vec, Vec]
     ray_points: tuple[Vec, Vec]
 
+    @property
+    def size(self) -> int:
+        """Number of generators, read off the runs without expanding them."""
+        return sum(count for _, _, count in self.runs)
+
+    @cached_property
+    def generators(self) -> tuple[Vec, ...]:
+        # each run is monotone in lex order, so the sort merges the runs
+        return tuple(sorted(chain.from_iterable(
+            zip(_progression(x, dx, count), _progression(y, dy, count))
+            for (x, y), (dx, dy), count in self.runs
+        )))
+
 
 def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
-    """Unique minimal generating set of a pointed rank-2 semigroup.
+    """Unique minimal generating set of a pointed rank-2 semigroup, as runs.
 
     In a basis of the congruence lattice L the semigroup is all L-points of
     a cone with primitive rays v1, v2, n = det(v1, v2) > 0, and its basis is
@@ -132,8 +159,14 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     boundary of the hull of the nonzero cone points (Cox-Little-Schenck,
     Toric Varieties, 10.2).  u1 is the point of the line det(v1, .) = 1 with
     0 <= det(u1, v2) < n, and u_{i+1} = c_i*u_i - u_{i-1} with
-    c_i = ceil(det(u_{i-1}, v2) / det(u_i, v2)).  det(u_i, v2) falls at
-    every step, so the walk costs one step per generator.
+    c_i = ceil(D(u_{i-1}) / D(u_i)), D(x) = det(x, v2), which falls at every
+    step.  While D(u_i) >= delta = D(u_{i-1}) - D(u_i), c_i = 2 and delta
+    stays, so from a pair (u_prev, u) the chain is the progression
+    u + t*(u - u_prev) for t = 0..floor(D(u) / delta): one floor division
+    per run, then one step with c > 2 starts the next run.  Each run lies
+    on one edge of that boundary; there are O(log n) of them (Oda, Convex
+    Bodies, 1.6), so the walk costs O(#runs), whatever the number of
+    generators.
     """
     r1, r2 = s._rays
     b1, b2 = s._lattice_basis
@@ -142,18 +175,31 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     n = det2(v1, v2)
     x, y, _ = xgcd(-v1[1], v1[0])
     t = -(det2((x, y), v2) // n)
-    chain = [v1, (x + t * v1[0], y + t * v1[1])]
-    while chain[-1] != v2:
-        u_prev, u = chain[-2], chain[-1]
-        c = -(-det2(u_prev, v2) // det2(u, v2))
-        chain.append((c * u[0] - u_prev[0], c * u[1] - u_prev[1]))
+    u1 = (x + t * v1[0], y + t * v1[1])
 
     def in_z2(u: Vec) -> Vec:
         return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
 
-    return HilbertBasis(
-        tuple(sorted(in_z2(u) for u in chain)), (r1, r2), (in_z2(w1), in_z2(w2))
-    )
+    # u is the first point of a run and u_prev the point before it, with
+    # d = D(u), d_prev = D(u_prev); the first run starts at v1, one step of
+    # u1 - v1 past 2*v1 - u1
+    u_prev, u = (2 * v1[0] - u1[0], 2 * v1[1] - u1[1]), v1
+    d_prev, d = 2 * n - det2(u1, v2), n
+    runs = []
+    while True:
+        delta = d_prev - d
+        last = d // delta
+        step = (u[0] - u_prev[0], u[1] - u_prev[1])
+        runs.append((in_z2(u), in_z2(step), last + 1))
+        d -= last * delta
+        if not d:
+            break
+        # the step out of the run's end has c = e + 1 > 2
+        end = (u[0] + last * step[0], u[1] + last * step[1])
+        e = -(-delta // d)
+        u_prev, u = end, (e * end[0] + step[0], e * end[1] + step[1])
+        d_prev, d = d, e * d - delta
+    return HilbertBasis(tuple(runs), (r1, r2), (in_z2(w1), in_z2(w2)))
 
 
 def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
@@ -201,6 +247,40 @@ def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
     if empty or hi < lo:
         return 0
     return (hi - r) // step - (lo - 1 - r) // step
+
+
+def fiber_count_is_affine(s: AffineSemigroup, first: Vec, step: Vec, last: Vec) -> bool:
+    """True when fiber_count(s, x) is shown to be affine in t along the base
+    points x = first + t*step from first to last, so that its values at the
+    two ends decide it in between; False when that is not shown.
+
+    A covector with |c2| = 1 bounds l by an affine function of t.  So one
+    covector that gives the largest lower bound at both ends gives it all
+    along, and the same holds for the smallest upper bound; a covector with
+    c2 = 0 that holds at both ends holds between them.  A step that meets
+    every congruence keeps each one's residue, and a congruence with
+    g2 = 0 mod n leaves l free.  The count is then hi - lo + 1 all along, or
+    0 all along.  A covector with |c2| > 1, a congruence on l, an end with
+    hi < lo, or extremal bounds from other covectors at the two ends give
+    False.
+    """
+    for (g0, g1, g2), n in s.congruences:
+        if (g0 * step[0] + g1 * step[1]) % n or g2 % n:
+            return False
+    lows, highs = [], []
+    for c0, c1, c2 in s.effective_inequalities():
+        at = (c0 * first[0] + c1 * first[1], c0 * last[0] + c1 * last[1])
+        if c2 == 1:
+            lows.append((-at[0], -at[1]))
+        elif c2 == -1:
+            highs.append(at)
+        elif c2 or min(at) < 0:
+            return False
+    if not lows or not highs:
+        return False
+    lo = (max(b for b, _ in lows), max(b for _, b in lows))
+    hi = (min(b for b, _ in highs), min(b for _, b in highs))
+    return lo in lows and hi in highs and hi[0] >= lo[0] and hi[1] >= lo[1]
 
 
 def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:

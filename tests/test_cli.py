@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sl2flip import CrossCheckError, cli, git, sl2core
@@ -20,7 +20,7 @@ from sl2flip.lattice import FinAbGroup
 from sl2flip.semigroup import AffineSemigroup, HilbertBasis, hilbert_basis
 from sl2flip.sl2core import derive_params, iter_instances, slice_basis, slice_semigroup
 from test_git import u_invariant_exponents
-from test_semigroup import brute_minimal_generators
+from test_semigroup import brute_minimal_generators, runs_of_chain
 
 
 def run(capsys, *argv):
@@ -272,7 +272,7 @@ class TestVerify:
         def mutant(params, which):
             basis = real(params, which)
             gens = tuple(_drop_inner(params, basis.generators))
-            return HilbertBasis(gens, basis.rays, basis.ray_points)
+            return HilbertBasis(runs_of_chain(gens), basis.rays, basis.ray_points)
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "3")
@@ -470,7 +470,7 @@ class TestHilbertCertificate:
         def mutant(params, which):
             basis = real(params, which)
             gens = tuple(mutate(params, basis.generators))
-            return HilbertBasis(gens, basis.rays, basis.ray_points)
+            return HilbertBasis(runs_of_chain(gens), basis.rays, basis.ray_points)
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         changed = [
@@ -484,6 +484,119 @@ class TestHilbertCertificate:
         for params in changed:
             with pytest.raises(CrossCheckError):
                 cli._check_hilbert(params)
+
+
+def _replace_run(runs, k, run):
+    return runs[:k] + (run,) + runs[k + 1:]
+
+
+def _step_in_lattice(params, runs):
+    # the start stays, every other point of the first run moves in the lattice
+    (x, y), (dx, dy), count = runs[0]
+    return _replace_run(runs, 0, ((x, y), (dx + params.m, dy + params.m), count))
+
+
+def _step_off_lattice(params, runs):
+    (x, y), (dx, dy), count = runs[0]
+    return _replace_run(runs, 0, ((x, y), (dx + 1, dy), count))
+
+
+def _longer(params, runs):
+    start, step, count = runs[-1]
+    return _replace_run(runs, len(runs) - 1, (start, step, count + 1))
+
+
+def _shorter(params, runs):
+    start, step, count = runs[0]
+    return _replace_run(runs, 0, (start, step, count - 1))
+
+
+def _join_repeats_the_end(params, runs):
+    # the last run starts one step back, on the end of the run before it
+    (x, y), (dx, dy), count = runs[-1]
+    return _replace_run(runs, len(runs) - 1, ((x - dx, y - dy), (dx, dy), count + 1))
+
+
+def _join_skips_a_point(params, runs):
+    # the first run split in two with its middle point left out
+    (x, y), (dx, dy), count = runs[0]
+    half = count // 2
+    rest = ((x + (half + 1) * dx, y + (half + 1) * dy), (dx, dy), count - half - 1)
+    return (((x, y), (dx, dy), half), rest, *runs[1:])
+
+
+def _runs_swapped(params, runs):
+    return runs[::-1]
+
+
+class TestRunCertificate:
+    @pytest.mark.parametrize(
+        "mutate",
+        [_step_in_lattice, _step_off_lattice, _longer, _shorter, _join_repeats_the_end,
+         _join_skips_a_point, _runs_swapped],
+    )
+    def test_run_mutants_fail(self, monkeypatch, mutate):
+        # every mutated chain fails the row, b = 1 or not, one run or more;
+        # swapped runs keep the points but not the chain
+        real = cli.slice_basis
+
+        def mutant(params, which):
+            basis = real(params, which)
+            return HilbertBasis(mutate(params, basis.runs), basis.rays, basis.ray_points)
+
+        monkeypatch.setattr(cli, "slice_basis", mutant)
+        changed = []
+        for params in iter_instances(9, 8):
+            if mutant(params, "plus").runs != real(params, "plus").runs:
+                changed.append(params)
+                with pytest.raises(CrossCheckError):
+                    cli._check_hilbert(params)
+        assert any(params.b != 1 for params in changed)
+        assert any(len(real(params, "plus").runs) > 1 for params in changed)
+
+    def test_one_run_of_the_other_lattice_fails_on_its_step(self, monkeypatch):
+        # at (1/3, 3) the basis of {i = 2j mod 3} is the run (3, 0) + t(2, 1),
+        # t = 0..3: both its ends are the ends of S+'s chain, and every
+        # determinant and triple is right, so only the step's lattice fails it
+        params = derive_params(1, 3, 3)
+        basis = slice_basis(params, "plus")
+        other = HilbertBasis((((3, 0), (2, 1), 4),), basis.rays, basis.ray_points)
+        monkeypatch.setattr(cli, "slice_basis", lambda params, which: other)
+        with pytest.raises(CrossCheckError, match="run outside S"):
+            cli._check_hilbert(params)
+
+    def test_a_bend_at_the_start_of_a_long_run_fails(self, monkeypatch):
+        # at (1/5, 2) the chain (2, 0), (13, 1) + t(-2, 0), t = 0..4, ends at
+        # (5, 1) with every determinant 2 and every point in S+; only the
+        # triple (2, 0), (13, 1), (11, 1), where the long run starts, has
+        # c = 1, so (7, 1) = (2, 0) + (5, 1) is redundant
+        params = derive_params(1, 5, 2)
+        basis = slice_basis(params, "plus")
+        bent = HilbertBasis(
+            (((2, 0), (11, 1), 1), ((13, 1), (-2, 0), 5)), basis.rays, basis.ray_points
+        )
+        monkeypatch.setattr(cli, "slice_basis", lambda params, which: bent)
+        with pytest.raises(CrossCheckError, match=r"c >= 2: \(\(2, 0\), \(13, 1\), \(11, 1\)\)"):
+            cli._check_hilbert(params)
+
+    def test_runs_are_compared_at_b_one(self, monkeypatch):
+        # the same points in two runs are not the closed form's one run
+        params = derive_params(1, 2, 4)
+        basis = slice_basis(params, "plus")
+        split = HilbertBasis(
+            (((4, 0), (1, 1), 2), ((6, 2), (1, 1), 3)), basis.rays, basis.ray_points
+        )
+        assert split.generators == basis.generators
+        monkeypatch.setattr(cli, "slice_basis", lambda params, which: split)
+        with pytest.raises(CrossCheckError, match="basis at b = 1"):
+            cli._check_hilbert(params)
+
+    def test_long_runs_are_checked_at_their_ends(self):
+        # a run of 10**12 + 1 points is checked in O(1)
+        params = derive_params(1, 2, 10**12)
+        start = time.perf_counter()
+        cli._check_hilbert(params)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestParsingAndExitCodes:
@@ -583,6 +696,52 @@ class TestHugeInputs:
         code, out, err = run(capsys, command, "1", str(m))
         assert (code, out) == (3, "")
         assert err == "error: no flip for height 1\n"
+
+    # info, degeneration and hilbert list a Hilbert basis (or one fiber per
+    # generator), counted from its runs first.  A listing of 10**4 to
+    # MAX_LISTED_GENERATORS generators is bound by its output, which the
+    # golden and CI digests time, so those draws are left out here.
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        h=_coprime_heights(),
+        m=st.integers(1, 10**12),
+        command=st.sampled_from(
+            [("info",), ("degeneration",), *(("hilbert", w) for w in ("plus", "minus", "prime", "tilde"))]
+        ),
+        as_json=st.booleans(),
+    )
+    @example(h="999999/1000000", m=7, command=("info",), as_json=False)
+    @example(h="1/2", m=10**12, command=("hilbert", "minus"), as_json=True)
+    @example(h="1/2", m=10**12, command=("hilbert", "prime"), as_json=False)
+    @example(h="3/1000000", m=999999999989, command=("degeneration",), as_json=True)
+    def test_listing_commands_answer_or_refuse_at_once(self, capsys, h, m, command, as_json):
+        p, q = map(int, h.split("/"))
+        listed = command[1] if command[1:] and command[1] != "tilde" else "plus"
+        size = slice_basis(derive_params(p, q, m), listed).size
+        assume(not 10**4 < size <= cli.MAX_LISTED_GENERATORS)
+        argv = (command[0], h, str(m), *command[1:], *(("--json",) if as_json else ()))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (argv, code, err)
+        if size > cli.MAX_LISTED_GENERATORS:
+            assert (code, out) == (3, ""), argv
+            assert err == (
+                f"error: the {listed} Hilbert basis has {size} generators, more than "
+                f"the {cli.MAX_LISTED_GENERATORS} a command lists\n"
+            )
+        else:
+            assert (code, err) == (0, ""), argv
+
+    def test_info_past_the_listing_limit_is_a_domain_error(self, capsys):
+        # it used to end in a MemoryError traceback with exit 1
+        code, out, err = run(capsys, "info", "999999/1000000", "7")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the plus Hilbert basis has 6999994 generators, more than the "
+            "1000000 a command lists\n"
+        )
 
 
 class TestDeterminism:

@@ -1,19 +1,21 @@
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl2flip.lattice import det2, primitive
+from sl2flip.lattice import det2, primitive, xgcd
 from sl2flip.semigroup import (
     AffineSemigroup,
+    _primitive_in_basis,
     congruence_lattice_basis,
     cone_rays,
     dual_cone_rays,
     fiber_count,
+    fiber_count_is_affine,
     hilbert_basis,
 )
 from sl2flip.sl2core import degeneration_fibers, derive_params, make_Mtilde, slice_semigroup
@@ -148,6 +150,50 @@ def parallelepiped_hilbert_basis(s):
         else:
             basis.append(x)
     return tuple(sorted(basis)), (r1, r2), (u1, u2)
+
+
+def hilbert_basis_by_steps(s):
+    """The former hilbert_basis, kept as the oracle of the walk by runs: one
+    step u_{i+1} = c_i*u_i - u_{i-1} of the chain per generator.  Returns
+    (generators, rays, ray_points)."""
+    r1, r2 = s._rays
+    b1, b2 = s._lattice_basis
+    w1, w2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
+    v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
+    n = det2(v1, v2)
+    x, y, _ = xgcd(-v1[1], v1[0])
+    t = -(det2((x, y), v2) // n)
+    chain = [v1, (x + t * v1[0], y + t * v1[1])]
+    while chain[-1] != v2:
+        u_prev, u = chain[-2], chain[-1]
+        c = -(-det2(u_prev, v2) // det2(u, v2))
+        chain.append((c * u[0] - u_prev[0], c * u[1] - u_prev[1]))
+
+    def in_z2(u):
+        return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
+
+    return tuple(sorted(in_z2(u) for u in chain)), (r1, r2), (in_z2(w1), in_z2(w2))
+
+
+def runs_of_chain(points):
+    """The runs HilbertBasis keeps for these points of a pointed cone: the
+    points in counterclockwise order, cut into progressions, each as long
+    as it goes.  A run after the first steps by its start minus the point
+    before it; the first steps to the second point (by (0, 0) when there is
+    only one)."""
+    chain = sorted(points, key=cmp_to_key(lambda u, v: det2(v, u)))
+    runs = []
+    for i, g in enumerate(chain):
+        if not runs:
+            nxt = chain[1] if len(chain) > 1 else g
+            runs.append([g, (nxt[0] - g[0], nxt[1] - g[1]), 1])
+            continue
+        start, step, count = runs[-1]
+        if g == (start[0] + count * step[0], start[1] + count * step[1]):
+            runs[-1][2] += 1
+        else:
+            runs.append([g, (g[0] - chain[i - 1][0], g[1] - chain[i - 1][1]), 1])
+    return tuple(map(tuple, runs))
 
 
 def oracle_sweep(qmax=7, mmax=10):
@@ -428,6 +474,58 @@ class TestHilbertBasis:
         assert hb.generators == tuple((6000 + t, t) for t in range(4001))
 
 
+class TestWalkByRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.integers(1, 300),
+        p_frac=st.fractions(0, 1),
+        m=st.integers(1, 400),
+        which=st.sampled_from(("plus", "minus", "prime")),
+    )
+    @example(q=1, p_frac=Fraction(1), m=3, which="prime")  # not pointed
+    @example(q=1, p_frac=Fraction(1), m=1, which="plus")
+    @example(q=5, p_frac=Fraction(2, 5), m=6000, which="plus")  # one long run
+    @example(q=300, p_frac=Fraction(299, 300), m=400, which="minus")
+    @example(q=97, p_frac=Fraction(0), m=360, which="prime")
+    def test_agrees_with_the_step_walk(self, q, p_frac, m, which):
+        p = max(1, round(p_frac * q))
+        while math.gcd(p, q) != 1:
+            p -= 1
+        s = slice_of(which, p, q, m)
+        try:
+            generators, rays, ray_points = hilbert_basis_by_steps(s)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                hilbert_basis(s)
+            assert str(got.value) == str(exc)
+            return
+        hb = hilbert_basis(s)
+        assert (hb.generators, hb.rays, hb.ray_points) == (generators, rays, ray_points)
+        assert hb.runs == runs_of_chain(generators)
+        assert hb.size == len(generators) and len(hb.runs) <= 7
+
+    @pytest.mark.parametrize("p, q, m", [(1, 2, 10**12), (999999, 1000000, 7)])
+    @pytest.mark.parametrize("which", ["plus", "minus", "prime"])
+    def test_huge_instances_take_a_few_runs(self, p, q, m, which):
+        s = slice_of(which, p, q, m)
+        start = time.perf_counter()
+        hb = hilbert_basis(s)
+        assert time.perf_counter() - start < 0.05
+        assert len(hb.runs) <= 3
+        if which == "plus":
+            # b = 1: the staircase (m + t, t), t = 0..ap, in one run
+            assert hb.runs == (((m, 0), (1, 1), m // math.gcd(q - p, m) * p + 1),)
+
+    @pytest.mark.parametrize("which, p, q, m", [("prime", 2, 7, 9), ("minus", 1, 35, 21)])
+    def test_expansion_is_sorted_and_counted(self, which, p, q, m):
+        # two runs that fall in lex order, and five runs
+        hb = hilbert_basis(slice_of(which, p, q, m))
+        points = [
+            (x + t * dx, y + t * dy) for (x, y), (dx, dy), count in hb.runs for t in range(count)
+        ]
+        assert hb.generators == tuple(sorted(points)) and hb.size == len(points)
+
+
 class TestFiberCount:
     @staticmethod
     def _fiber_count_scan(s, base):
@@ -508,6 +606,49 @@ class TestFiberCount:
             nonneg_coords=tuple(sorted(nonneg | {2})),
         )
         assert fiber_count(s, (i, j)) == self._fiber_count_scan(s, (i, j))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        covectors=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2)), max_size=3
+        ),
+        congruences=st.lists(
+            st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)),
+                      st.integers(1, 4)),
+            max_size=1,
+        ),
+        first=st.tuples(st.integers(0, 8), st.integers(-4, 8)),
+        step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        count=st.integers(2, 6),
+    )
+    # the degeneration semigroup of (1/2, 3) on its S+ run, shown affine;
+    # the same with a step that leaves the congruence lattice, not shown
+    @example(covectors=[(1, -2, 0)], congruences=[((1, -1, 0), 3)],
+             first=(3, 0), step=(1, 1), count=4)
+    @example(covectors=[(1, -2, 0)], congruences=[((1, -1, 0), 3)],
+             first=(3, 0), step=(1, 0), count=4)
+    # l even along a growing interval: the counts 1, 1, 2, 2 are not affine
+    @example(covectors=[], congruences=[((0, 0, 1), 2)], first=(0, 0), step=(1, 0), count=4)
+    # l >= 0 is the largest lower bound at the start, l >= i - j at the end
+    @example(covectors=[(-1, 1, 1)], congruences=[], first=(0, 2), step=(1, 0), count=5)
+    def test_affine_claim_holds_along_the_run(self, covectors, congruences, first, step, count):
+        # (1, 1, -1) and l >= 0 make the scan's box the whole fiber
+        s = AffineSemigroup(3, ((1, 1, -1), *covectors), tuple(congruences), nonneg_coords=(2,))
+        points = [(first[0] + t * step[0], first[1] + t * step[1]) for t in range(count)]
+        if fiber_count_is_affine(s, first, step, points[-1]):
+            counts = [self._fiber_count_scan(s, x) for x in points]
+            last = count - 1
+            assert all(
+                c * last == counts[0] * (last - t) + counts[-1] * t for t, c in enumerate(counts)
+            ), counts
+
+    def test_affine_claim_is_refused_off_the_lattice(self):
+        s = make_Mtilde(derive_params(1, 2, 3))
+        assert fiber_count_is_affine(s, (3, 0), (1, 1), (6, 3))
+        assert not fiber_count_is_affine(s, (3, 0), (1, 0), (6, 0))
+        # a covector with |c2| = 2 is not read as affine
+        twice = AffineSemigroup(3, ((2, 2, -2),), nonneg_coords=(2,))
+        assert not fiber_count_is_affine(twice, (1, 0), (1, 1), (3, 2))
 
     def test_unbounded_fiber_rejected(self):
         # l >= 0 and nothing bounds it above; the scan cut it at i + j

@@ -37,6 +37,7 @@ from sl2flip.sl2core import (
     slice_surfaces,
     toric_degeneration,
 )
+from sl2flip.semigroup import HilbertBasis
 from sl2flip.toricgeom import CyclicSingularity
 from test_lattice import IntMatrix, cokernel
 
@@ -579,6 +580,45 @@ class TestToricDegeneration:
     def test_height_one_fails(self):
         with pytest.raises(ValueError):
             toric_degeneration(derive_params(1, 1, 1))
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_fiber_count_off_by_one_at_a_run_end_fails(self, monkeypatch, at):
+        # the ends of every run are counted, whatever its length
+        real = sl2core.fiber_count
+        checked = 0
+        for params in instances(7, 7, below_one=True):
+            runs = sl2core.slice_basis(params, "plus").runs
+            (x, y), (dx, dy), count = runs[0] if at == "first" else runs[-1]
+            t = 0 if at == "first" else count - 1
+            wrong = (x + t * dx, y + t * dy)
+            monkeypatch.setattr(
+                sl2core, "fiber_count", lambda s, base: real(s, base) + (base == wrong)
+            )
+            with pytest.raises(CrossCheckError, match="fiber count is not i \\+ j \\+ 1"):
+                sl2core.degeneration_fibers(params)
+            checked += count > 2
+        assert checked
+
+    def test_a_run_stepping_off_the_lattice_fails(self, monkeypatch):
+        # both ends of the run (m, 0) + t*(1, 0), t = 0..m, lie in S+ and
+        # have the fiber i + j + 1, but its inner points leave {i = j mod m}
+        params = derive_params(1, 2, 5)
+        basis = sl2core.slice_basis(params, "plus")
+        bent = HilbertBasis((((5, 0), (1, 0), 6),), basis.rays, basis.ray_points)
+        monkeypatch.setattr(sl2core, "slice_basis", lambda params, which: bent)
+        with pytest.raises(CrossCheckError, match=r"\(6, 0\), 0"):
+            sl2core.degeneration_fibers(params)
+
+    def test_degeneration_runs_are_shown_affine(self):
+        # so the fibers cost O(#runs) fiber counts, not one per generator
+        shown = 0
+        for params in instances(9, 9, below_one=True):
+            tilde = slice_semigroup(params, "tilde")
+            for (x, y), (dx, dy), count in sl2core.slice_basis(params, "plus").runs:
+                last = (x + (count - 1) * dx, y + (count - 1) * dy)
+                assert semigroup.fiber_count_is_affine(tilde, (x, y), (dx, dy), last)
+                shown += count > 2
+        assert shown
 
 
 class TestEmbeddingData:
