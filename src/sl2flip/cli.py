@@ -20,7 +20,9 @@ generators where a command would list it), 4 verification failure: a
 in one line on stderr.
 `main(argv)` returns the exit code rather than exiting and may be called
 any number of times in one process; only the argument parser, built on
-the first call, is kept between calls.
+the first call, is kept between calls.  A call is routed by its first
+word: a subcommand's name sends the rest straight to that subcommand's
+parser, and anything else goes through the top-level parser.
 
 `info`, `flip`, `cones` and `degeneration` print sections of one report,
 listed per subcommand in `REPORTS`.  `verify` runs the rows of
@@ -40,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .git import GroupCharacter, semistable_locus, stabilizer_of_support
+from .git import COORDS, GroupCharacter, _pattern_table, semistable_locus, stabilizer_of_support
 from .lattice import CrossCheckError, _require, det2
 from .semigroup import AffineSemigroup, HilbertBasis, cone_rays, congruence_lattice_basis
 from .sl2core import (
@@ -177,17 +179,14 @@ def _singularity_dict(sing) -> dict | None:
 
 
 def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> dict:
-    witnesses = [
-        {
-            "pattern": sorted(pattern),
-            "n": n,
-            "exponents": list(exps),
-        }
-        for pattern, (n, exps) in sorted(
-            report.witness_monomials.items(),
-            key=lambda item: (len(item[0]), sorted(item[0])),
-        )
-    ]
+    # the pattern table holds the patterns in report order, each with its
+    # sorted names; a pattern proven unstable has no witness
+    found = report.witness_monomials
+    witnesses = []
+    for _, names, sorted_names, _ in _pattern_table(len(COORDS), params.b >= 1):
+        if names in found:
+            n, exps = found[names]
+            witnesses.append({"pattern": list(sorted_names), "n": n, "exponents": list(exps)})
     # schema 1.0 still carries the search-era fields: an always empty
     # undecided list and the former default budgets 2s and 4s,
     # s = p + q + k, which bound nothing
@@ -625,10 +624,11 @@ def _cmd_verify(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Built on the first `main` call and reused: the parser depends on no
-    input, and parse_args returns a fresh Namespace per call.  The `fn`
-    defaults bind the `_cmd_*` functions as they are at that first call."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name, built on
+    the first `main` call and reused: the parsers depend on no input, and
+    each parse returns a fresh Namespace.  The `fn` defaults bind the
+    `_cmd_*` functions as they are at that first call."""
     parser = argparse.ArgumentParser(
         prog="sl2flip",
         description="Invariants of normal affine SL(2)-threefolds "
@@ -674,12 +674,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mmax", type=_positive_int, default=3)
     sp.set_defaults(fn=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv as the top-level parser would, raising SystemExit on a
+    usage error or help.  When argv starts with a subcommand, the top-level
+    parser would hand the rest to that subcommand's parser and reject what
+    it leaves over; that is done here directly.  Anything else (no
+    arguments, help, an unknown command, an option before the command) goes
+    through the top-level parser."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        code = _run(argv)
+        code = _run(sys.argv[1:] if argv is None else argv)
         # a reader that left early shows here, not in the final flush
         sys.stdout.flush()
         return code
@@ -692,10 +710,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _run(argv: list[str] | None) -> int:
-    parser = _build_parser()
+def _run(argv: list[str]) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -114,14 +114,17 @@ def _effective(pattern: frozenset[int], relation_degree: int) -> frozenset[int]:
 @cache
 def _pattern_table(n: int, relation: bool):
     """Every singleton and pair of the n coordinate indices, in the order
-    witnesses are reported, as (pattern, its names, the coordinates that
-    vanish on it).  It depends only on n and on whether relation_degree
-    >= 1, so it is built once per pair."""
+    witnesses are reported (by size, then by sorted names), as (pattern,
+    its names, its names sorted, the coordinates that vanish on it).  It
+    depends only on n and on whether relation_degree >= 1, so it is built
+    once per pair."""
     patterns = [frozenset((i,)) for i in range(n)] + [
         frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
     ]
+    patterns.sort(key=lambda pat: (len(pat), sorted(_names(pat))))
     return tuple(
-        (pat, _names(pat), _effective(pat, int(relation))) for pat in patterns
+        (pat, _names(pat), tuple(sorted(_names(pat))), _effective(pat, int(relation)))
+        for pat in patterns
     )
 
 
@@ -160,7 +163,7 @@ def semistable_locus(
         # constants are invariant once the finite part cancels
         n0 = 1 if chi_f == 0 else a // gcd(a, chi_f)
         zero = (0,) * n
-        for _, names, _ in table:
+        for _, names, _, _ in table:
             witnesses[names] = (n0, zero)
         return SemistableReport(frozenset(), witnesses, {})
 
@@ -179,7 +182,7 @@ def semistable_locus(
             candidates.append((power, j, exps))
     candidates.sort()
 
-    for pat, names, dead in table:
+    for pat, names, _, dead in table:
         for power, j, exps in candidates:
             if j not in dead:
                 witnesses[names] = (power, exps)

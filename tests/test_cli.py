@@ -1,9 +1,11 @@
 """CLI tests: frozen command outputs, exit codes, JSON determinism."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -169,6 +171,37 @@ class TestGit:
         assert all(section["undecided"] == [] for section in semistable.values())
 
 
+class TestGitSectionOrder:
+    # the witnesses come in the pattern table's order, which must be the
+    # sort by (size, sorted names) that _sec_git made before the table
+    @staticmethod
+    def _sorted_witnesses(report):
+        return [
+            {"pattern": sorted(pattern), "n": n, "exponents": list(exps)}
+            for pattern, (n, exps) in sorted(
+                report.witness_monomials.items(),
+                key=lambda item: (len(item[0]), sorted(item[0])),
+            )
+        ]
+
+    def test_standard_and_custom_characters(self):
+        rng = random.Random(24)
+        relation_degrees = set()
+        for params in iter_instances(7, 5):
+            act = sl2core.action(params)
+            chars = list(sl2core.characters(params).items())
+            chars += [
+                ("custom", git.GroupCharacter(rng.randint(-30, 30), rng.randrange(params.a)))
+                for _ in range(3)
+            ]
+            for name, chi in chars:
+                report = git.semistable_locus(act, chi, params.b)
+                section = cli._sec_git(report, name, chi, params)
+                assert section["witnesses"] == self._sorted_witnesses(report), (params, name)
+            relation_degrees.add(min(params.b, 2))
+        assert relation_degrees == {0, 1, 2}
+
+
 class TestFlipConesDegeneration:
     def test_flip_half_one(self, capsys):
         doc = run_json(capsys, "flip", "1/2", "1")
@@ -255,6 +288,16 @@ class TestVerify:
             "FAIL 1/3 m=1: hilbert: IndexError: list index out of range",
             "1 properties failed",
         ]
+
+    def test_rows_list_no_generator_of_a_large_basis(self):
+        # every row proves its facts per run of the S+ basis; only a command
+        # that prints the generators expands them
+        params = derive_params(1, 2, 1000)
+        for _, applies, check in cli.VERIFY_ROWS:
+            if applies(params.b):
+                check(params)
+        assert "generators" not in slice_basis(params, "plus").__dict__
+        assert len(sl2core.toric_degeneration(params).fibers) == slice_basis(params, "plus").size
 
     def test_sweep_past_the_former_budget_passes(self, capsys):
         # at m = 5 the former default search budget failed git-loci 9 times
@@ -910,6 +953,34 @@ class TestParserReuse:
         (("hilbert", "2/5", "9", "tilde"), 0),
         (("degeneration", "2/5", "9"), 0),
         (("verify", "--qmax", "2", "--mmax", "2"), 0),
+        # routed by the first word: left-over arguments, an abbreviated
+        # option, "--" before a negative character, and what the top-level
+        # parser still handles (an unknown command, no arguments, an option
+        # before the command)
+        (("git", "2/3", "4", "plus", "extra"), 2),
+        (("info", "2/3", "4", "--js"), 0),
+        (("git", "2/5", "7", "--json", "--", "-3,1"), 0),
+        (("nope",), 2),
+        ((), 2),
+        (("--json", "info", "1/2", "3"), 2),
+        (("verify", "--qmax", "0"), 2),
+    ]
+    # argv that are only parsed, for the test against the top-level parser
+    PARSED_ONLY = [
+        ("-h",),
+        ("--help", "info"),
+        ("info", "-h"),
+        ("info",),
+        ("info", "1/2", "x"),
+        ("hilbert", "1/2", "3", "bogus"),
+        ("info", "1/2", "3", "a", "b", "--zz"),
+        ("git", "1/2", "3", "plus", "--zz=4"),
+        ("--", "info", "1/2", "3"),
+        ("info", "--", "1/2", "3"),
+        ("info", "1/2", "3", "--"),
+        ("info", "--strict", "2/4", "3"),
+        ("verify", "--qmax=2", "--mmax", "1"),
+        ("verify", "extra"),
     ]
 
     def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
@@ -949,3 +1020,33 @@ class TestParserReuse:
             env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_routing_parses_as_the_top_level_parser(self, capsys):
+        # the oracle is argparse's own hand-off from the top-level parser
+        # to the subcommand's parser, on the running Python version: the
+        # same Namespace, or the same exit code and output
+        parser, _ = cli._build_parser()
+        for argv in [argv for argv, _ in self.SEQUENCE] + self.PARSED_ONLY:
+            outcomes = []
+            for parse in (cli._parse, parser.parse_args):
+                try:
+                    result = vars(parse(list(argv)))
+                except SystemExit as exc:
+                    result = exc.code
+                outcomes.append((result, *capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], argv
+
+    def test_a_subcommand_argv_skips_the_top_level_parser(self, capsys, monkeypatch):
+        real = argparse.ArgumentParser.parse_known_args
+        parsed_by = []
+
+        def spy(self, *args, **kwargs):
+            parsed_by.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert run(capsys, "git", "2/3", "4", "plus")[0] == 0
+        assert run(capsys, "git", "2/3", "4", "plus", "extra")[0] == 2
+        assert parsed_by == ["sl2flip git", "sl2flip git"]
+        assert run(capsys, "nope")[0] == 2
+        assert parsed_by[2] == "sl2flip"

@@ -328,13 +328,16 @@ class TestSemistableLocus:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pattern_table_agrees_with_the_per_call_enumeration(self, n, relation_degree):
         # the enumeration semistable_locus ran on every call before the
-        # table; past the five named coordinates both fail alike
+        # table, in the order cli._sec_git sorted the witnesses into; past
+        # the five named coordinates both fail alike
         def per_call():
             patterns = [frozenset((i,)) for i in range(n)] + [
                 frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
             ]
+            patterns.sort(key=lambda pat: (len(pat), sorted(_names(pat))))
             return tuple(
-                (pat, _names(pat), _effective(pat, relation_degree)) for pat in patterns
+                (pat, _names(pat), tuple(sorted(_names(pat))), _effective(pat, relation_degree))
+                for pat in patterns
             )
 
         if n > len(COORDS):
