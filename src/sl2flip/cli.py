@@ -42,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .git import COORDS, GroupCharacter, _pattern_table, semistable_locus, stabilizer_of_support
+from .git import GroupCharacter, _pattern_table, semistable_locus, stabilizer_of_support
 from .lattice import CrossCheckError, _require, det2
 from .semigroup import AffineSemigroup, HilbertBasis, cone_rays, congruence_lattice_basis
 from .sl2core import (
@@ -102,7 +102,11 @@ def _parse_height(text: str) -> tuple[int, int]:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        # the message argparse gives a type=int argument such as m
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -183,7 +187,7 @@ def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> d
     # sorted names; a pattern proven unstable has no witness
     found = report.witness_monomials
     witnesses = []
-    for _, names, sorted_names, _ in _pattern_table(len(COORDS), params.b >= 1):
+    for _, names, sorted_names, _ in _pattern_table(params.b >= 1):
         if names in found:
             n, exps = found[names]
             witnesses.append({"pattern": list(sorted_names), "n": n, "exponents": list(exps)})
@@ -256,6 +260,11 @@ def _listed_basis(params: SL2Params, which: str) -> HilbertBasis:
     return basis
 
 
+def _fibers(params: SL2Params) -> list[dict]:
+    # the one listing, printed by the degeneration section and hilbert tilde
+    return [{"point": list(point), "count": count} for point, count in degeneration_fibers(params)]
+
+
 def _sec_degeneration(params: SL2Params) -> dict:
     _listed_basis(params, "plus")
     deg = toric_degeneration(params)
@@ -263,9 +272,7 @@ def _sec_degeneration(params: SL2Params) -> dict:
         "sigma0_rays": [list(r) for r in deg.sigma0.rays],
         "relation_coefficients": list(deg.relation_coefficients),
         "quasihomogeneous": deg.quasihomogeneous,
-        "fibers": [
-            {"point": list(point), "count": count} for point, count in deg.fibers
-        ],
+        "fibers": _fibers(params),
     }
 
 
@@ -420,11 +427,7 @@ def _cmd_hilbert(args) -> int:
                 "only; no Hilbert basis is reported"
             )
         _listed_basis(params, "plus")
-        fibers = [
-            {"point": list(gen), "count": count}
-            for gen, count in degeneration_fibers(params)
-        ]
-        section = {"which": "tilde", "fibers": fibers}
+        section = {"which": "tilde", "fibers": _fibers(params)}
         warnings.append(TILDE_NOTE)
     else:
         basis = _listed_basis(params, args.which)

@@ -112,12 +112,12 @@ def _effective(pattern: frozenset[int], relation_degree: int) -> frozenset[int]:
 
 
 @cache
-def _pattern_table(n: int, relation: bool):
-    """Every singleton and pair of the n coordinate indices, in the order
+def _pattern_table(relation: bool):
+    """Every singleton and pair of the five coordinate indices, in the order
     witnesses are reported (by size, then by sorted names), as (pattern,
     its names, its names sorted, the coordinates that vanish on it).  It
-    depends only on n and on whether relation_degree >= 1, so it is built
-    once per pair."""
+    depends only on whether relation_degree >= 1, so it is built twice."""
+    n = len(COORDS)
     patterns = [frozenset((i,)) for i in range(n)] + [
         frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
     ]
@@ -151,9 +151,9 @@ def semistable_locus(
     """
     if relation_degree < 0:
         raise ValueError("relation degree must be >= 0")
-    n = len(act.torus_weights)
+    n = len(COORDS)
     a = act.finite_order
-    table = _pattern_table(n, relation_degree >= 1)
+    table = _pattern_table(relation_degree >= 1)
     witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
     unstable: list[frozenset[int]] = []
 

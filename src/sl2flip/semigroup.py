@@ -10,9 +10,10 @@ sublattice L.  That makes membership a constraint check, and it makes the
 rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
 the generators are the lattice points on the compact boundary of the convex
 hull of the nonzero cone points, found one edge of that boundary at a time,
-from one extremal ray to the other.  Over a base point of a rank-3
-semigroup the fiber is one arithmetic progression cut to one interval, so
-it is counted without a scan.
+from one extremal ray to the other.  The package builds rank-2 slices with
+one congruence and a rank-3 degeneration semigroup whose congruence leaves
+the third coordinate l free, so over a base point the fiber is one
+interval of l, counted without a scan.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -47,10 +48,6 @@ class AffineSemigroup:
             if not 0 <= i < self.rank:
                 raise ValueError("nonneg coordinate index out of range")
 
-    def effective_inequalities(self) -> tuple[Vec, ...]:
-        """Inequality covectors with the nonnegativity constraints unfolded."""
-        return self._effective_inequalities
-
     def contains(self, x: Sequence[int]) -> bool:
         if len(x) != self.rank:
             raise ValueError("point has wrong length")
@@ -67,7 +64,8 @@ class AffineSemigroup:
 
     # read by cone_rays and by fiber_count once per base point
     @cached_property
-    def _effective_inequalities(self) -> tuple[Vec, ...]:
+    def effective_inequalities(self) -> tuple[Vec, ...]:
+        """Inequality covectors with the nonnegativity constraints unfolded."""
         units = tuple(
             tuple(1 if j == i else 0 for j in range(self.rank))
             for i in self.nonneg_coords
@@ -93,7 +91,7 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """
     if s.rank != 2:
         raise ValueError("cone_rays handles rank 2 only")
-    ineqs = s.effective_inequalities()
+    ineqs = s.effective_inequalities
     rays: list[Vec] = []
     for c0, c1 in ineqs:
         g = math.gcd(c0, c1)
@@ -128,13 +126,12 @@ def _progression(first: int, step: int, count: int):
 class HilbertBasis:
     """A Hilbert basis as runs of its chain.  A run (start, step, count) is
     the points start + t*step, t = 0..count-1.  The runs follow the chain
-    counterclockwise from one ray point to the other, and each run after
-    the first starts one step past the end of the run before it.
+    counterclockwise from one ray point to the other, so the first run
+    starts on one ray and the last run ends on the other, and each run
+    after the first starts one step past the end of the run before it.
     generators, the points in lex order, is expanded on first use."""
 
     runs: tuple[Run, ...]
-    rays: tuple[Vec, Vec]
-    ray_points: tuple[Vec, Vec]
 
     @property
     def size(self) -> int:
@@ -199,7 +196,7 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
         e = -(-delta // d)
         u_prev, u = end, (e * end[0] + step[0], e * end[1] + step[1])
         d_prev, d = d, e * d - delta
-    return HilbertBasis(tuple(runs), (r1, r2), (in_z2(w1), in_z2(w2)))
+    return HilbertBasis(tuple(runs))
 
 
 def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
@@ -207,19 +204,20 @@ def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
 
     Each covector c bounds l on one side, from below when c2 > 0 and from
     above when c2 < 0, or, when c2 == 0, holds for every l or for none.
-    Each congruence leaves no l or one class mod n/gcd(g2, n), and the
-    classes combine by the Chinese remainder theorem.  The count is the
-    number of points of that progression in that interval.  For the
-    degeneration semigroup it is i + j + 1 over members of S+ and 0
-    elsewhere, which degeneration_fibers checks against these data.
-    Raises ValueError when l is unbounded above or below.
+    Each congruence must leave l free (g2 == 0 mod n), as the one of the
+    degeneration semigroup, ((1, -1, 0), m), does; it is then a test on
+    (i, j) alone.  The count is hi - lo + 1, for the largest lower bound
+    lo and the smallest upper bound hi, or 0.  For the degeneration
+    semigroup it is i + j + 1 over members of S+ and 0 elsewhere, which
+    degeneration_fibers checks against these data.  Raises ValueError
+    when l is unbounded above or below, or when a congruence involves l.
     """
     if s.rank != 3:
         raise ValueError("fiber_count needs a rank-3 semigroup")
     i, j = base
     lows, highs = [], []
     empty = False
-    for c0, c1, c2 in s.effective_inequalities():
+    for c0, c1, c2 in s.effective_inequalities:
         rest = c0 * i + c1 * j
         if c2 > 0:
             lows.append(-(rest // c2))
@@ -229,24 +227,15 @@ def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
             empty = True
     if not lows or not highs:
         raise ValueError("the fiber over a base point is unbounded")
-    # l == r mod step solves every congruence seen so far
-    r, step = 0, 1
     for (g0, g1, g2), n in s.congruences:
-        rest = g0 * i + g1 * j
-        x, _, e = xgcd(g2, n)
-        if rest % e:
-            return 0
-        mod = n // e
-        u, _, d = xgcd(step, mod)
-        res = -x * (rest // e) - r
-        if res % d:
-            return 0
-        r += step * (u * (res // d) % (mod // d))
-        step *= mod // d
+        if g2 % n:
+            raise ValueError("fiber_count takes only congruences that leave l free")
+        if (g0 * i + g1 * j) % n:
+            empty = True
     lo, hi = max(lows), min(highs)
     if empty or hi < lo:
         return 0
-    return (hi - r) // step - (lo - 1 - r) // step
+    return hi - lo + 1
 
 
 def fiber_count_is_affine(s: AffineSemigroup, first: Vec, step: Vec, last: Vec) -> bool:
@@ -257,18 +246,18 @@ def fiber_count_is_affine(s: AffineSemigroup, first: Vec, step: Vec, last: Vec) 
     A covector with |c2| = 1 bounds l by an affine function of t.  So one
     covector that gives the largest lower bound at both ends gives it all
     along, and the same holds for the smallest upper bound; a covector with
-    c2 = 0 that holds at both ends holds between them.  A step that meets
-    every congruence keeps each one's residue, and a congruence with
-    g2 = 0 mod n leaves l free.  The count is then hi - lo + 1 all along, or
-    0 all along.  A covector with |c2| > 1, a congruence on l, an end with
-    hi < lo, or extremal bounds from other covectors at the two ends give
-    False.
+    c2 = 0 that holds at both ends holds between them.  A congruence that
+    leaves l free (g2 = 0 mod n, the one shape fiber_count takes) and that
+    the step meets keeps its residue along the run.  The count is then
+    hi - lo + 1 all along, or 0 all along.  A covector with |c2| > 1, a
+    congruence on l, an end with hi < lo, or extremal bounds from other
+    covectors at the two ends give False.
     """
     for (g0, g1, g2), n in s.congruences:
         if (g0 * step[0] + g1 * step[1]) % n or g2 % n:
             return False
     lows, highs = [], []
-    for c0, c1, c2 in s.effective_inequalities():
+    for c0, c1, c2 in s.effective_inequalities:
         at = (c0 * first[0] + c1 * first[1], c0 * last[0] + c1 * last[1])
         if c2 == 1:
             lows.append((-at[0], -at[1]))
@@ -285,8 +274,8 @@ def fiber_count_is_affine(s: AffineSemigroup, first: Vec, step: Vec, last: Vec) 
 
 def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """Hermite basis (alpha, beta), (0, gamma) of the sublattice of Z^2 cut
-    by the congruence g.x == 0 mod n (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4).
+    by the one congruence g.x == 0 mod n of a rank-2 semigroup (Cohen, A
+    Course in Computational Algebraic Number Theory, 2.4).
 
     The points with x1 == 0 are the multiples of gamma = n/e, e = gcd(g2, n);
     x1 is reachable iff e | g1*x1, so alpha = e/gcd(e, g1); and beta, taken
@@ -295,10 +284,8 @@ def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """
     if s.rank != 2:
         raise ValueError("rank 2 only")
-    if not s.congruences:
-        return ((1, 0), (0, 1))
-    if len(s.congruences) > 1:
-        raise ValueError("rank 2 takes at most one congruence")
+    if len(s.congruences) != 1:
+        raise ValueError("rank 2 takes exactly one congruence")
     (g1, g2), n = s.congruences[0]
     x, _, e = xgcd(g2, n)
     gamma = n // e

@@ -6,8 +6,11 @@ the validated SL2Params: the Cox presentation with its diagonal action and
 named characters, the slice semigroups, orbit structure, divisor class
 group, canonical class, the flip with its intersection numbers, slice
 surfaces, colored cones, and the toric degeneration.  The modules
-lattice/semigroup/toricgeom/git do the generic computing; this one builds
-the instance's objects, wires them together and cross-checks the answers
+lattice/semigroup/toricgeom/git compute on the shapes this one builds: an
+action on the five Cox coordinates, rank-2 slices with the one congruence
+i == j mod m, and the rank-3 degeneration semigroup, whose congruence
+((1, -1, 0), m) leaves its third coordinate free.  This module builds the
+instance's objects, wires them together and cross-checks the answers
 against each other.
 
 Each cross-check is written once, next to the value it checks, and raises
@@ -20,11 +23,11 @@ Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
 slice semigroups and the rank-3 degeneration semigroup, the Hilbert bases
 asked for through slice_basis, the class group, canonical class,
-intersection numbers, slice surfaces, colored cones, and the degeneration
-with the S+ basis whose fiber counts it checked.  The values live and die
-with the object, and equal objects share nothing, so build a fresh
-SL2Params per computation.  A call that raises keeps nothing and raises
-again the next time.
+intersection numbers, slice surfaces, colored cones, the degeneration,
+and the S+ basis whose fiber counts it checked, which degeneration_fibers
+lists.  The values live and die with the object, and equal objects share
+nothing, so build a fresh SL2Params per computation.  A call that raises
+keeps nothing and raises again the next time.
 """
 
 from __future__ import annotations
@@ -469,19 +472,14 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
 
 @record
 class ToricDegeneration:
-    """Flat degeneration data: the rank-3 semigroup, the limit cone, and
-    the S+ basis whose fiber counts match the module dimensions upstairs.
-    fibers, one (point, count) per generator, is listed on first use."""
+    """Flat degeneration data: the rank-3 semigroup and the limit cone.
+    The fiber counts over the S+ basis, which match the module dimensions
+    upstairs, are listed by degeneration_fibers."""
 
     tilde: AffineSemigroup
     sigma0: Cone
     relation_coefficients: tuple[int, int, int, int]
     quasihomogeneous: bool
-    basis: HilbertBasis
-
-    @functools.cached_property
-    def fibers(self) -> tuple[tuple[Vec, int], ...]:
-        return _fiber_listing(self.basis)
 
 
 @_once
@@ -489,38 +487,32 @@ def _checked_fiber_basis(params: SL2Params) -> HilbertBasis:
     """The S+ basis, once the count of the rank-3 semigroup's fiber over
     each generator g is checked to be g[0] + g[1] + 1, the dimension of the
     module V_{i+j} that g spans.  semigroup.fiber_count reads a count off
-    the semigroup's covectors and congruences in closed form, and it is
-    checked at both ends of each run of the S+ basis.  Where
-    fiber_count_is_affine shows the count affine along the run, as
-    i + j + 1 is, agreement at the two ends proves it at every point;
-    elsewhere each point of the run is checked.  So the checks cost
-    O(#runs) on the degeneration semigroup, whose covectors all have
-    |c2| <= 1, and expand no generator."""
+    the semigroup's covectors and congruence in closed form.  Each run of
+    three or more points of the S+ basis must be shown affine by
+    fiber_count_is_affine, as i + j + 1 is, and then agreement at the run's
+    two ends proves the count at every point.  So the checks cost O(#runs)
+    and expand no generator."""
     tilde = slice_semigroup(params, "tilde")
     basis = slice_basis(params, "plus")
     for start, step, count in basis.runs:
         end = (start[0] + (count - 1) * step[0], start[1] + (count - 1) * step[1])
-        ends = (0, count - 1) if count > 1 else (0,)
         affine = count < 3 or fiber_count_is_affine(tilde, start, step, end)
-        for t in ends if affine else range(count):
-            g = (start[0] + t * step[0], start[1] + t * step[1])
+        _require(affine, "fiber count not shown affine along a run", start, step, count)
+        for g in (start, end) if count > 1 else (start,):
             found = fiber_count(tilde, g)
             _require(found == g[0] + g[1] + 1, "fiber count is not i + j + 1", g, found)
     return basis
-
-
-def _fiber_listing(basis: HilbertBasis) -> tuple[tuple[Vec, int], ...]:
-    # i + j + 1, the count proved by _checked_fiber_basis; tuple() of a
-    # list, since tuple() of an iterator grows the tuple by reallocation,
-    # which fragments the heap of a long sweep (peak RSS of verify_sweep +4%)
-    return tuple([(g, g[0] + g[1] + 1) for g in basis.generators])
 
 
 def degeneration_fibers(params: SL2Params) -> tuple[tuple[Vec, int], ...]:
     """The checked count of the rank-3 semigroup's fiber over each S+
     generator g, g[0] + g[1] + 1, in the generators' lex order.  Defined at
     height 1 as well."""
-    return _fiber_listing(_checked_fiber_basis(params))
+    gens = _checked_fiber_basis(params).generators
+    # tuple() of a list, since tuple() of an iterator grows the tuple by
+    # reallocation, which fragments the heap of a long sweep (peak RSS of
+    # verify_sweep +4%)
+    return tuple([(g, g[0] + g[1] + 1) for g in gens])
 
 
 @_once
@@ -533,14 +525,15 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
     quasi = gaifullin_criterion(sigma0)
     _require(not quasi, "sigma0 is quasihomogeneous")
-    return ToricDegeneration(tilde, sigma0, coeffs, quasi, _checked_fiber_basis(params))
+    _checked_fiber_basis(params)
+    return ToricDegeneration(tilde, sigma0, coeffs, quasi)
 
 
 def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:
     """Hilbert basis of the upper semigroup, each generator labeled by the
     irreducible module V_{i+j} it spans (dimension i + j + 1)."""
     gens = slice_basis(params, "plus").generators
-    # tuple() of a list, as in _fiber_listing
+    # tuple() of a list, as in degeneration_fibers
     return tuple([(g, f"V_{g[0] + g[1]}", g[0] + g[1] + 1) for g in gens])
 
 

@@ -112,6 +112,24 @@ class TestHilbert:
             {"point": [3, 0], "count": 4},
         ]
 
+    def test_tilde_lists_the_degeneration_fibers(self, capsys):
+        # hilbert ... tilde and degeneration print the one listing
+        listed = 0
+        for params in iter_instances(7, 6):
+            if params.b >= 1:
+                argv = (f"{params.p}/{params.q}", str(params.m))
+                tilde = run_json(capsys, "hilbert", *argv, "tilde")["sections"]["hilbert"]
+                deg = run_json(capsys, "degeneration", *argv)["sections"]["degeneration"]
+                assert tilde["fibers"] == deg["fibers"], argv
+                listed += 1
+        assert listed == 102
+        # at height 1 only hilbert ... tilde lists it
+        doc = run_json(capsys, "hilbert", "1", "3", "tilde")
+        assert doc["sections"]["hilbert"]["fibers"] == [
+            {"point": [1, 1], "count": 3},
+            {"point": [3, 0], "count": 4},
+        ]
+
     def test_tilde_basis_is_domain_error(self, capsys):
         code, _, err = run(capsys, "hilbert", "1/3", "2", "tilde", "--basis")
         assert code == 3
@@ -241,6 +259,14 @@ class TestVerify:
         assert "all properties pass" in out
         assert "1/2 m=1" in out and "git-loci ok" in out
 
+    @pytest.mark.parametrize("option", ["--qmax", "--mmax"])
+    def test_a_bound_that_is_no_integer_is_refused_as_m_is(self, capsys, option):
+        code, out, err = run(capsys, "verify", option, "abc")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: 'abc'\n"), err
+        _, _, err = run(capsys, "info", "1/2", "abc")
+        assert err.endswith("error: argument m: invalid int value: 'abc'\n"), err
+
     def test_height_one_only_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "--qmax", "1", "--mmax", "2")
         assert code == 0
@@ -275,10 +301,9 @@ class TestVerify:
         real = cli.slice_basis
 
         def empty_at_one_third(params, which):
-            basis = real(params, which)
             if (params.p, params.q, params.m) == (1, 3, 1):
-                return HilbertBasis((), basis.rays, basis.ray_points)
-            return basis
+                return HilbertBasis(())
+            return real(params, which)
 
         monkeypatch.setattr(cli, "slice_basis", empty_at_one_third)
         code, out, err = run(capsys, "verify", "--qmax", "3", "--mmax", "1")
@@ -297,7 +322,7 @@ class TestVerify:
             if applies(params.b):
                 check(params)
         assert "generators" not in slice_basis(params, "plus").__dict__
-        assert len(sl2core.toric_degeneration(params).fibers) == slice_basis(params, "plus").size
+        assert len(sl2core.degeneration_fibers(params)) == slice_basis(params, "plus").size
 
     def test_sweep_past_the_former_budget_passes(self, capsys):
         # at m = 5 the former default search budget failed git-loci 9 times
@@ -313,9 +338,8 @@ class TestVerify:
         real = cli.slice_basis
 
         def mutant(params, which):
-            basis = real(params, which)
-            gens = tuple(_drop_inner(params, basis.generators))
-            return HilbertBasis(runs_of_chain(gens), basis.rays, basis.ray_points)
+            gens = tuple(_drop_inner(params, real(params, which).generators))
+            return HilbertBasis(runs_of_chain(gens))
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "3")
@@ -511,9 +535,8 @@ class TestHilbertCertificate:
         real = cli.slice_basis
 
         def mutant(params, which):
-            basis = real(params, which)
-            gens = tuple(mutate(params, basis.generators))
-            return HilbertBasis(runs_of_chain(gens), basis.rays, basis.ray_points)
+            gens = tuple(mutate(params, real(params, which).generators))
+            return HilbertBasis(runs_of_chain(gens))
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         changed = [
@@ -584,8 +607,7 @@ class TestRunCertificate:
         real = cli.slice_basis
 
         def mutant(params, which):
-            basis = real(params, which)
-            return HilbertBasis(mutate(params, basis.runs), basis.rays, basis.ray_points)
+            return HilbertBasis(mutate(params, real(params, which).runs))
 
         monkeypatch.setattr(cli, "slice_basis", mutant)
         changed = []
@@ -602,8 +624,7 @@ class TestRunCertificate:
         # t = 0..3: both its ends are the ends of S+'s chain, and every
         # determinant and triple is right, so only the step's lattice fails it
         params = derive_params(1, 3, 3)
-        basis = slice_basis(params, "plus")
-        other = HilbertBasis((((3, 0), (2, 1), 4),), basis.rays, basis.ray_points)
+        other = HilbertBasis((((3, 0), (2, 1), 4),))
         monkeypatch.setattr(cli, "slice_basis", lambda params, which: other)
         with pytest.raises(CrossCheckError, match="run outside S"):
             cli._check_hilbert(params)
@@ -614,10 +635,7 @@ class TestRunCertificate:
         # triple (2, 0), (13, 1), (11, 1), where the long run starts, has
         # c = 1, so (7, 1) = (2, 0) + (5, 1) is redundant
         params = derive_params(1, 5, 2)
-        basis = slice_basis(params, "plus")
-        bent = HilbertBasis(
-            (((2, 0), (11, 1), 1), ((13, 1), (-2, 0), 5)), basis.rays, basis.ray_points
-        )
+        bent = HilbertBasis((((2, 0), (11, 1), 1), ((13, 1), (-2, 0), 5)))
         monkeypatch.setattr(cli, "slice_basis", lambda params, which: bent)
         with pytest.raises(CrossCheckError, match=r"c >= 2: \(\(2, 0\), \(13, 1\), \(11, 1\)\)"):
             cli._check_hilbert(params)
@@ -626,9 +644,7 @@ class TestRunCertificate:
         # the same points in two runs are not the closed form's one run
         params = derive_params(1, 2, 4)
         basis = slice_basis(params, "plus")
-        split = HilbertBasis(
-            (((4, 0), (1, 1), 2), ((6, 2), (1, 1), 3)), basis.rays, basis.ray_points
-        )
+        split = HilbertBasis((((4, 0), (1, 1), 2), ((6, 2), (1, 1), 3)))
         assert split.generators == basis.generators
         monkeypatch.setattr(cli, "slice_basis", lambda params, which: split)
         with pytest.raises(CrossCheckError, match="basis at b = 1"):
@@ -964,6 +980,7 @@ class TestParserReuse:
         ((), 2),
         (("--json", "info", "1/2", "3"), 2),
         (("verify", "--qmax", "0"), 2),
+        (("verify", "--qmax", "abc"), 2),
     ]
     # argv that are only parsed, for the test against the top-level parser
     PARSED_ONLY = [

@@ -328,8 +328,10 @@ class TestSemistableLocus:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pattern_table_agrees_with_the_per_call_enumeration(self, n, relation_degree):
         # the enumeration semistable_locus ran on every call before the
-        # table, in the order cli._sec_git sorted the witnesses into; past
-        # the five named coordinates both fail alike
+        # table, over the first n coordinates, in the order cli._sec_git
+        # sorted the witnesses into: the table's patterns on those
+        # coordinates are that enumeration, in that order; past the five
+        # named coordinates the enumeration fails and the table has none
         def per_call():
             patterns = [frozenset((i,)) for i in range(n)] + [
                 frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
@@ -340,13 +342,14 @@ class TestSemistableLocus:
                 for pat in patterns
             )
 
+        table = _pattern_table(relation_degree >= 1)
         if n > len(COORDS):
             with pytest.raises(IndexError):
                 per_call()
-            with pytest.raises(IndexError):
-                _pattern_table(n, relation_degree >= 1)
+            assert {i for pat, *_ in table for i in pat} == set(range(len(COORDS)))
         else:
-            assert _pattern_table(n, relation_degree >= 1) == per_call()
+            assert tuple(row for row in table if max(row[0]) < n) == per_call()
+        assert len(table) == 15
 
     def test_every_candidate_character_is_checked(self, monkeypatch):
         # shifting the character of any one candidate coordinate raises,

@@ -24,6 +24,7 @@ from sl2flip.sl2core import (
     class_group,
     colored_cones,
     cox_presentation,
+    degeneration_fibers,
     derive_params,
     embedding_data,
     flip_report,
@@ -557,24 +558,23 @@ class TestColoredCones:
 
 class TestToricDegeneration:
     def test_one_third_two(self):
-        deg = toric_degeneration(derive_params(1, 3, 2))
+        params = derive_params(1, 3, 2)
+        deg = toric_degeneration(params)
         assert deg.relation_coefficients == (1, 1, 4, 1)
         assert not deg.quasihomogeneous
         v1, v2, v3, v4 = deg.sigma0.rays
         lhs = tuple(1 * (x + y) for x, y in zip(v1, v2))
         rhs = tuple(4 * z + w for z, w in zip(v3, v4))
         assert lhs == rhs
-        assert ((2, 0), 3) in deg.fibers
+        assert ((2, 0), 3) in degeneration_fibers(params)
 
     def test_half_one_fiber(self):
-        deg = toric_degeneration(derive_params(1, 2, 1))
-        assert ((1, 0), 2) in deg.fibers
+        assert ((1, 0), 2) in degeneration_fibers(derive_params(1, 2, 1))
 
     def test_fiber_counts_sweep(self):
         for params in instances(4, 3, below_one=True):
-            deg = toric_degeneration(params)
-            assert deg.tilde.rank == 3
-            for point, count in deg.fibers:
+            assert toric_degeneration(params).tilde.rank == 3
+            for point, count in degeneration_fibers(params):
                 assert count == point[0] + point[1] + 1
 
     def test_height_one_fails(self):
@@ -601,13 +601,24 @@ class TestToricDegeneration:
 
     def test_a_run_stepping_off_the_lattice_fails(self, monkeypatch):
         # both ends of the run (m, 0) + t*(1, 0), t = 0..m, lie in S+ and
-        # have the fiber i + j + 1, but its inner points leave {i = j mod m}
+        # have the fiber i + j + 1, but its inner points leave {i = j mod m}:
+        # the run is not shown affine, which fails it
         params = derive_params(1, 2, 5)
-        basis = sl2core.slice_basis(params, "plus")
-        bent = HilbertBasis((((5, 0), (1, 0), 6),), basis.rays, basis.ray_points)
+        bent = HilbertBasis((((5, 0), (1, 0), 6),))
         monkeypatch.setattr(sl2core, "slice_basis", lambda params, which: bent)
-        with pytest.raises(CrossCheckError, match=r"\(6, 0\), 0"):
+        with pytest.raises(CrossCheckError, match=r"not shown affine.*\(1, 0\), 6"):
             sl2core.degeneration_fibers(params)
+
+    def test_a_run_not_shown_affine_fails(self, monkeypatch):
+        # every count of the run (5 + t, t), t = 0..5, is right, but a run
+        # of three or more points must be shown affine: no point-by-point
+        # check stands in for it
+        params = derive_params(1, 2, 5)
+        assert len(sl2core.slice_basis(params, "plus").runs) == 1
+        monkeypatch.setattr(sl2core, "fiber_count_is_affine", lambda s, first, step, last: False)
+        want = r"not shown affine along a run: \(\(5, 0\), \(1, 1\), 6\)"
+        with pytest.raises(CrossCheckError, match=want):
+            sl2core._checked_fiber_basis(params)
 
     def test_degeneration_runs_are_shown_affine(self):
         # so the fibers cost O(#runs) fiber counts, not one per generator

@@ -35,6 +35,7 @@ from sl2flip.toricgeom import (
     wall_curve_K_degree,
 )
 from test_lattice import IntMatrix, kernel_basis, laplace_det, smith_normal_form
+from test_semigroup import chain_ends
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -392,7 +393,7 @@ class TestClassify2d:
                 return (det2(g, b2) // d, det2(b1, g) // d)
 
             hb = hilbert_basis(s)
-            v1, v2 = (in_l(u) for u in hb.ray_points)
+            v1, v2 = (in_l(u) for u in chain_ends(hb))
             if det2(v1, v2) < 0:
                 v1, v2 = v2, v1
             chain = sorted((in_l(g) for g in hb.generators), key=lambda u: det2(v1, u))
