@@ -19,10 +19,16 @@ generators where a command would list it), 4 verification failure: a
 `verify` row that failed, or a `CrossCheckError` in any command, reported
 in one line on stderr.
 `main(argv)` returns the exit code rather than exiting and may be called
-any number of times in one process; only the argument parser, built on
-the first call, is kept between calls.  A call is routed by its first
-word: a subcommand's name sends the rest straight to that subcommand's
-parser, and anything else goes through the top-level parser.
+any number of times in one process.  Two things are kept between calls:
+the argparse parser, built by the first call that needs it, and the JSON
+encoder, built by the first `--json` call.  Each subcommand's grammar is
+written once, in `COMMANDS`.  A call is routed by its words: a plain argv
+(a subcommand, then its words, exact flags, valued options and at most
+one "--"; see `_parse_plain`) is read straight from that table, with no
+argparse.  Any other argv that starts with a subcommand goes to that
+subcommand's parser, and anything else through the top-level parser, so
+help and every usage error about the shape of an argv still come from
+argparse.
 
 `info`, `flip`, `cones` and `degeneration` print sections of one report,
 listed per subcommand in `REPORTS`.  `verify` runs the rows of
@@ -36,11 +42,11 @@ defaults for schema 1.0 only.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .git import GroupCharacter, _pattern_table, semistable_locus, stabilizer_of_support
 from .lattice import CrossCheckError, _require, det2
@@ -105,11 +111,15 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        value = None
+    if value is not None and value >= 1:
+        return value
+    import argparse  # here, not at the top: argparse reports a refused value
+
+    if value is None:
         # the message argparse gives a type=int argument such as m
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 def _params_from_args(args) -> tuple[SL2Params, list[str]]:
@@ -299,15 +309,21 @@ def _document(params: SL2Params, sections: dict, warnings: list[str]) -> dict:
     }
 
 
-def _emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        import json  # here, not at the top: start-up and text output skip it
+@functools.cache
+def _json_encoder():
+    """The encoder of every --json document, built by the first."""
+    import json  # here, not at the top: start-up and text output skip it
 
-        # Fractions are the only values json cannot encode itself
-        print(json.dumps(doc, indent=2, sort_keys=True, default=lambda f: {
-            "num": f.numerator, "den": f.denominator}))
-    else:
-        print(_render_text(doc))
+    # Fractions are the only values json cannot encode itself; a document
+    # is a fresh tree, so there is no cycle to check for
+    return json.JSONEncoder(
+        indent=2, sort_keys=True, check_circular=False,
+        default=lambda f: {"num": f.numerator, "den": f.denominator},
+    )
+
+
+def _emit(doc: dict, as_json: bool) -> None:
+    print(_json_encoder().encode(doc) if as_json else _render_text(doc))
 
 
 def _fmt_fraction(value: Fraction) -> str:
@@ -623,70 +639,146 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one grammar, read by the direct path and by argparse
+
+
+_INSTANCE_ARGUMENTS = (
+    ("h", {"help": "height as an exact fraction p/q"}),
+    ("m", {"type": int, "help": "degree (>= 1)"}),
+    ("--json", {"action": "store_true", "help": "emit JSON"}),
+    (
+        "--strict",
+        {"action": "store_true", "help": "reject an unreduced height instead of reducing it"},
+    ),
+)
+
+# Each subcommand in the order the usage lists it: its help text, the
+# function that runs it, and its arguments in add order, each with the
+# keywords of ArgumentParser.add_argument.  The direct path reads only
+# `type`, `choices`, `action="store_true"` and `default` from them.
+COMMANDS = {
+    "info": ("full report", _cmd_report, _INSTANCE_ARGUMENTS),
+    "hilbert": ("semigroup generators / fiber table", _cmd_hilbert, (
+        *_INSTANCE_ARGUMENTS,
+        ("which", {"choices": ("plus", "minus", "prime", "tilde"), "help": "which semigroup"}),
+        (
+            "--basis",
+            {"action": "store_true", "help": "insist on a Hilbert basis (unsupported for tilde)"},
+        ),
+    )),
+    "git": ("semistable locus for a character", _cmd_git, (
+        *_INSTANCE_ARGUMENTS,
+        ("character", {"help": "plus, minus, trivial, or a custom pair 'w,c'"}),
+    )),
+    "flip": ("flip diagram report", _cmd_report, _INSTANCE_ARGUMENTS),
+    "cones": ("colored cones", _cmd_report, _INSTANCE_ARGUMENTS),
+    "degeneration": ("toric degeneration data", _cmd_report, _INSTANCE_ARGUMENTS),
+    "verify": ("run the property sweep", _cmd_verify, (
+        ("--qmax", {"type": _positive_int, "default": 4}),
+        ("--mmax", {"type": _positive_int, "default": 3}),
+    )),
+}
+
+
+def _grammar(fn, arguments) -> tuple:
+    """COMMANDS' arguments of one subcommand as the direct path reads
+    them: the positionals as (dest, type, choices), the store-true flags
+    and the valued options by their exact spelling, and the Namespace
+    before parsing."""
+    positionals, flags, options, defaults = [], {}, {}, {"fn": fn}
+    for name, keywords in arguments:
+        dest = name.lstrip("-")
+        if name[0] != "-":
+            positionals.append((dest, keywords.get("type"), keywords.get("choices")))
+        elif keywords.get("action") == "store_true":
+            flags[name] = dest
+            defaults[dest] = False
+        else:
+            options[name] = (dest, keywords["type"])
+            defaults[dest] = keywords["default"]
+    return positionals, flags, options, defaults
+
+
+_GRAMMARS = {name: _grammar(fn, arguments) for name, (_, fn, arguments) in COMMANDS.items()}
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subcommand parsers by name, built on
-    the first `main` call and reused: the parsers depend on no input, and
-    each parse returns a fresh Namespace.  The `fn` defaults bind the
-    `_cmd_*` functions as they are at that first call."""
+def _build_parser():
+    """The top-level argparse parser and the subcommand parsers by name,
+    built from COMMANDS by the first call that needs them and reused: the
+    parsers depend on no input, and each parse returns a fresh Namespace."""
+    import argparse  # here, not at the top: a plain argv never needs it
+
     parser = argparse.ArgumentParser(
         prog="sl2flip",
         description="Invariants of normal affine SL(2)-threefolds "
         "classified by a height and a degree.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_instance(name, help_text, fn=_cmd_report):
+    for name, (help_text, fn, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("h", help="height as an exact fraction p/q")
-        sp.add_argument("m", type=int, help="degree (>= 1)")
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-        sp.add_argument(
-            "--strict",
-            action="store_true",
-            help="reject an unreduced height instead of reducing it",
-        )
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
         sp.set_defaults(fn=fn)
-        return sp
-
-    add_instance("info", "full report")
-    sp = add_instance("hilbert", "semigroup generators / fiber table", _cmd_hilbert)
-    sp.add_argument(
-        "which",
-        choices=("plus", "minus", "prime", "tilde"),
-        help="which semigroup",
-    )
-    sp.add_argument(
-        "--basis",
-        action="store_true",
-        help="insist on a Hilbert basis (unsupported for tilde)",
-    )
-    sp = add_instance("git", "semistable locus for a character", _cmd_git)
-    sp.add_argument(
-        "character", help="plus, minus, trivial, or a custom pair 'w,c'"
-    )
-    add_instance("flip", "flip diagram report")
-    add_instance("cones", "colored cones")
-    add_instance("degeneration", "toric degeneration data")
-
-    sp = sub.add_parser("verify", help="run the property sweep")
-    sp.add_argument("--qmax", type=_positive_int, default=4)
-    sp.add_argument("--mmax", type=_positive_int, default=3)
-    sp.set_defaults(fn=_cmd_verify)
-
     return parser, sub.choices
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse_plain(command: str, tokens: list[str]) -> SimpleNamespace | None:
+    """The Namespace argparse gives `command tokens` when the tokens are
+    plain, else None.  Plain means: words that do not start with "-", the
+    subcommand's exact flags, its valued options each followed by a value
+    its type accepts, and at most one "--", not last, after which every
+    token is a word; the words fill the positionals exactly, and their
+    types and choices accept them.  argparse gives such an argv the same
+    Namespace on 3.10 to 3.13."""
+    positionals, flags, options, defaults = _GRAMMARS[command]
+    values = {"command": command, **defaults}
+    words = []
+    end = len(tokens)
+    i = 0
+    try:
+        while i < end:
+            token = tokens[i]
+            i += 1
+            if token == "--":
+                if i == end or "--" in tokens[i:]:
+                    return None
+                words += tokens[i:]
+                break
+            if token[:1] != "-":
+                words.append(token)
+            elif token in flags:
+                values[flags[token]] = True
+            elif token in options and i < end:
+                dest, convert = options[token]
+                values[dest] = convert(tokens[i])
+                i += 1
+            else:
+                return None
+        if len(words) != len(positionals):
+            return None
+        for word, (dest, convert, choices) in zip(words, positionals):
+            value = word if convert is None else convert(word)
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+    except Exception:  # a value its type refuses: argparse words the error
+        return None
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
     """Parse argv as the top-level parser would, raising SystemExit on a
-    usage error or help.  When argv starts with a subcommand, the top-level
-    parser would hand the rest to that subcommand's parser and reject what
-    it leaves over; that is done here directly.  Anything else (no
-    arguments, help, an unknown command, an option before the command) goes
-    through the top-level parser."""
+    usage error or help.  A plain argv (see _parse_plain) is read straight
+    from COMMANDS.  Any other argv that starts with a subcommand goes to
+    that subcommand's parser, as the top-level parser would hand it on,
+    and what it leaves over is rejected as the top-level parser rejects
+    it.  Anything else (no arguments, help, an unknown command, an option
+    before the command) goes through the top-level parser."""
+    if argv and argv[0] in _GRAMMARS:
+        args = _parse_plain(argv[0], argv[1:])
+        if args is not None:
+            return args
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
@@ -718,6 +810,12 @@ def _run(argv: list[str]) -> int:
         args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse (3.10 to 3.13.0 at least) gives a positional an empty list
+    # when its only strings are "--" tokens, as in `git 1/2 4 -- --`
+    empty = [name for name, value in vars(args).items() if type(value) is list]
+    if empty:
+        print(f"usage error: argument {empty[0]}: expected one argument", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except UsageError as exc:

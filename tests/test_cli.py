@@ -924,7 +924,7 @@ class TestClosedStdout:
 class TestStartUp:
     # pytest itself imports these, so only a fresh interpreter shows whether
     # the package does; -S keeps site's own imports out of the picture
-    HEAVY = ("dataclasses", "inspect", "json", "typing")
+    HEAVY = ("argparse", "dataclasses", "inspect", "json", "typing")
 
     def _run(self, script):
         return subprocess.run(
@@ -957,6 +957,21 @@ class TestStartUp:
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def assert_parses_as_the_top_level_parser(capsys, argv):
+    """cli._parse (the direct path, or the hand-off to a subcommand's
+    parser) against argparse's own top-level parse on the running Python
+    version: the same Namespace, or the same exit code and output."""
+    parser, _ = cli._build_parser()
+    outcomes = []
+    for parse in (cli._parse, parser.parse_args):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+        outcomes.append((result, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1], argv
+
+
 class TestParserReuse:
     # one call per exit path: usage error, help, domain error, each renderer
     SEQUENCE = [
@@ -969,10 +984,10 @@ class TestParserReuse:
         (("hilbert", "2/5", "9", "tilde"), 0),
         (("degeneration", "2/5", "9"), 0),
         (("verify", "--qmax", "2", "--mmax", "2"), 0),
-        # routed by the first word: left-over arguments, an abbreviated
-        # option, "--" before a negative character, and what the top-level
-        # parser still handles (an unknown command, no arguments, an option
-        # before the command)
+        # "--" before a negative character, read directly; and what goes
+        # to argparse: left-over arguments and an abbreviated option to the
+        # subcommand's parser, and to the top-level parser an unknown
+        # command, no arguments, an option before the command
         (("git", "2/3", "4", "plus", "extra"), 2),
         (("info", "2/3", "4", "--js"), 0),
         (("git", "2/5", "7", "--json", "--", "-3,1"), 0),
@@ -981,6 +996,12 @@ class TestParserReuse:
         (("--json", "info", "1/2", "3"), 2),
         (("verify", "--qmax", "0"), 2),
         (("verify", "--qmax", "abc"), 2),
+        # argparse quirks the direct path declines: a second "--" leaves
+        # a positional an empty list, a usage error here, and a last "--"
+        # is refused
+        (("git", "1/2", "4", "--", "--"), 2),
+        (("info", "1/2", "--", "--"), 2),
+        (("info", "3", "0", "--strict", "--"), 2),
     ]
     # argv that are only parsed, for the test against the top-level parser
     PARSED_ONLY = [
@@ -1019,39 +1040,53 @@ class TestParserReuse:
             assert in_process[0] == code, argv
             assert in_process == alone, argv
 
-    def test_parser_is_built_on_the_first_call_and_reused(self):
-        script = textwrap.dedent(
-            """
-            import contextlib, io
-            import sl2flip.cli as cli
-            assert cli._build_parser.cache_info().currsize == 0
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["info", "1/3", "1"]) == 0
-                assert cli.main(["git", "1/3", "1", "plus"]) == 0
-            info = cli._build_parser.cache_info()
-            assert (info.misses, info.hits) == (1, 1), info
-            """
-        )
+    def _run_script(self, body):
+        # -S, as in TestStartUp: site's own imports stay out of sys.modules
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-S", "-c", textwrap.dedent(body)],
             env=_fresh_process_env(), capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 
+    def test_parser_is_built_once_by_the_first_call_that_needs_it(self):
+        self._run_script(
+            """
+            import contextlib, io, sys
+            import sl2flip.cli as cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["info", "1/3", "1"]) == 0
+                assert cli.main(["git", "1/3", "1", "--", "plus"]) == 0
+                assert cli.main(["verify", "--qmax", "1", "--mmax", "1"]) == 0
+            assert cli._build_parser.cache_info().currsize == 0
+            assert "argparse" not in sys.modules
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["info", "--help"]) == 0
+                assert cli.main(["info", "1/3", "x"]) == 2
+                assert cli.main(["info", "1/3", "1", "--js"]) == 0
+            info = cli._build_parser.cache_info()
+            assert (info.misses, info.hits) == (1, 2), info
+            """
+        )
+
+    def test_json_encoder_is_built_once_by_the_first_json_call(self):
+        self._run_script(
+            """
+            import contextlib, io
+            import sl2flip.cli as cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["info", "1/3", "1"]) == 0
+                assert cli._json_encoder.cache_info().currsize == 0
+                assert cli.main(["info", "1/3", "1", "--json"]) == 0
+                assert cli.main(["git", "1/3", "1", "--json", "--", "plus"]) == 0
+            info = cli._json_encoder.cache_info()
+            assert (info.misses, info.hits) == (1, 1), info
+            """
+        )
+
     def test_routing_parses_as_the_top_level_parser(self, capsys):
-        # the oracle is argparse's own hand-off from the top-level parser
-        # to the subcommand's parser, on the running Python version: the
-        # same Namespace, or the same exit code and output
-        parser, _ = cli._build_parser()
         for argv in [argv for argv, _ in self.SEQUENCE] + self.PARSED_ONLY:
-            outcomes = []
-            for parse in (cli._parse, parser.parse_args):
-                try:
-                    result = vars(parse(list(argv)))
-                except SystemExit as exc:
-                    result = exc.code
-                outcomes.append((result, *capsys.readouterr()))
-            assert outcomes[0] == outcomes[1], argv
+            assert_parses_as_the_top_level_parser(capsys, argv)
 
     def test_a_subcommand_argv_skips_the_top_level_parser(self, capsys, monkeypatch):
         real = argparse.ArgumentParser.parse_known_args
@@ -1063,7 +1098,52 @@ class TestParserReuse:
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         assert run(capsys, "git", "2/3", "4", "plus")[0] == 0
+        assert parsed_by == []
         assert run(capsys, "git", "2/3", "4", "plus", "extra")[0] == 2
-        assert parsed_by == ["sl2flip git", "sl2flip git"]
+        assert parsed_by == ["sl2flip git"]
         assert run(capsys, "nope")[0] == 2
-        assert parsed_by[2] == "sl2flip"
+        assert parsed_by[1] == "sl2flip"
+
+
+# the tokens that decide how an argv parses: every subcommand, heights and
+# degrees good and bad, each option exactly, abbreviated and with "=",
+# "--", "-", help, and characters and semigroups good and bad
+PARSE_TOKENS = (
+    *cli.COMMANDS, "1/2", "3", "0", "-3", "abc", "", " 4", "+4", "--json", "--js",
+    "--strict", "--basis", "--", "-", "-h", "--help", "--qmax", "--qmax=2", "--mmax",
+    "plus", "tilde", "bogus", "3,1", "-3,1",
+)
+PARSE_WORDS = ("1/2", "3", "0", "-3", "abc", "", " 4", "+4", "plus", "tilde", "bogus", "3,1", "-3,1")
+
+
+@st.composite
+def _argvs(draw):
+    """Any tokens, or a subcommand's shape in any order: a word per
+    positional, some of its options (a valued one with a word), perhaps
+    one "--"; about one draw in ten is plain."""
+    if draw(st.booleans()):
+        return [draw(st.sampled_from(PARSE_TOKENS)),
+                *draw(st.lists(st.sampled_from(PARSE_TOKENS), max_size=6))]
+    command = draw(st.sampled_from(tuple(cli.COMMANDS)))
+    units = []
+    for name, keywords in cli.COMMANDS[command][2]:
+        if name[0] != "-":
+            units.append([draw(st.sampled_from(PARSE_WORDS))])
+        elif draw(st.booleans()):
+            value = [] if "action" in keywords else [draw(st.sampled_from(PARSE_WORDS))]
+            units.append([name, *value])
+    tokens = [token for unit in draw(st.permutations(units)) for token in unit]
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    return [command, *tokens]
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+@example(argv=["git", "1/2", "4", "--", "--"])
+@example(argv=["info", "3", "0", "--strict", "--"])
+@example(argv=["verify", "--qmax", " 4", "--mmax", "+4"])
+@example(argv=["hilbert", "--", "1/2", "-3", "tilde"])
+def test_parse_matches_the_top_level_parser(capsys, argv):
+    assert_parses_as_the_top_level_parser(capsys, argv)
