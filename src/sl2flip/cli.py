@@ -14,21 +14,20 @@ Heights are exact fractions ("p/q" or a bare integer); decimals are
 rejected.  Exit codes: 0 success, 1 output cut short (stdout closed
 before everything was written, as by `| head`), 2 usage error, 3 domain
 error (any `ValueError` the library raises for a datum or a query it does
-not support, and a Hilbert basis of more than MAX_LISTED_GENERATORS
-generators where a command would list it), 4 verification failure: a
+not support, a Hilbert basis of more than MAX_LISTED_GENERATORS generators
+where a command would list it, and an integer to print of more digits than
+sys.get_int_max_str_digits()), 4 verification failure: a
 `verify` row that failed, or a `CrossCheckError` in any command, reported
 in one line on stderr.
 `main(argv)` returns the exit code rather than exiting and may be called
 any number of times in one process.  Two things are kept between calls:
 the argparse parser, built by the first call that needs it, and the JSON
 encoder, built by the first `--json` call.  Each subcommand's grammar is
-written once, in `COMMANDS`.  A call is routed by its words: a plain argv
-(a subcommand, then its words, exact flags, valued options and at most
-one "--"; see `_parse_plain`) is read straight from that table, with no
-argparse.  Any other argv that starts with a subcommand goes to that
-subcommand's parser, and anything else through the top-level parser, so
-help and every usage error about the shape of an argv still come from
-argparse.
+written once, in `COMMANDS`.  A plain argv (a subcommand, then its
+words, exact flags, valued options and at most one "--"; see
+`_parse_plain`) is read straight from that table, with no argparse.  Any
+other argv goes through the top-level parser, so help and every usage
+error about the shape of an argv still come from argparse.
 
 `info`, `flip`, `cones` and `degeneration` print sections of one report,
 listed per subcommand in `REPORTS`.  `verify` runs the rows of
@@ -98,39 +97,46 @@ class UsageError(Exception):
     pass
 
 
+def _int(digits: str, argument: str) -> int:
+    """int(digits), or a usage error past the interpreter's digit limit,
+    which belongs to the host process and stays as it is."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise UsageError(
+            f"argument {argument}: a number of {len(digits.lstrip('-'))} digits, more "
+            f"than the interpreter's limit of {sys.get_int_max_str_digits()}"
+        ) from None
+
+
 def _parse_height(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"(\d+)(?:/(\d+))?", text)
     if match is None:
         raise UsageError(
             f"height must be an exact fraction like 2/3, got {text!r}"
         )
-    return int(match.group(1)), int(match.group(2) or 1)
+    return _int(match.group(1), "h"), _int(match.group(2) or "1", "h")
 
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value, message = int(text), "must be a positive integer"
     except ValueError:
-        value = None
-    if value is not None and value >= 1:
+        # the message argparse gives a type=int argument such as m
+        value, message = 0, f"invalid int value: {text!r}"
+    if value >= 1:
         return value
     import argparse  # here, not at the top: argparse reports a refused value
 
-    if value is None:
-        # the message argparse gives a type=int argument such as m
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    raise argparse.ArgumentTypeError("must be a positive integer")
+    raise argparse.ArgumentTypeError(message)
 
 
 def _params_from_args(args) -> tuple[SL2Params, list[str]]:
     p_raw, q_raw = _parse_height(args.h)
-    warnings = []
     params = derive_params(p_raw, q_raw, args.m, strict=args.strict)
-    if (p_raw, q_raw) != (params.p, params.q):
-        warnings.append(
-            f"height {p_raw}/{q_raw} reduced to {params.p}/{params.q}"
-        )
-    return params, warnings
+    if (p_raw, q_raw) == (params.p, params.q):
+        return params, []
+    return params, [f"height {p_raw}/{q_raw} reduced to {params.p}/{params.q}"]
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +306,6 @@ def _sec_embedding(params: SL2Params) -> dict:
 # documents
 
 
-def _document(params: SL2Params, sections: dict, warnings: list[str]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": {key: getattr(params, key) for key in PARAM_KEYS},
-        "sections": sections,
-        "warnings": warnings,
-    }
-
-
 @functools.cache
 def _json_encoder():
     """The encoder of every --json document, built by the first."""
@@ -322,8 +319,21 @@ def _json_encoder():
     )
 
 
-def _emit(doc: dict, as_json: bool) -> None:
-    print(_json_encoder().encode(doc) if as_json else _render_text(doc))
+def _emit(params: SL2Params, sections: dict, warnings: list[str], as_json: bool) -> None:
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "params": {key: getattr(params, key) for key in PARAM_KEYS},
+        "sections": sections,
+        "warnings": warnings,
+    }
+    try:
+        text = _json_encoder().encode(doc) if as_json else _render_text(doc)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise ValueError(
+            "the result holds an integer of more digits than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} lets it print"
+        ) from None
+    print(text)
 
 
 def _fmt_fraction(value: Fraction) -> str:
@@ -430,7 +440,7 @@ def _cmd_report(args) -> int:
         sections[name] = build(params)
         if note:
             warnings.append(note)
-    _emit(_document(params, sections, warnings), args.json)
+    _emit(params, sections, warnings, args.json)
     return 0
 
 
@@ -449,7 +459,7 @@ def _cmd_hilbert(args) -> int:
         basis = _listed_basis(params, args.which)
         section = {"which": args.which, "generators": list(map(list, basis.generators))}
     sections = {"params": _sec_params(params), "hilbert": section}
-    _emit(_document(params, sections, warnings), args.json)
+    _emit(params, sections, warnings, args.json)
     return 0
 
 
@@ -461,7 +471,7 @@ def _parse_character(text: str, params: SL2Params) -> tuple[str, GroupCharacter]
         raise UsageError(
             "character must be plus, minus, trivial, or a pair 'w,c'"
         )
-    torus, finite = int(match.group(1)), int(match.group(2))
+    torus, finite = _int(match.group(1), "character"), _int(match.group(2), "character")
     return "custom", GroupCharacter(torus, finite % params.a)
 
 
@@ -478,7 +488,7 @@ def _cmd_git(args) -> int:
         "params": _sec_params(params),
         "git": _sec_git(report, chi_name, chi, params),
     }
-    _emit(_document(params, sections, warnings), args.json)
+    _emit(params, sections, warnings, args.json)
     return 0
 
 
@@ -704,9 +714,9 @@ _GRAMMARS = {name: _grammar(fn, arguments) for name, (_, fn, arguments) in COMMA
 
 @functools.cache
 def _build_parser():
-    """The top-level argparse parser and the subcommand parsers by name,
-    built from COMMANDS by the first call that needs them and reused: the
-    parsers depend on no input, and each parse returns a fresh Namespace."""
+    """The top-level argparse parser, built from COMMANDS by the first call
+    that needs it and reused: it depends on no input, and each parse
+    returns a fresh Namespace."""
     import argparse  # here, not at the top: a plain argv never needs it
 
     parser = argparse.ArgumentParser(
@@ -720,7 +730,7 @@ def _build_parser():
         for flag, keywords in arguments:
             sp.add_argument(flag, **keywords)
         sp.set_defaults(fn=fn)
-    return parser, sub.choices
+    return parser
 
 
 def _parse_plain(command: str, tokens: list[str]) -> SimpleNamespace | None:
@@ -770,24 +780,12 @@ def _parse_plain(command: str, tokens: list[str]) -> SimpleNamespace | None:
 def _parse(argv: list[str]):
     """Parse argv as the top-level parser would, raising SystemExit on a
     usage error or help.  A plain argv (see _parse_plain) is read straight
-    from COMMANDS.  Any other argv that starts with a subcommand goes to
-    that subcommand's parser, as the top-level parser would hand it on,
-    and what it leaves over is rejected as the top-level parser rejects
-    it.  Anything else (no arguments, help, an unknown command, an option
-    before the command) goes through the top-level parser."""
+    from COMMANDS; any other goes through the top-level parser."""
     if argv and argv[0] in _GRAMMARS:
         args = _parse_plain(argv[0], argv[1:])
         if args is not None:
             return args
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    args.command = argv[0]
-    return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -813,10 +811,9 @@ def _run(argv: list[str]) -> int:
     # argparse (3.10 to 3.13.0 at least) gives a positional an empty list
     # when its only strings are "--" tokens, as in `git 1/2 4 -- --`
     empty = [name for name, value in vars(args).items() if type(value) is list]
-    if empty:
-        print(f"usage error: argument {empty[0]}: expected one argument", file=sys.stderr)
-        return 2
     try:
+        if empty:
+            raise UsageError(f"argument {empty[0]}: expected one argument")
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

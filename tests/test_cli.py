@@ -803,6 +803,45 @@ class TestHugeInputs:
         )
 
 
+# The interpreter's limit on the digits of an int converted to or from a
+# string (sys.get_int_max_str_digits, Python 3.10.7 on; 4300 by default).
+# The program leaves it as it is, since main() may run inside a host
+# process.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT != 4300, reason="sized for the default digit limit")
+class TestDigitLimit:
+    def test_a_number_past_the_limit_is_a_usage_error_in_any_argument(self, capsys):
+        for argv, argument in [
+            (("info", "1/1" + "0" * 4400, "3"), "h"),
+            (("git", "1/2", "5", "--", "1," + "1" * 4401), "character"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argument
+            assert err == (
+                f"usage error: argument {argument}: a number of 4401 digits, more "
+                "than the interpreter's limit of 4300\n"
+            )
+        # as argparse already made it for m
+        code, out, err = run(capsys, "info", "1/2", "1" * 4401)
+        assert (code, out) == (2, "")
+        assert "argument m: invalid int value" in err
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_result_past_the_limit_is_a_domain_error(self, capsys, as_json):
+        # K.C+- has a denominator a*q^2 of more than 4300 digits
+        argv = ("flip", f"1/{10**1201 + 1}", "2" * 3000, *(("--json",) if as_json else ()))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the result holds an integer of more digits than the "
+            "interpreter's limit of 4300 lets it print\n"
+        )
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
         _, first, _ = run(capsys, "info", "1/3", "1", "--json")
@@ -958,10 +997,10 @@ class TestStartUp:
 
 
 def assert_parses_as_the_top_level_parser(capsys, argv):
-    """cli._parse (the direct path, or the hand-off to a subcommand's
-    parser) against argparse's own top-level parse on the running Python
-    version: the same Namespace, or the same exit code and output."""
-    parser, _ = cli._build_parser()
+    """cli._parse (the direct path, or the top-level parser when the argv
+    is not plain) against argparse's own top-level parse on the running
+    Python version: the same Namespace, or the same exit code and output."""
+    parser = cli._build_parser()
     outcomes = []
     for parse in (cli._parse, parser.parse_args):
         try:
@@ -985,9 +1024,9 @@ class TestParserReuse:
         (("degeneration", "2/5", "9"), 0),
         (("verify", "--qmax", "2", "--mmax", "2"), 0),
         # "--" before a negative character, read directly; and what goes
-        # to argparse: left-over arguments and an abbreviated option to the
-        # subcommand's parser, and to the top-level parser an unknown
-        # command, no arguments, an option before the command
+        # to the top-level parser: left-over arguments, an abbreviated
+        # option, an unknown command, no arguments, an option before the
+        # command
         (("git", "2/3", "4", "plus", "extra"), 2),
         (("info", "2/3", "4", "--js"), 0),
         (("git", "2/5", "7", "--json", "--", "-3,1"), 0),
@@ -1088,21 +1127,25 @@ class TestParserReuse:
         for argv in [argv for argv, _ in self.SEQUENCE] + self.PARSED_ONLY:
             assert_parses_as_the_top_level_parser(capsys, argv)
 
-    def test_a_subcommand_argv_skips_the_top_level_parser(self, capsys, monkeypatch):
-        real = argparse.ArgumentParser.parse_known_args
+    def test_an_argv_that_is_not_plain_is_parsed_once_by_the_top_level_parser(
+        self, capsys, monkeypatch
+    ):
+        # argparse itself hands the rest of the argv on to the subcommand's
+        # parser, through parse_known_args
+        real = argparse.ArgumentParser.parse_args
         parsed_by = []
 
         def spy(self, *args, **kwargs):
             parsed_by.append(self.prog)
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
         assert run(capsys, "git", "2/3", "4", "plus")[0] == 0
         assert parsed_by == []
         assert run(capsys, "git", "2/3", "4", "plus", "extra")[0] == 2
-        assert parsed_by == ["sl2flip git"]
-        assert run(capsys, "nope")[0] == 2
-        assert parsed_by[1] == "sl2flip"
+        assert parsed_by == ["sl2flip"]
+        assert run(capsys, "git", "2/3", "4", "--js", "--", "plus")[0] == 0
+        assert parsed_by == ["sl2flip", "sl2flip"]
 
 
 # the tokens that decide how an argv parses: every subcommand, heights and

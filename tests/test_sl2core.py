@@ -6,7 +6,7 @@ import contextlib
 import io
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -190,6 +190,38 @@ class TestCoxQuotientUInvariants:
         params = derive_params(p, q, m)
         box = 2 * m + 2
         assert cox_u_exponents(params, box) == mplus_exponents(params, box)
+
+
+def generated_index(params):
+    """The index in Z x Z/a of the subgroup the characters of D, S+ and S-
+    generate: the order of Z^2 modulo their columns and (0, a), by the
+    Smith oracle.  Cl is Z x Z/a, generated by [D], [S+] and [S-], so a
+    grading that maps Cl onto the characters isomorphically gives 1."""
+    chars = characters(params)
+    columns = [(chars[name].torus_part, chars[name].finite_part)
+               for name in ("D", "S_plus", "S_minus")]
+    quotient = cokernel(IntMatrix.from_cols([*columns, (0, params.a)]))
+    return prod(quotient.torsion) if quotient.free_rank == 0 else None
+
+
+class TestCharactersGenerateTheClassGroup:
+    """The check class_group lacks (ROADMAP item 1), which would make `info
+    1/3 4` exit 4 if the library ran it today; the fix of the grading
+    moves it into class_group."""
+
+    def test_generate_when_gcd_a_k_is_one(self):
+        checked = 0
+        for params in instances(9, 8, below_one=True):
+            if gcd(params.a, params.k) == 1:
+                assert generated_index(params) == 1, params
+                checked += 1
+        assert checked == 203
+
+    @pytest.mark.xfail(strict=True, reason="the characters generate a subgroup of "
+                       "index gcd(a, k) when it exceeds 1")
+    @pytest.mark.parametrize("p, q, m", COX_GRADING_NOT_ISOMORPHIC)
+    def test_generate_when_gcd_a_k_exceeds_one(self, p, q, m):
+        assert generated_index(derive_params(p, q, m)) == 1
 
 
 class TestToricAndSmooth:
