@@ -268,9 +268,15 @@ def _listed_basis(params: SL2Params, which: str) -> HilbertBasis:
     its generators or one fiber per generator; a domain error when it has
     more than MAX_LISTED_GENERATORS, counted from its runs."""
     basis = slice_basis(params, which)
-    if basis.size > MAX_LISTED_GENERATORS:
+    size = basis.size
+    if size > MAX_LISTED_GENERATORS:
+        # str() refuses a size past the interpreter's digit limit; name it by
+        # its digits: bit length times log10(2) falls at most one short
+        digits = int(size.bit_length() * 0.30102999566398120)
+        digits += size >= 10**digits
+        size = f"a {digits}-digit number of" if 0 < sys.get_int_max_str_digits() < digits else size
         raise ValueError(
-            f"the {which} Hilbert basis has {basis.size} generators, more than "
+            f"the {which} Hilbert basis has {size} generators, more than "
             f"the {MAX_LISTED_GENERATORS} a command lists"
         )
     return basis

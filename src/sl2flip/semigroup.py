@@ -11,9 +11,8 @@ rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
 the generators are the lattice points on the compact boundary of the convex
 hull of the nonzero cone points, found one edge of that boundary at a time,
 from one extremal ray to the other.  The package builds rank-2 slices with
-one congruence and a rank-3 degeneration semigroup whose congruence leaves
-the third coordinate l free, so over a base point the fiber is one
-interval of l, counted without a scan.
+one congruence and a rank-3 degeneration semigroup, whose covectors and
+congruence sl2core reads directly: its Hilbert basis is never built.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -62,7 +61,7 @@ class AffineSemigroup:
                 return False
         return True
 
-    # read by cone_rays and by fiber_count once per base point
+    # read by cone_rays and by sl2core's checks of the degeneration
     @cached_property
     def effective_inequalities(self) -> tuple[Vec, ...]:
         """Inequality covectors with the nonnegativity constraints unfolded."""
@@ -197,79 +196,6 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
         u_prev, u = end, (e * end[0] + step[0], e * end[1] + step[1])
         d_prev, d = d, e * d - delta
     return HilbertBasis(tuple(runs))
-
-
-def fiber_count(s: AffineSemigroup, base: Sequence[int]) -> int:
-    """Number of l with (i, j, l) in a rank-3 semigroup, in closed form.
-
-    Each covector c bounds l on one side, from below when c2 > 0 and from
-    above when c2 < 0, or, when c2 == 0, holds for every l or for none.
-    Each congruence must leave l free (g2 == 0 mod n), as the one of the
-    degeneration semigroup, ((1, -1, 0), m), does; it is then a test on
-    (i, j) alone.  The count is hi - lo + 1, for the largest lower bound
-    lo and the smallest upper bound hi, or 0.  For the degeneration
-    semigroup it is i + j + 1 over members of S+ and 0 elsewhere, which
-    degeneration_fibers checks against these data.  Raises ValueError
-    when l is unbounded above or below, or when a congruence involves l.
-    """
-    if s.rank != 3:
-        raise ValueError("fiber_count needs a rank-3 semigroup")
-    i, j = base
-    lows, highs = [], []
-    empty = False
-    for c0, c1, c2 in s.effective_inequalities:
-        rest = c0 * i + c1 * j
-        if c2 > 0:
-            lows.append(-(rest // c2))
-        elif c2 < 0:
-            highs.append(rest // -c2)
-        elif rest < 0:
-            empty = True
-    if not lows or not highs:
-        raise ValueError("the fiber over a base point is unbounded")
-    for (g0, g1, g2), n in s.congruences:
-        if g2 % n:
-            raise ValueError("fiber_count takes only congruences that leave l free")
-        if (g0 * i + g1 * j) % n:
-            empty = True
-    lo, hi = max(lows), min(highs)
-    if empty or hi < lo:
-        return 0
-    return hi - lo + 1
-
-
-def fiber_count_is_affine(s: AffineSemigroup, first: Vec, step: Vec, last: Vec) -> bool:
-    """True when fiber_count(s, x) is shown to be affine in t along the base
-    points x = first + t*step from first to last, so that its values at the
-    two ends decide it in between; False when that is not shown.
-
-    A covector with |c2| = 1 bounds l by an affine function of t.  So one
-    covector that gives the largest lower bound at both ends gives it all
-    along, and the same holds for the smallest upper bound; a covector with
-    c2 = 0 that holds at both ends holds between them.  A congruence that
-    leaves l free (g2 = 0 mod n, the one shape fiber_count takes) and that
-    the step meets keeps its residue along the run.  The count is then
-    hi - lo + 1 all along, or 0 all along.  A covector with |c2| > 1, a
-    congruence on l, an end with hi < lo, or extremal bounds from other
-    covectors at the two ends give False.
-    """
-    for (g0, g1, g2), n in s.congruences:
-        if (g0 * step[0] + g1 * step[1]) % n or g2 % n:
-            return False
-    lows, highs = [], []
-    for c0, c1, c2 in s.effective_inequalities:
-        at = (c0 * first[0] + c1 * first[1], c0 * last[0] + c1 * last[1])
-        if c2 == 1:
-            lows.append((-at[0], -at[1]))
-        elif c2 == -1:
-            highs.append(at)
-        elif c2 or min(at) < 0:
-            return False
-    if not lows or not highs:
-        return False
-    lo = (max(b for b, _ in lows), max(b for _, b in lows))
-    hi = (min(b for b, _ in highs), min(b for _, b in highs))
-    return lo in lows and hi in highs and hi[0] >= lo[0] and hi[1] >= lo[1]
 
 
 def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:

@@ -24,10 +24,10 @@ object and kept on that object: the action and characters, the three
 slice semigroups and the rank-3 degeneration semigroup, the Hilbert bases
 asked for through slice_basis, the class group, canonical class,
 intersection numbers, slice surfaces, colored cones, the degeneration,
-and the S+ basis whose fiber counts it checked, which degeneration_fibers
-lists.  The values live and die with the object, and equal objects share
-nothing, so build a fresh SL2Params per computation.  A call that raises
-keeps nothing and raises again the next time.
+and the S+ basis over which it checked the fibers, which
+degeneration_fibers lists.  The values live and die with the object, and
+equal objects share nothing, so build a fresh SL2Params per computation.
+A call that raises keeps nothing and raises again the next time.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from .git import (
     monomial_character,
     semistable_locus,
 )
-from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2, record
+from .lattice import CrossCheckError, FinAbGroup, Vec, _require, det2, primitive, record
 from .params import SL2Params, derive_params, iter_instances
 from .semigroup import (
     AffineSemigroup,
     HilbertBasis,
+    Run,
     dual_cone_rays,
-    fiber_count,
-    fiber_count_is_affine,
     hilbert_basis,
 )
 from .toricgeom import (
@@ -472,9 +471,9 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
 
 @record
 class ToricDegeneration:
-    """Flat degeneration data: the rank-3 semigroup and the limit cone.
-    The fiber counts over the S+ basis, which match the module dimensions
-    upstairs, are listed by degeneration_fibers."""
+    """Flat degeneration data: the rank-3 semigroup and sigma0, the dual of
+    its cone.  degeneration_fibers lists the fiber counts over the S+
+    basis, which match the module dimensions upstairs."""
 
     tilde: AffineSemigroup
     sigma0: Cone
@@ -482,25 +481,36 @@ class ToricDegeneration:
     quasihomogeneous: bool
 
 
+def _check_fibers(tilde: AffineSemigroup, runs: tuple[Run, ...]) -> None:
+    """Require i + j + 1 points (i, j, l) of the rank-3 semigroup tilde over
+    each point of the runs, in O(#runs).  One covector bounds l from below
+    (c2 = 1) and one from above (c2 = -1), so a fiber has
+    (lower + upper)(i, j) + 1 points; eliminating l (Fourier-Motzkin)
+    leaves the base, cut by the l-free covectors and lower + upper.  A run
+    whose ends meet them lies in the base, a cone being convex; a
+    congruence must leave l free and meet each run's start and step."""
+    covectors = tilde.effective_inequalities
+    bounds = sorted((c2, c0, c1) for c0, c1, c2 in covectors if c2)
+    _require([c2 for c2, _, _ in bounds] == [-1, 1], "l is not bounded once each way", bounds)
+    (_, a0, a1), (_, b0, b1) = bounds
+    _require((a0 + b0, a1 + b1) == (1, 1), "fiber count is not i + j + 1", bounds)
+    _require(all(g[2] % n == 0 for g, n in tilde.congruences), "a congruence involves l")
+    base = [(c0, c1) for c0, c1, c2 in covectors if not c2] + [(1, 1)]
+    for (x, y), (dx, dy), count in runs:
+        ends = ((x, y), (x + (count - 1) * dx, y + (count - 1) * dy))
+        ok = all(c0 * i + c1 * j >= 0 for c0, c1 in base for i, j in ends)
+        for (g0, g1, _), n in tilde.congruences:
+            ok = ok and (g0 * x + g1 * y) % n == (g0 * dx + g1 * dy) % n == 0
+        _require(ok, "run leaves the base of the degeneration semigroup", (x, y), (dx, dy), count)
+
+
 @_once
 def _checked_fiber_basis(params: SL2Params) -> HilbertBasis:
-    """The S+ basis, once the count of the rank-3 semigroup's fiber over
-    each generator g is checked to be g[0] + g[1] + 1, the dimension of the
-    module V_{i+j} that g spans.  semigroup.fiber_count reads a count off
-    the semigroup's covectors and congruence in closed form.  Each run of
-    three or more points of the S+ basis must be shown affine by
-    fiber_count_is_affine, as i + j + 1 is, and then agreement at the run's
-    two ends proves the count at every point.  So the checks cost O(#runs)
-    and expand no generator."""
-    tilde = slice_semigroup(params, "tilde")
+    """The S+ basis, once _check_fibers has shown g[0] + g[1] + 1 points of
+    the degeneration semigroup over each generator g, the dimension of the
+    module V_{i+j} that g spans.  No generator is expanded."""
     basis = slice_basis(params, "plus")
-    for start, step, count in basis.runs:
-        end = (start[0] + (count - 1) * step[0], start[1] + (count - 1) * step[1])
-        affine = count < 3 or fiber_count_is_affine(tilde, start, step, end)
-        _require(affine, "fiber count not shown affine along a run", start, step, count)
-        for g in (start, end) if count > 1 else (start,):
-            found = fiber_count(tilde, g)
-            _require(found == g[0] + g[1] + 1, "fiber count is not i + j + 1", g, found)
+    _check_fibers(slice_semigroup(params, "tilde"), basis.runs)
     return basis
 
 
@@ -509,9 +519,8 @@ def degeneration_fibers(params: SL2Params) -> tuple[tuple[Vec, int], ...]:
     generator g, g[0] + g[1] + 1, in the generators' lex order.  Defined at
     height 1 as well."""
     gens = _checked_fiber_basis(params).generators
-    # tuple() of a list, since tuple() of an iterator grows the tuple by
-    # reallocation, which fragments the heap of a long sweep (peak RSS of
-    # verify_sweep +4%)
+    # tuple() of a list: tuple() of an iterator grows the tuple by
+    # reallocation, which fragments the heap of a long sweep
     return tuple([(g, g[0] + g[1] + 1) for g in gens])
 
 
@@ -522,6 +531,9 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
         raise ValueError("no degeneration data at height 1")
     tilde = slice_semigroup(params, "tilde")
     sigma0 = sigma0_of(p, q)
+    # sigma0 is the dual of tilde's cone: its rays are tilde's covectors
+    dual = {primitive(c) for c in tilde.effective_inequalities}
+    _require(set(sigma0.rays) == dual, "sigma0 is not the dual of cone(M~)", sigma0.rays)
     coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
     quasi = gaifullin_criterion(sigma0)
     _require(not quasi, "sigma0 is quasihomogeneous")

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -99,8 +100,10 @@ class TestHilbert:
         ]
 
     def test_tilde_fibers_are_cross_checked(self, capsys, monkeypatch):
-        # hilbert ... tilde prints the fibers toric_degeneration checks
-        monkeypatch.setattr(sl2core, "fiber_count", lambda s, base: base[0] + base[1])
+        # hilbert ... tilde prints the fibers toric_degeneration checks: a
+        # degeneration semigroup bounded by l <= 2i + j has the wrong count
+        wrong = AffineSemigroup(3, ((2, 1, -1), (2, -5, 0)), (((1, -1, 0), 9),), (1, 2))
+        monkeypatch.setattr(sl2core, "make_Mtilde", lambda params: wrong)
         code, out, err = run(capsys, "hilbert", "2/5", "9", "tilde")
         assert (code, out) == (4, "")
         assert err.startswith("cross-check failed: ") and "i + j + 1" in err, err
@@ -839,6 +842,24 @@ class TestDigitLimit:
             "error: the result holds an integer of more digits than the "
             "interpreter's limit of 4300 lets it print\n"
         )
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+    @pytest.mark.parametrize("command", [("hilbert", "plus"), ("degeneration",)])
+    def test_a_basis_size_past_the_limit_is_named_by_its_digits(self, capsys, command):
+        # the S+ basis of 10^4299/(10^4299 + 1) at m = 10^10 (h of two
+        # 4300-digit numbers) has a number of generators of more than 4300
+        # digits, which str() refuses
+        p, q, m = 10**4299, 10**4299 + 1, 10**10
+        name, *which = command
+        code, out, err = run(capsys, name, f"{p}/{q}", str(m), *which)
+        assert (code, out) == (3, "")
+        prefix, digits, suffix = re.fullmatch(r"(.*) a (\d+)-digit number (.*)\n", err).groups()
+        assert (prefix, suffix) == (
+            "error: the plus Hilbert basis has",
+            "of generators, more than the 1000000 a command lists",
+        )
+        size = slice_basis(derive_params(p, q, m), "plus").size
+        assert 10 ** (int(digits) - 1) <= size < 10 ** int(digits) and int(digits) > DIGIT_LIMIT
         assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
 

@@ -108,6 +108,24 @@ FAULTS = {
         "sigma0 = sigma0_of(p, p + q)",
         {"degeneration"},
     ),
+    "mtilde-l-bound-tilted": (
+        sl2core, "make_Mtilde",
+        "(1, 1, -1), (p, -q, 0)",
+        "(1, 2, -1), (p, -q, 0)",
+        {"degeneration"},
+    ),
+    "mtilde-base-covector-tilted": (
+        sl2core, "make_Mtilde",
+        "(p, -q, 0)",
+        "(p, -q - 1, 0)",
+        {"degeneration"},
+    ),
+    "mtilde-congruence-doubled": (
+        sl2core, "make_Mtilde",
+        "params.m",
+        "2 * params.m",
+        {"degeneration"},
+    ),
 }
 
 # the faults no row sees today, each with the ROADMAP item that makes its
@@ -115,7 +133,6 @@ FAULTS = {
 SURVIVORS = {
     "k-degrees-scaled-at-b-2": 9,
     "slice-twist-another-unit": 9,
-    "sigma0-of-the-wrong-height": 5,
 }
 
 

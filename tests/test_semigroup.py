@@ -14,11 +14,17 @@ from sl2flip.semigroup import (
     congruence_lattice_basis,
     cone_rays,
     dual_cone_rays,
-    fiber_count,
-    fiber_count_is_affine,
     hilbert_basis,
 )
-from sl2flip.sl2core import degeneration_fibers, derive_params, make_Mtilde, slice_semigroup
+from sl2flip.sl2core import (
+    CrossCheckError,
+    _check_fibers,
+    degeneration_fibers,
+    derive_params,
+    iter_instances,
+    make_Mtilde,
+    slice_semigroup,
+)
 
 
 def slice_of(which, p, q, m):
@@ -544,23 +550,34 @@ class TestWalkByRuns:
 
 
 class TestFiberCount:
+    """The fibers of rank-3 semigroups over base points, counted by a scan
+    of l, against degeneration_fibers and the check behind it,
+    sl2core._check_fibers, which reads them off the covectors."""
+
     @staticmethod
     def _fiber_count_scan(s, base):
-        """Oracle for fiber_count: the scan it replaced.  It sees only the
-        box 0 <= l <= i + j, which is the whole fiber exactly when the
-        semigroup has the covector (1, 1, -1) and a nonnegative l."""
-        if s.rank != 3:
-            raise ValueError("fiber_count needs a rank-3 semigroup")
+        """Oracle: the number of l with (i, j, l) in s, scanned over
+        |l| <= 4(|i| + |j|) + 1, which holds every fiber the tests below
+        build: their covectors bound l by at most 4(|i| + |j|)."""
         i, j = base
-        if i + j < 0:
-            return 0
-        return sum(1 for l in range(i + j + 1) if s.contains((i, j, l)))
+        reach = 4 * (abs(i) + abs(j)) + 1
+        return sum(1 for l in range(-reach, reach + 1) if s.contains((i, j, l)))
+
+    @staticmethod
+    def _accepts(s, runs):
+        try:
+            _check_fibers(s, runs)
+        except CrossCheckError:
+            return False
+        return True
 
     def test_frozen(self):
-        s = make_Mtilde(derive_params(1, 3, 2))
-        assert fiber_count(s, (2, 0)) == 3
-        assert fiber_count(s, (3, 1)) == 5
-        assert fiber_count(s, (1, 1)) == 0
+        params = derive_params(1, 3, 2)
+        s = make_Mtilde(params)
+        assert self._fiber_count_scan(s, (2, 0)) == 3
+        assert self._fiber_count_scan(s, (3, 1)) == 5
+        assert self._fiber_count_scan(s, (1, 1)) == 0
+        assert dict(degeneration_fibers(params)) == {(2, 0): 3, (3, 1): 5}
 
     def test_formula_sweep(self):
         for p, q, m in small_params():
@@ -571,31 +588,33 @@ class TestFiberCount:
             for i in range(0, 9):
                 for j in range(0, 9):
                     want = i + j + 1 if mplus.contains((i, j)) else 0
-                    assert fiber_count(s, (i, j)) == want, (p, q, m, i, j)
+                    assert self._fiber_count_scan(s, (i, j)) == want, (p, q, m, i, j)
 
     def test_transposed_fibers_match(self):
         s = make_Mtilde(derive_params(2, 5, 3))
         t = make_Mtilde(derive_params(2, 5, 3), transpose_ij=True)
         for i in range(0, 11):
             for j in range(0, 11):
-                assert fiber_count(s, (i, j)) == fiber_count(t, (j, i))
-
-    def test_rank2_rejected(self):
-        with pytest.raises(ValueError):
-            fiber_count(slice_of("plus", 1, 2, 1), (1, 0))
+                assert self._fiber_count_scan(s, (i, j)) == self._fiber_count_scan(t, (j, i))
 
     def test_matches_scan_on_degeneration_semigroups(self):
-        for p, q, m in small_params():
-            for transpose in (False, True):
-                s = make_Mtilde(derive_params(p, q, m), transpose_ij=transpose)
-                for i in range(-3, 13):
-                    for j in range(-3, 13):
-                        want = self._fiber_count_scan(s, (i, j))
-                        assert fiber_count(s, (i, j)) == want, (p, q, m, transpose, i, j)
+        # every S+ generator on q, m <= 7, at b = 0 and at b >= 1, in both
+        # sign conventions of the degeneration semigroup
+        heights = set()
+        for params in iter_instances(7, 7):
+            s, t = make_Mtilde(params), make_Mtilde(params, transpose_ij=True)
+            for (i, j), count in degeneration_fibers(params):
+                assert self._fiber_count_scan(s, (i, j)) == count, (params, i, j)
+                assert self._fiber_count_scan(t, (j, i)) == count, (params, i, j)
+            heights.add(params.b > 0)
+        assert heights == {False, True}
 
     @settings(max_examples=300, deadline=None)
     @given(
-        covectors=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=2),
+        lower=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        covectors=st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-1, 1)), max_size=2
+        ),
         # g2 a multiple of n: the congruences leave l free
         congruences=st.lists(
             st.tuples(*[st.integers(-6, 6)] * 2, st.integers(-1, 1), st.integers(1, 12)).map(
@@ -603,30 +622,30 @@ class TestFiberCount:
             ),
             max_size=2,
         ),
-        nonneg=st.sets(st.sampled_from((0, 1))),
         i=st.integers(-3, 12),
         j=st.integers(-3, 12),
     )
-    # a lower bound above l >= 0 and an upper bound below l <= i + j
-    @example(covectors=[(-1, 0, 2)], congruences=[], nonneg=set(), i=5, j=4)
-    @example(covectors=[(1, 0, -2)], congruences=[], nonneg=set(), i=5, j=4)
-    # two congruences that (i, j) meets, one with g2 = n, and two of
-    # which it fails the second
-    @example(
-        covectors=[], congruences=[((1, -1, 0), 4), ((1, 1, 2), 2)], nonneg=set(), i=11, j=3
-    )
-    @example(
-        covectors=[], congruences=[((1, -1, 0), 4), ((0, 1, 0), 2)], nonneg=set(), i=11, j=3
-    )
-    def test_matches_scan_on_random_semigroups(self, covectors, congruences, nonneg, i, j):
-        # (1, 1, -1) and l >= 0 make the scan's box the whole fiber
+    # the base point meets two congruences, one with g2 = n; it fails the
+    # second of two
+    @example(lower=(0, 0), covectors=[], congruences=[((1, -1, 0), 4), ((1, 1, 2), 2)], i=11, j=3)
+    @example(lower=(0, 0), covectors=[], congruences=[((1, -1, 0), 4), ((0, 1, 0), 2)], i=11, j=3)
+    # a second lower bound, and i + j = -1, where the fiber is empty
+    @example(lower=(0, 0), covectors=[(-1, 0, 1)], congruences=[], i=5, j=4)
+    @example(lower=(1, -1), covectors=[], congruences=[], i=-3, j=2)
+    def test_matches_scan_on_random_semigroups(self, lower, covectors, congruences, i, j):
+        # l >= -(a0 i + a1 j) and l <= (1 - a0) i + (1 - a1) j, so the two
+        # bounds leave i + j + 1 values of l when i + j >= 0
+        a0, a1 = lower
         s = AffineSemigroup(
-            3,
-            ((1, 1, -1), *covectors),
-            tuple(congruences),
-            nonneg_coords=tuple(sorted(nonneg | {2})),
+            3, ((a0, a1, 1), (1 - a0, 1 - a1, -1), *covectors), tuple(congruences)
         )
-        assert fiber_count(s, (i, j)) == self._fiber_count_scan(s, (i, j))
+        found = self._fiber_count_scan(s, (i, j))
+        accepted = self._accepts(s, (((i, j), (0, 0), 1),))
+        if accepted:
+            assert found == i + j + 1
+        if all(c2 == 0 for _, _, c2 in covectors):
+            # nothing else bounds l, so the check refuses only empty fibers
+            assert accepted == (found == i + j + 1 > 0)
 
     @pytest.mark.parametrize("base", [(2, 1), (3, 1)])
     def test_a_congruence_on_l_rejected(self, base):
@@ -635,8 +654,8 @@ class TestFiberCount:
         s = AffineSemigroup(
             3, ((1, 1, -1),), (((1, 1, 0), 2), ((0, 0, 1), 2)), nonneg_coords=(2,)
         )
-        with pytest.raises(ValueError, match="leave l free"):
-            fiber_count(s, base)
+        with pytest.raises(CrossCheckError, match="congruence involves l"):
+            _check_fibers(s, ((base, (0, 0), 1),))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -652,45 +671,44 @@ class TestFiberCount:
         step=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
         count=st.integers(2, 6),
     )
-    # the degeneration semigroup of (1/2, 3) on its S+ run, shown affine;
-    # the same with a step that leaves the congruence lattice, not shown
+    # the degeneration semigroup of (1/2, 3) on its S+ run, accepted; the
+    # same with a step that leaves the congruence lattice, refused
     @example(covectors=[(1, -2, 0)], congruences=[((1, -1, 0), 3)],
              first=(3, 0), step=(1, 1), count=4)
     @example(covectors=[(1, -2, 0)], congruences=[((1, -1, 0), 3)],
              first=(3, 0), step=(1, 0), count=4)
-    # l even along a growing interval: the counts 1, 1, 2, 2 are not affine
+    # l even along a growing interval: the counts 1, 1, 2, 2
     @example(covectors=[], congruences=[((0, 0, 1), 2)], first=(0, 0), step=(1, 0), count=4)
-    # l >= 0 is the largest lower bound at the start, l >= i - j at the end
-    @example(covectors=[(-1, 1, 1)], congruences=[], first=(0, 2), step=(1, 0), count=5)
+    # a run whose ends meet j >= i - 2 and whose middle does not
+    @example(covectors=[(-1, 1, 0)], congruences=[], first=(0, 0), step=(1, 0), count=5)
     def test_affine_claim_holds_along_the_run(self, covectors, congruences, first, step, count):
-        # (1, 1, -1) and l >= 0 make the scan's box the whole fiber
+        # an accepted run has i + j + 1 points over each of its points, not
+        # only over its two ends
         s = AffineSemigroup(3, ((1, 1, -1), *covectors), tuple(congruences), nonneg_coords=(2,))
         points = [(first[0] + t * step[0], first[1] + t * step[1]) for t in range(count)]
-        if fiber_count_is_affine(s, first, step, points[-1]):
+        if self._accepts(s, ((first, step, count),)):
             counts = [self._fiber_count_scan(s, x) for x in points]
-            last = count - 1
-            assert all(
-                c * last == counts[0] * (last - t) + counts[-1] * t for t, c in enumerate(counts)
-            ), counts
+            assert counts == [i + j + 1 for i, j in points], counts
 
     def test_affine_claim_is_refused_off_the_lattice(self):
         s = make_Mtilde(derive_params(1, 2, 3))
-        assert fiber_count_is_affine(s, (3, 0), (1, 1), (6, 3))
-        assert not fiber_count_is_affine(s, (3, 0), (1, 0), (6, 0))
-        # a covector with |c2| = 2 is not read as affine
+        assert self._accepts(s, (((3, 0), (1, 1), 4),))
+        assert not self._accepts(s, (((3, 0), (1, 0), 4),))
+        # the same fiber, 0 <= 2l <= 2(i + j), is not read with |c2| = 2
         twice = AffineSemigroup(3, ((2, 2, -2),), nonneg_coords=(2,))
-        assert not fiber_count_is_affine(twice, (1, 0), (1, 1), (3, 2))
+        assert self._fiber_count_scan(twice, (2, 1)) == 4
+        assert not self._accepts(twice, (((1, 0), (1, 1), 3),))
 
     def test_unbounded_fiber_rejected(self):
-        # l >= 0 and nothing bounds it above; the scan cut it at i + j
+        # l >= 0 and nothing bounds it above
         s = AffineSemigroup(3, ((0, 1, 0),), nonneg_coords=(0, 2))
-        assert self._fiber_count_scan(s, (2, 1)) == 4
-        with pytest.raises(ValueError, match="unbounded"):
-            fiber_count(s, (2, 1))
+        assert s.contains((2, 1, 10**6))
+        with pytest.raises(CrossCheckError, match="not bounded once each way"):
+            _check_fibers(s, (((2, 1), (0, 0), 1),))
 
     def test_cost_follows_output_degeneration(self):
-        # 4001 S+ generators, the last with a 14001-point fiber; the scan
-        # tests 4e7 points here, the closed form a few divisions per fiber
+        # 4001 S+ generators, the last with a 14001-point fiber; a scan
+        # tests 4e7 points here, the check reads the ends of the basis' runs
         start = time.perf_counter()
         fibers = degeneration_fibers(derive_params(2, 5, 6000))
         assert time.perf_counter() - start < 1.0
@@ -740,7 +758,7 @@ class TestSharedPerObject:
         assert one == two and hash(one) == hash(two)
 
     def test_unfolded_covectors_are_built_once(self):
-        # fiber_count reads them once per base point; equal semigroups
+        # the degeneration checks read them once per run; equal semigroups
         # still build their own, and the unfolding is the documented one
         s, t = make_Mtilde(derive_params(2, 5, 9)), make_Mtilde(derive_params(2, 5, 9))
         assert s.effective_inequalities is s.effective_inequalities

@@ -38,7 +38,7 @@ from sl2flip.sl2core import (
     slice_surfaces,
     toric_degeneration,
 )
-from sl2flip.semigroup import HilbertBasis
+from sl2flip.semigroup import AffineSemigroup, HilbertBasis
 from sl2flip.toricgeom import CyclicSingularity
 from test_lattice import IntMatrix, cokernel
 
@@ -615,52 +615,63 @@ class TestToricDegeneration:
 
     @pytest.mark.parametrize("at", ["first", "last"])
     def test_fiber_count_off_by_one_at_a_run_end_fails(self, monkeypatch, at):
-        # the ends of every run are counted, whatever its length
-        real = sl2core.fiber_count
+        # the first run one point longer at its start, or the last one at
+        # its end, leaves the base of the degeneration semigroup there: the
+        # ends of every run are checked, whatever its length
         checked = 0
         for params in instances(7, 7, below_one=True):
-            runs = sl2core.slice_basis(params, "plus").runs
-            (x, y), (dx, dy), count = runs[0] if at == "first" else runs[-1]
-            t = 0 if at == "first" else count - 1
-            wrong = (x + t * dx, y + t * dy)
-            monkeypatch.setattr(
-                sl2core, "fiber_count", lambda s, base: real(s, base) + (base == wrong)
-            )
-            with pytest.raises(CrossCheckError, match="fiber count is not i \\+ j \\+ 1"):
+            runs = list(sl2core.slice_basis(params, "plus").runs)
+            if at == "first":
+                (x, y), (dx, dy), count = runs[0]
+                runs[0] = ((x - dx, y - dy), (dx, dy), count + 1)
+            else:
+                start, step, count = runs[-1]
+                runs[-1] = (start, step, count + 1)
+            longer = HilbertBasis(tuple(runs))
+            monkeypatch.setattr(sl2core, "slice_basis", lambda params, which: longer)
+            with pytest.raises(CrossCheckError, match="run leaves the base"):
                 sl2core.degeneration_fibers(params)
+            monkeypatch.undo()
             checked += count > 2
         assert checked
 
     def test_a_run_stepping_off_the_lattice_fails(self, monkeypatch):
         # both ends of the run (m, 0) + t*(1, 0), t = 0..m, lie in S+ and
-        # have the fiber i + j + 1, but its inner points leave {i = j mod m}:
-        # the run is not shown affine, which fails it
+        # have the fiber i + j + 1, but its step leaves {i = j mod m}, and so
+        # do its inner points
         params = derive_params(1, 2, 5)
         bent = HilbertBasis((((5, 0), (1, 0), 6),))
         monkeypatch.setattr(sl2core, "slice_basis", lambda params, which: bent)
-        with pytest.raises(CrossCheckError, match=r"not shown affine.*\(1, 0\), 6"):
+        with pytest.raises(CrossCheckError, match=r"run leaves the base.*\(1, 0\), 6"):
             sl2core.degeneration_fibers(params)
 
     def test_a_run_not_shown_affine_fails(self, monkeypatch):
-        # every count of the run (5 + t, t), t = 0..5, is right, but a run
-        # of three or more points must be shown affine: no point-by-point
-        # check stands in for it
+        # the degeneration semigroup with l <= i + j written as
+        # 2l <= 2(i + j) is the same semigroup, and every count of the run
+        # (5 + t, t), t = 0..5, is right, but the count is read only off
+        # covectors with c2 = +-1: no point-by-point check stands in for it
         params = derive_params(1, 2, 5)
         assert len(sl2core.slice_basis(params, "plus").runs) == 1
-        monkeypatch.setattr(sl2core, "fiber_count_is_affine", lambda s, first, step, last: False)
-        want = r"not shown affine along a run: \(\(5, 0\), \(1, 1\), 6\)"
-        with pytest.raises(CrossCheckError, match=want):
+        real = sl2core.make_Mtilde(params)
+        twice = AffineSemigroup(
+            3, ((2, 2, -2), *real.inequalities[1:]), real.congruences, real.nonneg_coords
+        )
+        assert all(
+            twice.contains((5 + t, t, l)) == real.contains((5 + t, t, l))
+            for t in range(6) for l in range(-1, 12 + 2 * t)
+        )
+        monkeypatch.setattr(sl2core, "make_Mtilde", lambda params: twice)
+        with pytest.raises(CrossCheckError, match=r"not bounded once each way: \(\[\(-2, 2, 2\)"):
             sl2core._checked_fiber_basis(params)
 
     def test_degeneration_runs_are_shown_affine(self):
-        # so the fibers cost O(#runs) fiber counts, not one per generator
+        # so the fibers cost O(#runs), not one check per generator: the
+        # check expands no generator of the S+ basis
         shown = 0
         for params in instances(9, 9, below_one=True):
-            tilde = slice_semigroup(params, "tilde")
-            for (x, y), (dx, dy), count in sl2core.slice_basis(params, "plus").runs:
-                last = (x + (count - 1) * dx, y + (count - 1) * dy)
-                assert semigroup.fiber_count_is_affine(tilde, (x, y), (dx, dy), last)
-                shown += count > 2
+            basis = sl2core._checked_fiber_basis(params)
+            assert "generators" not in basis.__dict__
+            shown += sum(count > 2 for _, _, count in basis.runs)
         assert shown
 
 
