@@ -47,7 +47,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .git import GroupCharacter, _pattern_table, semistable_locus, stabilizer_of_support
+from .git import GroupCharacter, semistable_locus, stabilizer_of_support
 from .lattice import CrossCheckError, _require, det2
 from .semigroup import AffineSemigroup, HilbertBasis, cone_rays, congruence_lattice_basis
 from .sl2core import (
@@ -199,14 +199,11 @@ def _singularity_dict(sing) -> dict | None:
 
 
 def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> dict:
-    # the pattern table holds the patterns in report order, each with its
-    # sorted names; a pattern proven unstable has no witness
-    found = report.witness_monomials
-    witnesses = []
-    for _, names, sorted_names, _ in _pattern_table(params.b >= 1):
-        if names in found:
-            n, exps = found[names]
-            witnesses.append({"pattern": list(sorted_names), "n": n, "exponents": list(exps)})
+    # the witnesses come in report order; a pattern proven unstable has none
+    witnesses = [
+        {"pattern": sorted(names), "n": n, "exponents": list(exps)}
+        for names, (n, exps) in report.witness_monomials.items()
+    ]
     # schema 1.0 still carries the search-era fields: an always empty
     # undecided list and the former default budgets 2s and 4s,
     # s = p + q + k, which bound nothing
@@ -332,14 +329,7 @@ def _emit(params: SL2Params, sections: dict, warnings: list[str], as_json: bool)
         "sections": sections,
         "warnings": warnings,
     }
-    try:
-        text = _json_encoder().encode(doc) if as_json else _render_text(doc)
-    except ValueError:  # str() of an int past the interpreter's digit limit
-        raise ValueError(
-            "the result holds an integer of more digits than the interpreter's "
-            f"limit of {sys.get_int_max_str_digits()} lets it print"
-        ) from None
-    print(text)
+    print(_json_encoder().encode(doc) if as_json else _render_text(doc))
 
 
 def _fmt_fraction(value: Fraction) -> str:
@@ -825,6 +815,13 @@ def _run(argv: list[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
+        if "integer string conversion" in str(exc):
+            # str() of an int past the interpreter's digit limit, in a
+            # label or a rendered result alike
+            exc = (
+                "the result holds an integer of more digits than the interpreter's "
+                f"limit of {sys.get_int_max_str_digits()} lets it print"
+            )
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:

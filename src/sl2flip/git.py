@@ -3,12 +3,13 @@ certificates deciding semistability of a linearization.
 
 The group is C* x mu_a acting diagonally on (Y0, X1, X2, X3, X4).  For a
 diagonal action semistability is cone membership (King 1994; Cox-Little-
-Schenck ch. 14): a coordinate pattern is chi-unstable exactly when no
-coordinate off the pattern has a torus weight of the sign of chi, and
-otherwise a power of one such coordinate is an invariant of character
-n*chi, written down in closed form and checked.  Every pattern is decided;
-nothing is searched.  The stabilizer of a coordinate support is the
-quotient of two rank-2 character lattices, read off their Hermite bases.
+Schenck ch. 14): a coordinate pattern is chi-unstable exactly when chi has
+a nonzero torus part and no coordinate off the pattern has a torus weight
+of its sign; otherwise a constant or a power of one such coordinate is an
+invariant of character n*chi, written down in closed form and checked.
+Every pattern is decided; nothing is searched.  The stabilizer of a
+coordinate support is the quotient of two rank-2 character lattices, read
+off their Hermite bases.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class SemistableReport:
     unstable locus; empty means everything is semistable.
     witness_monomials: pattern -> (n, exponents), an invariant monomial of
     character n*chi not vanishing identically where the pattern does; every
-    pattern not proven unstable has one.
+    pattern not proven unstable has one.  Its keys come in _pattern_table
+    order: by size, then by sorted names.
     undecided: always empty.  Kept for the benchmark tracer, which reads it;
     it goes with the next schema bump.
     """
@@ -115,17 +117,14 @@ def _effective(pattern: frozenset[int], relation_degree: int) -> frozenset[int]:
 def _pattern_table(relation: bool):
     """Every singleton and pair of the five coordinate indices, in the order
     witnesses are reported (by size, then by sorted names), as (pattern,
-    its names, its names sorted, the coordinates that vanish on it).  It
-    depends only on whether relation_degree >= 1, so it is built twice."""
+    its names, the coordinates that vanish on it).  It depends only on
+    whether relation_degree >= 1, so it is built twice."""
     n = len(COORDS)
     patterns = [frozenset((i,)) for i in range(n)] + [
         frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
     ]
     patterns.sort(key=lambda pat: (len(pat), sorted(_names(pat))))
-    return tuple(
-        (pat, _names(pat), tuple(sorted(_names(pat))), _effective(pat, int(relation)))
-        for pat in patterns
-    )
+    return tuple((pat, _names(pat), _effective(pat, int(relation))) for pat in patterns)
 
 
 def semistable_locus(
@@ -136,40 +135,31 @@ def semistable_locus(
     """Decide semistability of the chi-linearization coordinate pattern by
     coordinate pattern.
 
-    For every singleton and pair of coordinates, the pattern is unstable
-    when no coordinate off it has a torus weight of the sign of chi's torus
-    part t.  Otherwise each such coordinate j gives an invariant: with
-    g = gcd(w_j, t), w' = |w_j|/g, t' = |t|/g and c the finite part of chi,
-    X_j^(s*t') has character (s*w')*chi for s = a / gcd(a, t'*f_j - w'*c),
-    the least s making the finite parts agree.  Each such candidate's
-    character is checked once, whether or not a pattern picks it.  A
-    pattern's witness is the candidate off it with the smallest n = s*w'
-    (lowest index on ties), which is the least n of any single-coordinate
-    invariant.  unstable_vanishing collects the coordinates common to all
-    minimal patterns proven unstable, which for the standard characters
-    describes the unstable locus exactly.
+    The candidate invariants are one per coordinate j whose torus weight
+    has the sign of chi's torus part t: with g = gcd(w_j, t), w' = |w_j|/g,
+    t' = |t|/g and c the finite part of chi, X_j^(s*t') has character
+    (s*w')*chi for s = a / gcd(a, t'*f_j - w'*c), the least s making the
+    finite parts agree.  Each one's character is checked once, whether or
+    not a pattern picks it.  At t = 0 the constant of order a / gcd(a, c)
+    is the one candidate.  For every singleton and pair of coordinates,
+    the witness is the candidate off the pattern with the smallest n
+    (lowest index on ties), the least n of any single-coordinate
+    invariant; a pattern with none is unstable.  unstable_vanishing
+    collects the coordinates common to all unstable patterns, that is to
+    the minimal ones, which for the standard characters describes the
+    unstable locus exactly.
     """
     if relation_degree < 0:
         raise ValueError("relation degree must be >= 0")
     n = len(COORDS)
     a = act.finite_order
-    table = _pattern_table(relation_degree >= 1)
-    witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
-    unstable: list[frozenset[int]] = []
-
     t = chi.torus_part
     chi_f = chi.finite_part % a
-    if t == 0:
-        # constants are invariant once the finite part cancels
-        n0 = 1 if chi_f == 0 else a // gcd(a, chi_f)
-        zero = (0,) * n
-        for _, names, _, _ in table:
-            witnesses[names] = (n0, zero)
-        return SemistableReport(frozenset(), witnesses, {})
 
     # the least invariant power of each coordinate whose weight has t's
-    # sign, its character checked once, in the order witnesses are chosen
-    candidates = []
+    # sign, its character checked once, in the order witnesses are chosen;
+    # at t = 0 the constant, index -1, which is in no pattern
+    candidates = [(a // gcd(a, chi_f), -1, (0,) * n)] if t == 0 else []
     for j, (w, f) in enumerate(zip(act.torus_weights, act.finite_weights)):
         if w * t > 0:
             g = gcd(w, t)
@@ -182,23 +172,16 @@ def semistable_locus(
             candidates.append((power, j, exps))
     candidates.sort()
 
-    for pat, names, _, dead in table:
+    witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
+    unstable: list[frozenset[int]] = []
+    for pat, names, dead in _pattern_table(relation_degree >= 1):
         for power, j, exps in candidates:
             if j not in dead:
                 witnesses[names] = (power, exps)
                 break
         else:
             unstable.append(pat)
-
-    minimal = [
-        pat for pat in unstable
-        if not any(other < pat for other in unstable)
-    ]
-    if minimal:
-        common = frozenset.intersection(*minimal)
-        vanishing = _names(common)
-    else:
-        vanishing = frozenset()
+    vanishing = _names(frozenset.intersection(*unstable)) if unstable else frozenset()
     return SemistableReport(vanishing, witnesses, {})
 
 

@@ -844,6 +844,20 @@ class TestDigitLimit:
         )
         assert sys.get_int_max_str_digits() == DIGIT_LIMIT
 
+    @pytest.mark.parametrize("command", ["info", "flip"])
+    def test_a_label_past_the_limit_is_a_domain_error(self, capsys, command):
+        # at 10^4299/(10^4299 + 1), m = 10^10, the orbit label SL(2)/U_n
+        # has n = a(p + q) of more than 4300 digits, formatted before any
+        # result is rendered
+        p = 10**4299
+        code, out, err = run(capsys, command, f"{p}/{p + 1}", str(10**10))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: the result holds an integer of more digits than the "
+            "interpreter's limit of 4300 lets it print\n"
+        )
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
     @pytest.mark.parametrize("command", [("hilbert", "plus"), ("degeneration",)])
     def test_a_basis_size_past_the_limit_is_named_by_its_digits(self, capsys, command):
         # the S+ basis of 10^4299/(10^4299 + 1) at m = 10^10 (h of two

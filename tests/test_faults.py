@@ -18,8 +18,8 @@ from math import gcd
 
 import pytest
 
-from sl2flip import cli, sl2core
-from sl2flip.sl2core import derive_params, iter_instances
+from sl2flip import cli, git, semigroup, sl2core
+from sl2flip.sl2core import action, characters, derive_params, iter_instances, slice_semigroup
 from sl2flip.toricgeom import CyclicSingularity
 
 GRID = (8, 8)  # iter_instances(8, 8): 176 instances, 168 of them with b >= 1
@@ -126,6 +126,41 @@ FAULTS = {
         "2 * params.m",
         {"degeneration"},
     ),
+    "git-candidates-of-the-wrong-sign": (
+        git, "semistable_locus",
+        "if w * t > 0:",
+        "if w * t < 0:",
+        {"git-loci"},
+    ),
+    "git-witness-on-its-own-pattern": (
+        git, "semistable_locus",
+        "if j not in dead:",
+        "if True:",
+        {"git-loci"},
+    ),
+    "chain-point-off-by-the-lattice-step": (
+        semigroup, "hilbert_basis",
+        "u1 = (x + t * v1[0], y + t * v1[1])",
+        "u1 = (x + (t + 1) * v1[0], y + (t + 1) * v1[1])",
+        {"degeneration", "hilbert"},
+    ),
+    "hilbert-last-run-one-short": (
+        semigroup, "hilbert_basis",
+        "last + 1",
+        "last + (1 if d - last * delta else 0)",
+        {"hilbert"},
+    ),
+}
+
+# how a faulty function is called on an instance, where that is not on
+# the instance's params alone
+CALLS = {
+    "git-candidates-of-the-wrong-sign":
+        lambda params: (action(params), characters(params)["plus"], params.b),
+    "git-witness-on-its-own-pattern":
+        lambda params: (action(params), characters(params)["plus"], params.b),
+    "chain-point-off-by-the-lattice-step": lambda params: (slice_semigroup(params, "plus"),),
+    "hilbert-last-run-one-short": lambda params: (slice_semigroup(params, "plus"),),
 }
 
 # the faults no row sees today, each with the ROADMAP item that makes its
@@ -140,16 +175,18 @@ SURVIVORS = {
 def test_each_fault_changes_its_function_on_the_grid(fault):
     # so that a strict xfail below fails for the fault, not for a mutant
     # that changes nothing; each call gets fresh params, as the values are
-    # kept on the params object
+    # kept on the params object, and a mutant that raises where the
+    # original returns (a failed check, a division by zero) changes it too
     module, name, old, new, _ = FAULTS[fault]
     original, faulty = getattr(module, name), mutant(module, name, old, new)
+    call = CALLS.get(fault, lambda params: (params,))
     changed = 0
     for t in iter_instances(*GRID):
         if t.b >= 1:
             fresh = derive_params(t.p, t.q, t.m)
             try:
-                changed += faulty(fresh) != original(t)
-            except sl2core.CrossCheckError:
+                changed += faulty(*call(fresh)) != original(*call(t))
+            except Exception:
                 changed += 1
     assert changed > 0
 

@@ -338,8 +338,7 @@ class TestSemistableLocus:
             ]
             patterns.sort(key=lambda pat: (len(pat), sorted(_names(pat))))
             return tuple(
-                (pat, _names(pat), tuple(sorted(_names(pat))), _effective(pat, relation_degree))
-                for pat in patterns
+                (pat, _names(pat), _effective(pat, relation_degree)) for pat in patterns
             )
 
         table = _pattern_table(relation_degree >= 1)
@@ -451,6 +450,21 @@ class TestSemistableLocus:
                         assert new.witness_monomials[pattern][0] <= n_old, where
         # the search left these undecided; single-coordinate witnesses pin n
         assert (undecided, single) == (132, 7992)
+
+    def test_torus_part_zero_with_every_finite_part(self):
+        # (0, c) for c = 0..a-1: the constant of order a/gcd(a, c) is every
+        # pattern's witness, in the table's order, which cli prints as is
+        reports = 0
+        for params in iter_instances(9, 8):
+            act, b, s = action(params), params.b, params.p + params.q + params.k
+            order = [row[1] for row in _pattern_table(b >= 1)]  # the names
+            for c in range(params.a):
+                chi = GroupCharacter(0, c)
+                new = semistable_locus(act, chi, b)
+                assert new == budgeted_semistable_locus(act, chi, b, 2 * s, 4 * s), (params, c)
+                assert list(new.witness_monomials) == order, (params, c)
+                reports += 1
+        assert reports == 821
 
     def test_witness_is_a_single_coordinate_of_least_power(self):
         # X1^(q-p+k) = X1^2 is the paper's witness for plus at (1, 2, 1)
