@@ -17,7 +17,6 @@ from .sl2core import (
     DivisorClassGroup,
     FlipReport,
     SL2Params,
-    SliceSurface,
     ToricDegeneration,
     canonical_class,
     class_group,
@@ -45,7 +44,6 @@ __all__ = [
     "DivisorClassGroup",
     "FlipReport",
     "SL2Params",
-    "SliceSurface",
     "ToricDegeneration",
     "canonical_class",
     "class_group",

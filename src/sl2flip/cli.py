@@ -15,7 +15,8 @@ rejected.  Exit codes: 0 success, 1 output cut short (stdout closed
 before everything was written, as by `| head`), 2 usage error, 3 domain
 error (any `ValueError` the library raises for a datum or a query it does
 not support, a Hilbert basis of more than MAX_LISTED_GENERATORS generators
-where a command would list it, and an integer to print of more digits than
+where a command would list it, a `verify` grid that may hold more than
+MAX_VERIFY_INSTANCES instances, and an integer to print of more digits than
 sys.get_int_max_str_digits()), 4 verification failure: a
 `verify` row that failed, or a `CrossCheckError` in any command, reported
 in one line on stderr.
@@ -85,6 +86,11 @@ NO_FLIP = "no flip (height 1)"
 # before any is expanded, and a larger one is a domain error (exit 3).
 # Every documented, tested and benchmarked call stays far below it.
 MAX_LISTED_GENERATORS = 10**6
+
+# The most instances a verify grid may hold, bounded before its first line
+# by qmax * (qmax + 1) / 2 * mmax; a larger grid is a domain error (exit 3).
+# CI's 60 x 60 grid is bounded by 109 800.
+MAX_VERIFY_INSTANCES = 10**7
 
 TILDE_NOTE = (
     "rank-3 semigroup convention: the projection covector is aligned with "
@@ -176,7 +182,7 @@ def _sec_class_group(params: SL2Params) -> dict:
         "D": list(cl.class_of_D()),
         "S_plus": list(cl.class_of_S_plus()),
         "characters": {
-            name: _char_dict(chi) for name, chi in sorted(cl.characters.items())
+            name: _char_dict(chi) for name, chi in sorted(characters(params).items())
         },
     }
 
@@ -201,7 +207,7 @@ def _singularity_dict(sing) -> dict | None:
 def _sec_git(report, chi_name: str, chi: GroupCharacter, params: SL2Params) -> dict:
     # the witnesses come in report order; a pattern proven unstable has none
     witnesses = [
-        {"pattern": sorted(names), "n": n, "exponents": list(exps)}
+        {"pattern": list(names), "n": n, "exponents": list(exps)}
         for names, (n, exps) in report.witness_monomials.items()
     ]
     # schema 1.0 still carries the search-era fields: an always empty
@@ -265,18 +271,21 @@ def _listed_basis(params: SL2Params, which: str) -> HilbertBasis:
     its generators or one fiber per generator; a domain error when it has
     more than MAX_LISTED_GENERATORS, counted from its runs."""
     basis = slice_basis(params, which)
-    size = basis.size
-    if size > MAX_LISTED_GENERATORS:
-        # str() refuses a size past the interpreter's digit limit; name it by
-        # its digits: bit length times log10(2) falls at most one short
-        digits = int(size.bit_length() * 0.30102999566398120)
-        digits += size >= 10**digits
-        size = f"a {digits}-digit number of" if 0 < sys.get_int_max_str_digits() < digits else size
+    if basis.size > MAX_LISTED_GENERATORS:
         raise ValueError(
-            f"the {which} Hilbert basis has {size} generators, more than "
-            f"the {MAX_LISTED_GENERATORS} a command lists"
+            f"the {which} Hilbert basis has {_count_text(basis.size)} generators, more "
+            f"than the {MAX_LISTED_GENERATORS} a command lists"
         )
     return basis
+
+
+def _count_text(n: int) -> str:
+    """n in digits, or "a D-digit number of" past the interpreter's digit
+    limit, where str() refuses it: bit length times log10(2) falls at most
+    one short of its digits."""
+    digits = int(n.bit_length() * 0.30102999566398120)
+    digits += n >= 10**digits
+    return f"a {digits}-digit number of" if 0 < sys.get_int_max_str_digits() < digits else str(n)
 
 
 def _fibers(params: SL2Params) -> list[dict]:
@@ -621,6 +630,12 @@ VERIFY_ROWS = (
 
 
 def _cmd_verify(args) -> int:
+    bound = args.qmax * (args.qmax + 1) // 2 * args.mmax
+    if bound > MAX_VERIFY_INSTANCES:
+        raise ValueError(
+            f"the grid q <= {args.qmax}, m <= {args.mmax} has up to {_count_text(bound)} "
+            f"instances, more than the {MAX_VERIFY_INSTANCES} verify runs"
+        )
     failures: list[str] = []
     for params in iter_instances(args.qmax, args.mmax):
         head = f"{params.p}/{params.q} m={params.m}"

@@ -90,14 +90,15 @@ class SemistableReport:
     unstable locus; empty means everything is semistable.
     witness_monomials: pattern -> (n, exponents), an invariant monomial of
     character n*chi not vanishing identically where the pattern does; every
-    pattern not proven unstable has one.  Its keys come in _pattern_table
-    order: by size, then by sorted names.
+    pattern not proven unstable has one.  Each key is the pattern's sorted
+    coordinate names, and the keys come in _pattern_table order: by size,
+    then by names.
     undecided: always empty.  Kept for the benchmark tracer, which reads it;
     it goes with the next schema bump.
     """
 
     unstable_vanishing: frozenset[str]
-    witness_monomials: dict[frozenset[str], tuple[int, tuple[int, ...]]]
+    witness_monomials: dict[tuple[str, ...], tuple[int, tuple[int, ...]]]
     undecided: dict[frozenset[str], tuple[int, int]]
 
 
@@ -117,14 +118,15 @@ def _effective(pattern: frozenset[int], relation_degree: int) -> frozenset[int]:
 def _pattern_table(relation: bool):
     """Every singleton and pair of the five coordinate indices, in the order
     witnesses are reported (by size, then by sorted names), as (pattern,
-    its names, the coordinates that vanish on it).  It depends only on
-    whether relation_degree >= 1, so it is built twice."""
+    its sorted names, the coordinates that vanish on it).  It depends only
+    on whether relation_degree >= 1, so it is built twice."""
     n = len(COORDS)
     patterns = [frozenset((i,)) for i in range(n)] + [
         frozenset((i, j)) for i in range(n) for j in range(i + 1, n)
     ]
-    patterns.sort(key=lambda pat: (len(pat), sorted(_names(pat))))
-    return tuple((pat, _names(pat), _effective(pat, int(relation))) for pat in patterns)
+    rows = [(pat, tuple(sorted(_names(pat))), _effective(pat, int(relation))) for pat in patterns]
+    rows.sort(key=lambda row: (len(row[0]), row[1]))
+    return tuple(rows)
 
 
 def semistable_locus(
@@ -172,7 +174,7 @@ def semistable_locus(
             candidates.append((power, j, exps))
     candidates.sort()
 
-    witnesses: dict[frozenset[str], tuple[int, tuple[int, ...]]] = {}
+    witnesses: dict[tuple[str, ...], tuple[int, tuple[int, ...]]] = {}
     unstable: list[frozenset[int]] = []
     for pat, names, dead in _pattern_table(relation_degree >= 1):
         for power, j, exps in candidates:

@@ -24,7 +24,8 @@ def record(cls):
     calls __post_init__ when the class has one; a repr in dataclass format;
     equality and hash of the field tuple, equal only within one class; and
     assignment and deletion refused with AttributeError.  Instances keep a
-    __dict__, where sl2core._once and cached_property store their values.
+    __dict__, where sl2core._once and cached_property store their values
+    and SL2Params its derived (k, a, b).
 
     The methods that read the fields are compiled from one source per
     class, so each call runs the code a dataclass would run; importing

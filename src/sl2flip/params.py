@@ -14,7 +14,8 @@ __all__ = ["SL2Params", "derive_params", "iter_instances"]
 
 @record
 class SL2Params:
-    """Classification datum (h = p/q, m) with the derived (k, a, b).
+    """Classification datum (h = p/q, m); k, a and b are derived from it on
+    construction and kept as plain attributes, outside the fields.
 
     k = gcd(q - p, m) with the convention k = m at height 1, a = m/k,
     b = (q - p)/k.  Height 1 is exactly b = 0; the variety is toric exactly
@@ -24,21 +25,17 @@ class SL2Params:
     p: int
     q: int
     m: int
-    k: int
-    a: int
-    b: int
 
     def __post_init__(self):
-        if not (0 < self.p <= self.q and self.m >= 1):
+        p, q, m = self.p, self.q, self.m
+        if not (0 < p <= q and m >= 1):
             raise ValueError("need 0 < p <= q and m >= 1")
-        if gcd(self.p, self.q) != 1:
+        if gcd(p, q) != 1:
             raise ValueError("p/q must be in lowest terms")
-        expected_k = self.m if self.p == self.q else gcd(self.q - self.p, self.m)
-        if self.k != expected_k:
-            raise ValueError("k is not gcd(q - p, m)")
-        if self.m != self.a * self.k or self.q - self.p != self.b * self.k:
-            raise ValueError("a, b do not match k")
-        _require(self.b == 0 or gcd(self.a, self.b) == 1, "gcd(a, b) != 1", self)
+        k = m if p == q else gcd(q - p, m)
+        a, b = m // k, (q - p) // k
+        _require(b == 0 or gcd(a, b) == 1, "gcd(a, b) != 1", self)
+        self.__dict__.update(k=k, a=a, b=b)
 
     @property
     def height(self) -> Fraction:
@@ -60,8 +57,7 @@ def derive_params(p: int, q: int, m: int, strict: bool = False) -> SL2Params:
         p, q = p // g, q // g
     if p > q:
         raise ValueError("height must be at most 1")
-    k = m if p == q else gcd(q - p, m)
-    return SL2Params(p, q, m, k, m // k, (q - p) // k)
+    return SL2Params(p, q, m)
 
 
 def iter_instances(qmax: int, mmax: int):

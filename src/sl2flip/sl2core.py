@@ -4,14 +4,14 @@ by a height h = p/q and a degree m.
 Everything downstream of the classification datum lives here, built from
 the validated SL2Params: the Cox presentation with its diagonal action and
 named characters, the slice semigroups, orbit structure, divisor class
-group, canonical class, the flip with its intersection numbers, slice
-surfaces, colored cones, and the toric degeneration.  The modules
-lattice/semigroup/toricgeom/git compute on the shapes this one builds: an
-action on the five Cox coordinates, rank-2 slices with the one congruence
-i == j mod m, and the rank-3 degeneration semigroup, whose congruence
-((1, -1, 0), m) leaves its third coordinate free.  This module builds the
-instance's objects, wires them together and cross-checks the answers
-against each other.
+group, canonical class, the flip with its intersection numbers, the
+cyclic quotient types of the three slices, colored cones, and the toric
+degeneration.  The modules lattice/semigroup/toricgeom/git compute on the
+shapes this one builds: an action on the five Cox coordinates, rank-2
+slices with the one congruence i == j mod m, and the rank-3 degeneration
+semigroup, whose congruence ((1, -1, 0), m) leaves its third coordinate
+free.  This module builds the instance's objects, wires them together and
+cross-checks the answers against each other.
 
 Each cross-check is written once, next to the value it checks, and raises
 CrossCheckError, so it runs in every mode, python -O included, and the
@@ -23,7 +23,7 @@ Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
 slice semigroups and the rank-3 degeneration semigroup, the Hilbert bases
 asked for through slice_basis, the class group, canonical class,
-intersection numbers, slice surfaces, colored cones, the degeneration,
+intersection numbers, slice types, colored cones, the degeneration,
 and the S+ basis over which it checked the fibers, which
 degeneration_fibers lists.  The values live and die with the object, and
 equal objects share nothing, so build a fresh SL2Params per computation.
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .git import (
     DiagonalAction,
@@ -74,7 +75,6 @@ __all__ = [
     "DivisorClassGroup",
     "FlipReport",
     "SL2Params",
-    "SliceSurface",
     "ToricDegeneration",
     "VarietySummary",
     "action",
@@ -212,7 +212,7 @@ class CoxPresentation:
 
     relation_degree: int
     action: DiagonalAction
-    ambient_dim: int = 5
+    ambient_dim = 5
 
     @property
     def equation(self) -> str:
@@ -250,7 +250,6 @@ class DivisorClassGroup:
 
     group: FinAbGroup
     alt: FinAbGroup
-    characters: dict[str, GroupCharacter]
 
     def class_of_D(self) -> Vec:
         return self.group.element(0)
@@ -306,7 +305,7 @@ def class_group(params: SL2Params) -> DivisorClassGroup:
         total_f = coeff * chars["D"].finite_part + m * chars[name].finite_part
         ok = total_t == 0 and total_f % act.finite_order == 0
         _require(ok, "relation fails on characters", name, total_t, total_f)
-    return DivisorClassGroup(group, alt, chars)
+    return DivisorClassGroup(group, alt)
 
 
 @record
@@ -373,23 +372,14 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     return minus, plus
 
 
-@record
-class SliceSurface:
-    """A two-dimensional slice: its exponent semigroup and the cyclic
-    quotient type at the fixed point (None when the cone is not pointed and
-    there is no fixed point).  The type is read off the dual cone; the
-    Hilbert basis is built only on request, by slice_basis."""
-
-    name: str
-    semigroup: AffineSemigroup
-    singularity: CyclicSingularity | None
-    note: str = ""
-
-
 @_once
 def slice_surfaces(
     params: SL2Params,
-) -> tuple[SliceSurface, SliceSurface, SliceSurface]:
+) -> tuple[CyclicSingularity | None, CyclicSingularity | None, CyclicSingularity | None]:
+    """The cyclic quotient types at the fixed points of the slices S+, S-
+    and S', None for a slice whose cone is not pointed, so that it has no
+    fixed point.  Each type is read off the dual cone; the Hilbert basis is
+    built only on request, by slice_basis."""
     p, q, a, b = params.p, params.q, params.a, params.b
 
     def build(name: str, which: str, expected_order: int | None):
@@ -398,13 +388,10 @@ def slice_surfaces(
             sing = classify_2d(Cone(dual_cone_rays(semi)))
         except ValueError:
             _require(expected_order is None, "slice is not pointed", name, expected_order)
-            return SliceSurface(
-                name, semi, None,
-                note="cone is not pointed; no fixed point on this slice",
-            )
+            return None
         ok = expected_order is None or sing.order == expected_order
         _require(ok, "slice order", name, sing, expected_order)
-        return SliceSurface(name, semi, sing)
+        return sing
 
     s_plus = build("S+", "plus", a * p)
     s_minus = build("S-", "minus", a * q)
@@ -421,8 +408,8 @@ class ColoredConeData:
     rho: Vec
     rho_prime: Vec
     cones: dict[str, tuple[tuple[Vec, Vec], frozenset[str]]]
-    rho_plus: Vec = (1, 0)
-    rho_minus: Vec = (0, 1)
+    rho_plus = (1, 0)
+    rho_minus = (0, 1)
 
     def color_vector(self, name: str) -> Vec:
         return {"rho+": self.rho_plus, "rho-": self.rho_minus}[name]
@@ -471,14 +458,14 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
 
 @record
 class ToricDegeneration:
-    """Flat degeneration data: the rank-3 semigroup and sigma0, the dual of
-    its cone.  degeneration_fibers lists the fiber counts over the S+
-    basis, which match the module dimensions upstairs."""
+    """Flat degeneration data: sigma0, the dual of the cone of the rank-3
+    semigroup slice_semigroup(params, "tilde"), which is never
+    quasihomogeneous.  degeneration_fibers lists the fiber counts over the
+    S+ basis, which match the module dimensions upstairs."""
 
-    tilde: AffineSemigroup
     sigma0: Cone
     relation_coefficients: tuple[int, int, int, int]
-    quasihomogeneous: bool
+    quasihomogeneous = False
 
 
 def _check_fibers(tilde: AffineSemigroup, runs: tuple[Run, ...]) -> None:
@@ -535,10 +522,9 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     dual = {primitive(c) for c in tilde.effective_inequalities}
     _require(set(sigma0.rays) == dual, "sigma0 is not the dual of cone(M~)", sigma0.rays)
     coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
-    quasi = gaifullin_criterion(sigma0)
-    _require(not quasi, "sigma0 is quasihomogeneous")
+    _require(not gaifullin_criterion(sigma0), "sigma0 is quasihomogeneous")
     _checked_fiber_basis(params)
-    return ToricDegeneration(tilde, sigma0, coeffs, quasi)
+    return ToricDegeneration(sigma0, coeffs)
 
 
 def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:
@@ -551,26 +537,10 @@ def embedding_data(params: SL2Params) -> tuple[tuple[Vec, str, int], ...]:
 
 @record
 class VarietySummary:
-    name: str
     orbits: tuple[str, ...]
     smooth: bool
     slice_singularity: CyclicSingularity | None
     notes: tuple[str, ...] = ()
-
-
-@record
-class FlipReport:
-    """Everything about the flip diagram E- -> E <- E+ plus the one-step
-    resolution E'."""
-
-    params: SL2Params
-    canonical: CanonicalClass
-    k_degrees: tuple[Fraction, Fraction]
-    semistable: dict[str, SemistableReport]
-    varieties: dict[str, VarietySummary]
-    colored: ColoredConeData
-    proj_descriptions: dict[str, str]
-    convention_note: str
 
 
 CONVENTION_NOTE = (
@@ -580,6 +550,22 @@ CONVENTION_NOTE = (
     "the Proj description are authoritative here (ap sits on the plus "
     "wall, aq on the minus wall)"
 )
+
+
+@record
+class FlipReport:
+    """Everything about the flip diagram E- -> E <- E+ plus the one-step
+    resolution E'."""
+
+    canonical: CanonicalClass
+    k_degrees: tuple[Fraction, Fraction]
+    semistable: dict[str, SemistableReport]
+    varieties: dict[str, VarietySummary]
+    proj_descriptions = MappingProxyType({
+        "E+": "Proj of the section ring of nK, n >= 0",
+        "E-": "Proj of the section ring of -nK, n >= 0",
+    })
+    convention_note = CONVENTION_NOTE
 
 
 def flip_report(params: SL2Params) -> FlipReport:
@@ -597,42 +583,31 @@ def flip_report(params: SL2Params) -> FlipReport:
 
     varieties = {
         "E": VarietySummary(
-            name="E",
             orbits=orbit_structure(params),
             smooth=False,
             slice_singularity=None,
             notes=("isolated singularity at the fixed point O",),
         ),
         "E'": VarietySummary(
-            name="E'",
             orbits=(f"SL(2)/C_{m}", "exceptional divisor D'", "curve C"),
-            smooth=s_prime.singularity.is_smooth,
-            slice_singularity=s_prime.singularity,
+            smooth=s_prime.is_smooth,
+            slice_singularity=s_prime,
             notes=(
                 "blow-up of the fixed point; smooth along C iff the slice "
                 "singularity is trivial",
             ),
         ),
     }
-    for name, surface, curve in (("E-", s_minus, "C-"), ("E+", s_plus, "C+")):
+    for name, sing, curve in (("E-", s_minus, "C-"), ("E+", s_plus, "C+")):
         varieties[name] = VarietySummary(
-            name=name,
             orbits=(f"SL(2)/C_{m}", f"flipped curve {curve}"),
-            smooth=surface.singularity.is_smooth,
-            slice_singularity=surface.singularity,
-            notes=(f"homogeneous slice bundle over P^1 with slice {surface.singularity}",),
+            smooth=sing.is_smooth,
+            slice_singularity=sing,
+            notes=(f"homogeneous slice bundle over P^1 with slice {sing}",),
         )
-    proj = {
-        "E+": "Proj of the section ring of nK, n >= 0",
-        "E-": "Proj of the section ring of -nK, n >= 0",
-    }
     return FlipReport(
-        params=params,
         canonical=canonical_class(params),
         k_degrees=(k_minus, k_plus),
         semistable=semistable,
         varieties=varieties,
-        colored=colored_cones(params),
-        proj_descriptions=proj,
-        convention_note=CONVENTION_NOTE,
     )

@@ -199,7 +199,7 @@ def test_criterion_08_smoothness_toricity_ladder():
             assert all(multiplicity(c) == 1 for c in fan.max_cones), params
     for params in BELOW_ONE:
         _, _, s_prime = slice_surfaces(params)
-        assert s_prime.singularity.order == params.b, params
+        assert s_prime.order == params.b, params
         rep = flip_report(params)
         assert rep.varieties["E'"].smooth == (params.b == 1), params
         assert rep.varieties["E+"].smooth == (

@@ -280,6 +280,22 @@ class TestVerify:
         rows = [line.split(":")[0] for line in out.splitlines() if " m=" in line]
         assert rows == ["1/1 m=1", "1/2 m=1", "1/3 m=1", "2/3 m=1"]
 
+    @pytest.mark.parametrize("qmax, mmax, bound", [
+        ("1000000000000", "3", "1500000000001500000000000"),
+        ("4472", "1", "10001628"),
+        (str(10**4000), "3", "a 8001-digit number of"),
+    ])
+    def test_a_grid_past_the_instance_cap_is_refused_at_once(self, capsys, qmax, mmax, bound):
+        # such a grid used to print lines and never reach an exit code
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--qmax", qmax, "--mmax", mmax)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: the grid q <= {qmax}, m <= {mmax} has up to {bound} instances, "
+            f"more than the {cli.MAX_VERIFY_INSTANCES} verify runs\n"
+        )
+
     def test_failure_exits_4_and_names_instance(self, capsys, monkeypatch):
         def failing_check(params):
             raise CrossCheckError("injected")
