@@ -564,9 +564,7 @@ def _check_u_oracle(params: SL2Params) -> None:
     box to search.  The model's rays and basis are computed here, fresh;
     S+'s are the ones its Hilbert basis was read from, cached on the
     semigroup."""
-    model = AffineSemigroup(
-        2, ((params.p, -params.q),), (((-1, 1), params.m),), nonneg_coords=(0, 1)
-    )
+    model = AffineSemigroup(2, ((params.p, -params.q), (1, 0), (0, 1)), (((-1, 1), params.m),))
     semi = slice_semigroup(params, "plus")
     found = (cone_rays(model), congruence_lattice_basis(model))
     want = (semi._rays, semi._lattice_basis)

@@ -9,7 +9,7 @@ of its sign; otherwise a constant or a power of one such coordinate is an
 invariant of character n*chi, written down in closed form and checked.
 Every pattern is decided; nothing is searched.  The stabilizer of a
 coordinate support is the quotient of two rank-2 character lattices, read
-off their Hermite bases.
+off their Hermite bases, which lattice._hermite_basis computes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from math import gcd
 from operator import mul
 
-from .lattice import FinAbGroup, _require, record, xgcd
+from .lattice import FinAbGroup, _hermite_basis, _require, record
 
 COORDS = ("Y0", "X1", "X2", "X3", "X4")
 
@@ -189,28 +189,6 @@ def semistable_locus(
 
 def _names(indices: frozenset[int]) -> frozenset[str]:
     return frozenset(COORDS[i] for i in indices)
-
-
-def _hermite_basis(vectors) -> tuple[int, int, int]:
-    """Hermite basis (alpha, beta), (0, gamma) of the sublattice of Z^2
-    spanned by vectors, merged in one vector at a time by xgcd.
-
-    alpha, gamma >= 0 and 0 <= beta < gamma when gamma > 0.  alpha = 0
-    exactly when the lattice lies in 0 x Z; then beta = 0 and the lattice
-    is gamma*Z in the second coordinate.
-    """
-    alpha = beta = gamma = 0
-    for x, y in vectors:
-        u, v, g = xgcd(alpha, x)
-        if g:
-            # (x/g)(alpha, beta) - (alpha/g)(x, y) has first coordinate 0
-            gamma = gcd(gamma, x // g * beta - alpha // g * y)
-            alpha, beta = g, u * beta + v * y
-        else:
-            gamma = gcd(gamma, y)
-        if gamma:
-            beta %= gamma
-    return alpha, beta, gamma
 
 
 def stabilizer_of_support(act: DiagonalAction, support) -> FinAbGroup:

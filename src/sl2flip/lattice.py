@@ -1,10 +1,12 @@
 """Exact integer arithmetic shared by the other modules.
 
 Everything here is small and closed-form: the 2x2 determinant, primitive
-vectors, the extended gcd, and finitely generated abelian groups in
-invariant-factor form.  Every lattice the package meets has rank at most
-3, so its callers read cokernels, Hermite bases, multiplicities and solves
-off xgcd and explicit minors; no general matrix normal form is computed.
+vectors, the extended gcd, the Hermite basis of a sublattice of Z^2, and
+finitely generated abelian groups in invariant-factor form.  Every lattice
+the package meets has rank at most 3, so its callers read cokernels,
+multiplicities and solves off xgcd and explicit minors, and every rank-2
+Hermite basis, of a span (git) or of a congruence kernel (semigroup), off
+the one routine here; no general matrix normal form is computed.
 The bounded Diophantine enumerator, a test oracle, lists solutions in
 lexicographic order.  The record decorator gives every value class of the
 package its frozen-dataclass methods.
@@ -115,6 +117,28 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+def _hermite_basis(vectors) -> tuple[int, int, int]:
+    """Hermite basis (alpha, beta), (0, gamma) of the sublattice of Z^2
+    spanned by vectors, merged in one vector at a time by xgcd.
+
+    alpha, gamma >= 0 and 0 <= beta < gamma when gamma > 0.  alpha = 0
+    exactly when the lattice lies in 0 x Z; then beta = 0 and the lattice
+    is gamma*Z in the second coordinate.
+    """
+    alpha = beta = gamma = 0
+    for x, y in vectors:
+        u, v, g = xgcd(alpha, x)
+        if g:
+            # (x/g)(alpha, beta) - (alpha/g)(x, y) has first coordinate 0
+            gamma = math.gcd(gamma, x // g * beta - alpha // g * y)
+            alpha, beta = g, u * beta + v * y
+        else:
+            gamma = math.gcd(gamma, y)
+        if gamma:
+            beta %= gamma
+    return alpha, beta, gamma
 
 
 @record

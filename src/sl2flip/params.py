@@ -61,10 +61,12 @@ def derive_params(p: int, q: int, m: int, strict: bool = False) -> SL2Params:
 
 
 def iter_instances(qmax: int, mmax: int):
-    """All parameter triples with q <= qmax, m <= mmax, ordered by (q,p,m)."""
+    """All parameter triples with q <= qmax, m <= mmax, ordered by (q,p,m).
+    Each is coprime with 0 < p <= q and m >= 1, so SL2Params takes it as it
+    is, without derive_params' checks and reduction."""
     for q in range(1, qmax + 1):
         for p in range(1, q + 1):
             if gcd(p, q) != 1:
                 continue
             for m in range(1, mmax + 1):
-                yield derive_params(p, q, m)
+                yield SL2Params(p, q, m)

@@ -6,13 +6,17 @@ All semigroups here are of the shape
                         g . x == 0 mod n for the congruence pairs (g, n) }
 
 i.e. the lattice points of a rational cone intersected with a finite-index
-sublattice L.  That makes membership a constraint check, and it makes the
-rank-2 Hilbert basis a Hirzebruch-Jung continued fraction: in a basis of L
-the generators are the lattice points on the compact boundary of the convex
-hull of the nonzero cone points, found one edge of that boundary at a time,
-from one extremal ray to the other.  The package builds rank-2 slices with
+sublattice L (Oda, Convex Bodies, 1.6), so a semigroup is given by its
+covectors and congruences alone: a sign condition x_i >= 0 is the unit
+covector e_i among the others.  That makes membership a constraint check,
+and it makes the rank-2 Hilbert basis a Hirzebruch-Jung continued fraction:
+in a basis of L the generators are the lattice points on the compact
+boundary of the convex hull of the nonzero cone points, found one edge of
+that boundary at a time, from one extremal ray to the other.  The package builds rank-2 slices with
 one congruence and a rank-3 degeneration semigroup, whose covectors and
-congruence sl2core reads directly: its Hilbert basis is never built.
+congruence sl2core reads directly: its Hilbert basis is never built.  The
+Hermite basis of L is lattice._hermite_basis of the congruence's kernel
+generators, the same routine that git applies to a span.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -26,7 +30,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import mul
 
-from .lattice import Vec, det2, primitive, record, xgcd
+from .lattice import Vec, _hermite_basis, det2, primitive, record, xgcd
 
 
 @record
@@ -34,7 +38,6 @@ class AffineSemigroup:
     rank: int
     inequalities: tuple[Vec, ...]
     congruences: tuple[tuple[Vec, int], ...] = ()
-    nonneg_coords: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for c in self.inequalities:
@@ -43,16 +46,12 @@ class AffineSemigroup:
         for g, n in self.congruences:
             if len(g) != self.rank or n < 1:
                 raise ValueError("bad congruence")
-        for i in self.nonneg_coords:
-            if not 0 <= i < self.rank:
-                raise ValueError("nonneg coordinate index out of range")
 
     def contains(self, x: Sequence[int]) -> bool:
+        """Whether x meets every covector and congruence.  Nothing in the
+        package calls it: the acceptance tests and bench/tracing.py do."""
         if len(x) != self.rank:
             raise ValueError("point has wrong length")
-        for i in self.nonneg_coords:
-            if x[i] < 0:
-                return False
         for c in self.inequalities:
             if sum(map(mul, c, x)) < 0:
                 return False
@@ -60,16 +59,6 @@ class AffineSemigroup:
             if sum(map(mul, g, x)) % n != 0:
                 return False
         return True
-
-    # read by cone_rays and by sl2core's checks of the degeneration
-    @cached_property
-    def effective_inequalities(self) -> tuple[Vec, ...]:
-        """Inequality covectors with the nonnegativity constraints unfolded."""
-        units = tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in self.nonneg_coords
-        )
-        return self.inequalities + units
 
     # computed once per object and shared by hilbert_basis, dual_cone_rays
     # and verify's u-oracle row; a ValueError is not kept and is raised again
@@ -81,6 +70,14 @@ class AffineSemigroup:
     def _lattice_basis(self) -> tuple[Vec, Vec]:
         return congruence_lattice_basis(self)
 
+    # the primitive vectors along the rays in coordinates of the lattice
+    # basis, read by hilbert_basis and dual_cone_rays; Cramer's rule gives
+    # the coordinates times det(b1, b2) > 0
+    @cached_property
+    def _lattice_rays(self) -> tuple[Vec, Vec]:
+        b1, b2 = self._lattice_basis
+        return tuple(primitive((det2(r, b2), det2(b1, r))) for r in self._rays)
+
 
 def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """The two extremal rays of a pointed full rank-2 cone, lex sorted.
@@ -90,9 +87,8 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     """
     if s.rank != 2:
         raise ValueError("cone_rays handles rank 2 only")
-    ineqs = s.effective_inequalities
     rays: list[Vec] = []
-    for c0, c1 in ineqs:
+    for c0, c1 in s.inequalities:
         g = math.gcd(c0, c1)
         if g == 0:
             continue
@@ -100,7 +96,7 @@ def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
         x, y = -c1 // g, c0 // g
         for d in ((x, y), (-x, -y)):
             dx, dy = d
-            for e0, e1 in ineqs:
+            for e0, e1 in s.inequalities:
                 if e0 * dx + e1 * dy < 0:
                     break
             else:
@@ -164,9 +160,8 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     Bodies, 1.6), so the walk costs O(#runs), whatever the number of
     generators.
     """
-    r1, r2 = s._rays
     b1, b2 = s._lattice_basis
-    w1, w2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
+    w1, w2 = s._lattice_rays
     v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
     n = det2(v1, v2)
     x, y, _ = xgcd(-v1[1], v1[0])
@@ -203,28 +198,19 @@ def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
     by the one congruence g.x == 0 mod n of a rank-2 semigroup (Cohen, A
     Course in Computational Algebraic Number Theory, 2.4).
 
-    The points with x1 == 0 are the multiples of gamma = n/e, e = gcd(g2, n);
-    x1 is reachable iff e | g1*x1, so alpha = e/gcd(e, g1); and beta, taken
-    in [0, gamma), solves g2*beta == -g1*alpha mod n.  The determinant
-    alpha*gamma = n/gcd(g1, g2, n) is the index, and it is positive.
+    With d = gcd(g1, g2, n), the vectors (-g2/d, g1/d), (n/d, 0) and
+    (0, n/d) lie in the sublattice, and the gcd of their 2x2 minors is
+    n/d, its index, so they span it; lattice._hermite_basis reduces them.
+    The determinant alpha*gamma = n/d is positive.
     """
     if s.rank != 2:
         raise ValueError("rank 2 only")
     if len(s.congruences) != 1:
         raise ValueError("rank 2 takes exactly one congruence")
     (g1, g2), n = s.congruences[0]
-    x, _, e = xgcd(g2, n)
-    gamma = n // e
-    alpha = e // math.gcd(e, g1)
-    beta = (-x * (g1 * alpha // e)) % gamma
+    d = math.gcd(g1, g2, n)
+    alpha, beta, gamma = _hermite_basis(((-g2 // d, g1 // d), (n // d, 0), (0, n // d)))
     return ((alpha, beta), (0, gamma))
-
-
-def _primitive_in_basis(r: Vec, b1: Vec, b2: Vec) -> Vec:
-    """Primitive vector, in coordinates of the lattice basis b1, b2, that
-    points along the direction r."""
-    # Cramer's rule gives the coordinates times det(b1, b2) > 0
-    return primitive((det2(r, b2), det2(b1, r)))
 
 
 def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
@@ -236,9 +222,7 @@ def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
     matches the lex order of cone_rays (first dual ray is the one positive
     on the first primal ray).
     """
-    r1, r2 = s._rays
-    b1, b2 = s._lattice_basis
-    p1, p2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
+    p1, p2 = s._lattice_rays
 
     def dual_ray(perp_of: Vec, positive_on: Vec) -> Vec:
         sperp = (-perp_of[1], perp_of[0])

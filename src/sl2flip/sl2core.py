@@ -150,8 +150,9 @@ def characters(params: SL2Params) -> dict[str, GroupCharacter]:
 def slice_semigroup(params: SL2Params, which: str) -> AffineSemigroup:
     """The exponent semigroup of a slice, points (i, j) with i == j mod m:
 
-      plus   p*i - q*j >= 0 in the first quadrant (S+); the weight monoid
-             of the open orbit closure in the plus chart
+      plus   p*i - q*j >= 0 in the first quadrant, i, j >= 0 being the
+             unit covectors (1, 0), (0, 1) (S+); the weight monoid of the
+             open orbit closure in the plus chart
       minus  the same covector with j free to go negative, i >= 0 only
              (S-); the minus chart
       prime  p*j - q*i >= 0 together with j >= i (S'); the fixed-point
@@ -162,14 +163,14 @@ def slice_semigroup(params: SL2Params, which: str) -> AffineSemigroup:
     if which == "tilde":
         return make_Mtilde(params)
     p, q = params.p, params.q
-    inequalities, nonneg = {
-        "plus": (((p, -q),), (0, 1)),
-        "minus": (((p, -q),), (0,)),
+    inequalities = {
+        "plus": ((p, -q), (1, 0), (0, 1)),
+        "minus": ((p, -q), (1, 0)),
         # at p == q == 1 the two covectors coincide and the region is a
         # half-plane, so a Hilbert basis gets cone_rays' not-pointed error
-        "prime": (((-q, p), (-1, 1)), ()),
+        "prime": ((-q, p), (-1, 1)),
     }[which]
-    return AffineSemigroup(2, inequalities, (((1, -1), params.m),), nonneg_coords=nonneg)
+    return AffineSemigroup(2, inequalities, (((1, -1), params.m),))
 
 
 def make_Mtilde(params: SL2Params, transpose_ij: bool = False) -> AffineSemigroup:
@@ -182,12 +183,10 @@ def make_Mtilde(params: SL2Params, transpose_ij: bool = False) -> AffineSemigrou
     """
     p, q = params.p, params.q
     if transpose_ij:
-        ineqs = ((1, 1, -1), (-q, p, 0))
-        nonneg = (0, 2)
+        ineqs = ((1, 1, -1), (-q, p, 0), (1, 0, 0))
     else:
-        ineqs = ((1, 1, -1), (p, -q, 0))
-        nonneg = (1, 2)
-    return AffineSemigroup(3, ineqs, (((1, -1, 0), params.m),), nonneg_coords=nonneg)
+        ineqs = ((1, 1, -1), (p, -q, 0), (0, 1, 0))
+    return AffineSemigroup(3, (*ineqs, (0, 0, 1)), (((1, -1, 0), params.m),))
 
 
 @_once
@@ -476,7 +475,7 @@ def _check_fibers(tilde: AffineSemigroup, runs: tuple[Run, ...]) -> None:
     leaves the base, cut by the l-free covectors and lower + upper.  A run
     whose ends meet them lies in the base, a cone being convex; a
     congruence must leave l free and meet each run's start and step."""
-    covectors = tilde.effective_inequalities
+    covectors = tilde.inequalities
     bounds = sorted((c2, c0, c1) for c0, c1, c2 in covectors if c2)
     _require([c2 for c2, _, _ in bounds] == [-1, 1], "l is not bounded once each way", bounds)
     (_, a0, a1), (_, b0, b1) = bounds
@@ -519,7 +518,7 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     tilde = slice_semigroup(params, "tilde")
     sigma0 = sigma0_of(p, q)
     # sigma0 is the dual of tilde's cone: its rays are tilde's covectors
-    dual = {primitive(c) for c in tilde.effective_inequalities}
+    dual = {primitive(c) for c in tilde.inequalities}
     _require(set(sigma0.rays) == dual, "sigma0 is not the dual of cone(M~)", sigma0.rays)
     coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
     _require(not gaifullin_criterion(sigma0), "sigma0 is quasihomogeneous")

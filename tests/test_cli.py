@@ -102,7 +102,9 @@ class TestHilbert:
     def test_tilde_fibers_are_cross_checked(self, capsys, monkeypatch):
         # hilbert ... tilde prints the fibers toric_degeneration checks: a
         # degeneration semigroup bounded by l <= 2i + j has the wrong count
-        wrong = AffineSemigroup(3, ((2, 1, -1), (2, -5, 0)), (((1, -1, 0), 9),), (1, 2))
+        wrong = AffineSemigroup(
+            3, ((2, 1, -1), (2, -5, 0), (0, 1, 0), (0, 0, 1)), (((1, -1, 0), 9),)
+        )
         monkeypatch.setattr(sl2core, "make_Mtilde", lambda params: wrong)
         code, out, err = run(capsys, "hilbert", "2/5", "9", "tilde")
         assert (code, out) == (4, "")
@@ -422,7 +424,7 @@ def _plus_with(monkeypatch, at, inequalities, congruences):
 
     def mutant(params, which):
         if which == "plus" and (params.p, params.q, params.m) == at:
-            return AffineSemigroup(2, inequalities, congruences, nonneg_coords=(0, 1))
+            return AffineSemigroup(2, (*inequalities, (1, 0), (0, 1)), congruences)
         return real(params, which)
 
     monkeypatch.setattr(cli, "slice_semigroup", mutant)
@@ -446,7 +448,7 @@ class TestUOracle:
         # h = 1/2, so the former 9 x 9 box comparison passed this S+
         params = derive_params(1, 2, 2)
         ineqs, congs = ((101, -201),), (((1, -1), 2),)
-        mutant = AffineSemigroup(2, ineqs, congs, nonneg_coords=(0, 1))
+        mutant = AffineSemigroup(2, (*ineqs, (1, 0), (0, 1)), congs)
         box = {(i, j) for i in range(9) for j in range(9) if mutant.contains((i, j))}
         assert box == u_invariant_exponents(params, 8)
         _plus_with(monkeypatch, (1, 2, 2), ineqs, congs)
@@ -460,7 +462,7 @@ class TestUOracle:
     ])
     def test_fails_exactly_when_the_box_differs(self, monkeypatch, ineqs, congs):
         params = derive_params(1, 2, 2)
-        mutant = AffineSemigroup(2, ineqs, congs, nonneg_coords=(0, 1))
+        mutant = AffineSemigroup(2, (*ineqs, (1, 0), (0, 1)), congs)
         differs = u_invariant_exponents(params, 8) != {
             (i, j) for i in range(9) for j in range(9) if mutant.contains((i, j))
         }
@@ -532,7 +534,7 @@ def _other_lattice(params, gens):
     p, q, m = params.p, params.q, params.m
     for x in range(2, m):
         if math.gcd(m, q - x * p) == math.gcd(m, q - p):
-            semi = AffineSemigroup(2, ((p, -q),), (((1, -x), m),), nonneg_coords=(0, 1))
+            semi = AffineSemigroup(2, ((p, -q), (1, 0), (0, 1)), (((1, -x), m),))
             return hilbert_basis(semi).generators
     return gens
 

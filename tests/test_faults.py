@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from sl2flip import cli, git, semigroup, sl2core
+from sl2flip import cli, git, lattice, semigroup, sl2core
 from sl2flip.sl2core import action, characters, derive_params, iter_instances, slice_semigroup
 from sl2flip.toricgeom import CyclicSingularity
 
@@ -33,6 +33,15 @@ def other_twist(sing: CyclicSingularity) -> CyclicSingularity:
         if gcd(u, n) == 1 and u != t and u * t % n != 1:
             return CyclicSingularity(n, u)
     return sing
+
+
+def x1_x3_span(params):
+    """The characters of X1 and X3 with (0, a): the lattice R of the
+    stabilizer row's support {X1, X3}, before it is written in L's basis."""
+    act = action(params)
+    return [(act.torus_weights[i], act.finite_weights[i]) for i in (1, 3)] + [
+        (0, act.finite_order)
+    ]
 
 
 def mutant(module, name: str, old: str, new: str):
@@ -126,6 +135,24 @@ FAULTS = {
         "2 * params.m",
         {"degeneration"},
     ),
+    "mtilde-loses-its-l-covector": (
+        sl2core, "make_Mtilde",
+        "(*ineqs, (0, 0, 1))",
+        "ineqs",
+        {"degeneration"},
+    ),
+    "s-plus-loses-its-j-covector": (
+        sl2core, "slice_semigroup",
+        '"plus": ((p, -q), (1, 0), (0, 1)),',
+        '"plus": ((p, -q), (1, 0)),',
+        {"degeneration", "hilbert", "slices", "u-oracle"},
+    ),
+    "s-minus-gains-a-j-covector": (
+        sl2core, "slice_semigroup",
+        '"minus": ((p, -q), (1, 0)),',
+        '"minus": ((p, -q), (1, 0), (0, 1)),',
+        {"slices"},
+    ),
     "git-candidates-of-the-wrong-sign": (
         git, "semistable_locus",
         "if w * t > 0:",
@@ -150,6 +177,12 @@ FAULTS = {
         "last + (1 if d - last * delta else 0)",
         {"hilbert"},
     ),
+    "hermite-gamma-sign": (
+        lattice, "_hermite_basis",
+        "- alpha // g * y",
+        "+ alpha // g * y",
+        {"stabilizer"},
+    ),
 }
 
 # how a faulty function is called on an instance, where that is not on
@@ -161,6 +194,9 @@ CALLS = {
         lambda params: (action(params), characters(params)["plus"], params.b),
     "chain-point-off-by-the-lattice-step": lambda params: (slice_semigroup(params, "plus"),),
     "hilbert-last-run-one-short": lambda params: (slice_semigroup(params, "plus"),),
+    "s-plus-loses-its-j-covector": lambda params: (params, "plus"),
+    "s-minus-gains-a-j-covector": lambda params: (params, "minus"),
+    "hermite-gamma-sign": lambda params: (x1_x3_span(params),),
 }
 
 # the faults no row sees today, each with the ROADMAP item that makes its

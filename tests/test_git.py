@@ -12,14 +12,13 @@ from sl2flip.git import (
     GroupCharacter,
     SemistableReport,
     _effective,
-    _hermite_basis,
     _names,
     _pattern_table,
     monomial_character,
     semistable_locus,
     stabilizer_of_support,
 )
-from sl2flip.lattice import iter_bounded_diophantine
+from sl2flip.lattice import _hermite_basis, iter_bounded_diophantine
 from sl2flip.sl2core import (
     action,
     characters,

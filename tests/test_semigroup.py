@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sl2flip.lattice import det2, primitive, xgcd
 from sl2flip.semigroup import (
     AffineSemigroup,
-    _primitive_in_basis,
     congruence_lattice_basis,
     cone_rays,
     dual_cone_rays,
@@ -54,7 +53,7 @@ def cone_rays_by_primitive(s):
     candidate direction."""
     if s.rank != 2:
         raise ValueError("cone_rays handles rank 2 only")
-    ineqs = s.effective_inequalities
+    ineqs = s.inequalities
     rays = []
     for c in ineqs:
         if c == (0, 0):
@@ -175,10 +174,11 @@ def parallelepiped_hilbert_basis(s):
 def hilbert_basis_by_steps(s):
     """The former hilbert_basis, kept as the oracle of the walk by runs: one
     step u_{i+1} = c_i*u_i - u_{i-1} of the chain per generator.  Returns
-    (generators, rays, ray_points)."""
+    (generators, rays, ray_points).  The rays' coordinates in the lattice
+    basis come from Cramer's rule here, not from the semigroup's own."""
     r1, r2 = s._rays
     b1, b2 = s._lattice_basis
-    w1, w2 = _primitive_in_basis(r1, b1, b2), _primitive_in_basis(r2, b1, b2)
+    w1, w2 = (primitive((det2(r, b2), det2(b1, r))) for r in (r1, r2))
     v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
     n = det2(v1, v2)
     x, y, _ = xgcd(-v1[1], v1[0])
@@ -307,7 +307,7 @@ class TestConeRays:
         for p, q, m in small_params():
             s = slice_of("plus", p, q, m)
             for r in cone_rays(s):
-                for c in s.effective_inequalities:
+                for c in s.inequalities:
                     assert c[0] * r[0] + c[1] * r[1] >= 0
 
     @settings(max_examples=300, deadline=None)
@@ -328,12 +328,14 @@ class TestConeRays:
     @example(covectors=[], repeats=[], nonneg=set())
     def test_agrees_with_the_primitive_scan(self, covectors, repeats, nonneg):
         # repeats copy a drawn covector, or its negative, to make
-        # duplicates and lines; the rays or the ValueError message agree
+        # duplicates and lines; nonneg appends the unit covectors of the
+        # coordinates it holds; the rays or the ValueError message agree
         for i, negate in repeats:
             if covectors:
                 c = covectors[i % len(covectors)]
                 covectors.append((-c[0], -c[1]) if negate else c)
-        s = AffineSemigroup(2, tuple(covectors), nonneg_coords=tuple(sorted(nonneg)))
+        units = [((1, 0), (0, 1))[i] for i in sorted(nonneg)]
+        s = AffineSemigroup(2, (*covectors, *units))
         assert rays_or_message(cone_rays, s) == rays_or_message(cone_rays_by_primitive, s)
 
 
@@ -651,9 +653,7 @@ class TestFiberCount:
     def test_a_congruence_on_l_rejected(self, base):
         # l even is not a congruence the degeneration semigroup has; it is
         # refused whether or not (i, j) meets the congruence before it
-        s = AffineSemigroup(
-            3, ((1, 1, -1),), (((1, 1, 0), 2), ((0, 0, 1), 2)), nonneg_coords=(2,)
-        )
+        s = AffineSemigroup(3, ((1, 1, -1), (0, 0, 1)), (((1, 1, 0), 2), ((0, 0, 1), 2)))
         with pytest.raises(CrossCheckError, match="congruence involves l"):
             _check_fibers(s, ((base, (0, 0), 1),))
 
@@ -684,7 +684,7 @@ class TestFiberCount:
     def test_affine_claim_holds_along_the_run(self, covectors, congruences, first, step, count):
         # an accepted run has i + j + 1 points over each of its points, not
         # only over its two ends
-        s = AffineSemigroup(3, ((1, 1, -1), *covectors), tuple(congruences), nonneg_coords=(2,))
+        s = AffineSemigroup(3, ((1, 1, -1), *covectors, (0, 0, 1)), tuple(congruences))
         points = [(first[0] + t * step[0], first[1] + t * step[1]) for t in range(count)]
         if self._accepts(s, ((first, step, count),)):
             counts = [self._fiber_count_scan(s, x) for x in points]
@@ -695,13 +695,13 @@ class TestFiberCount:
         assert self._accepts(s, (((3, 0), (1, 1), 4),))
         assert not self._accepts(s, (((3, 0), (1, 0), 4),))
         # the same fiber, 0 <= 2l <= 2(i + j), is not read with |c2| = 2
-        twice = AffineSemigroup(3, ((2, 2, -2),), nonneg_coords=(2,))
+        twice = AffineSemigroup(3, ((2, 2, -2), (0, 0, 1)))
         assert self._fiber_count_scan(twice, (2, 1)) == 4
         assert not self._accepts(twice, (((1, 0), (1, 1), 3),))
 
     def test_unbounded_fiber_rejected(self):
         # l >= 0 and nothing bounds it above
-        s = AffineSemigroup(3, ((0, 1, 0),), nonneg_coords=(0, 2))
+        s = AffineSemigroup(3, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
         assert s.contains((2, 1, 10**6))
         with pytest.raises(CrossCheckError, match="not bounded once each way"):
             _check_fibers(s, (((2, 1), (0, 0), 1),))
@@ -757,14 +757,6 @@ class TestSharedPerObject:
         assert calls == {"cone_rays": 2, "congruence_lattice_basis": 2}
         assert one == two and hash(one) == hash(two)
 
-    def test_unfolded_covectors_are_built_once(self):
-        # the degeneration checks read them once per run; equal semigroups
-        # still build their own, and the unfolding is the documented one
-        s, t = make_Mtilde(derive_params(2, 5, 9)), make_Mtilde(derive_params(2, 5, 9))
-        assert s.effective_inequalities is s.effective_inequalities
-        assert s.effective_inequalities == t.effective_inequalities
-        assert s.effective_inequalities == s.inequalities + ((0, 1, 0), (0, 0, 1))
-
     def test_not_pointed_raises_every_time(self):
         s = slice_of("prime", 1, 1, 3)
         for fn in (hilbert_basis, dual_cone_rays, hilbert_basis):
@@ -780,10 +772,6 @@ class TestSemigroupValidation:
     def test_bad_congruence(self):
         with pytest.raises(ValueError):
             AffineSemigroup(2, (), (((1, 1), 0),))
-
-    def test_bad_nonneg_index(self):
-        with pytest.raises(ValueError):
-            AffineSemigroup(2, (), (), nonneg_coords=(2,))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -654,9 +654,7 @@ class TestToricDegeneration:
         params = derive_params(1, 2, 5)
         assert len(sl2core.slice_basis(params, "plus").runs) == 1
         real = sl2core.make_Mtilde(params)
-        twice = AffineSemigroup(
-            3, ((2, 2, -2), *real.inequalities[1:]), real.congruences, real.nonneg_coords
-        )
+        twice = AffineSemigroup(3, ((2, 2, -2), *real.inequalities[1:]), real.congruences)
         assert all(
             twice.contains((5 + t, t, l)) == real.contains((5 + t, t, l))
             for t in range(6) for l in range(-1, 12 + 2 * t)
@@ -895,15 +893,16 @@ class TestCrossChecks:
         assert found == []
 
     def test_only_the_datum_and_its_readers_call_derive_params(self):
-        # (k, a, b) is derived once per input; every other module takes the
-        # validated SL2Params
+        # raw integers are checked once, where the command line gives them;
+        # iter_instances builds SL2Params directly, and every other module
+        # takes the validated SL2Params
         callers = {
             name
             for name, node in package_nodes()
             if isinstance(node, ast.Call)
             and "derive_params" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         }
-        assert callers <= {"params.py", "sl2core.py", "cli.py"}
+        assert callers == {"cli.py"}
 
     def test_one_exception_everywhere(self):
         assert sl2flip.CrossCheckError is CrossCheckError is lattice.CrossCheckError
