@@ -8,15 +8,17 @@ All semigroups here are of the shape
 i.e. the lattice points of a rational cone intersected with a finite-index
 sublattice L (Oda, Convex Bodies, 1.6), so a semigroup is given by its
 covectors and congruences alone: a sign condition x_i >= 0 is the unit
-covector e_i among the others.  That makes membership a constraint check,
-and it makes the rank-2 Hilbert basis a Hirzebruch-Jung continued fraction:
-in a basis of L the generators are the lattice points on the compact
-boundary of the convex hull of the nonzero cone points, found one edge of
-that boundary at a time, from one extremal ray to the other.  The package builds rank-2 slices with
-one congruence and a rank-3 degeneration semigroup, whose covectors and
-congruence sl2core reads directly: its Hilbert basis is never built.  The
-Hermite basis of L is lattice._hermite_basis of the congruence's kernel
-generators, the same routine that git applies to a span.
+covector e_i among the others.  That makes membership a constraint check.
+A rank-2 cone has one GL(2, Z) normal form in L, _normal_form
+(Cox-Little-Schenck, Toric Varieties, 10.1-10.2), and both rank-2 answers
+start from it: hilbert_basis walks the Hirzebruch-Jung chain of lattice
+points on the compact boundary of the hull of the nonzero cone points, one
+edge at a time, and quotient_type reads the slice's cyclic quotient type.
+The package builds rank-2 slices with one congruence and a rank-3
+degeneration semigroup, whose covectors and congruence sl2core reads
+directly: its Hilbert basis is never built.  The Hermite basis of L is
+lattice._hermite_basis of the congruence's kernel generators, the same
+routine that git applies to a span.
 
 The concrete semigroups of an instance (h, m) are built by
 sl2core.slice_semigroup.
@@ -60,7 +62,7 @@ class AffineSemigroup:
                 return False
         return True
 
-    # computed once per object and shared by hilbert_basis, dual_cone_rays
+    # computed once per object and shared by hilbert_basis, quotient_type
     # and verify's u-oracle row; a ValueError is not kept and is raised again
     @cached_property
     def _rays(self) -> tuple[Vec, Vec]:
@@ -71,12 +73,23 @@ class AffineSemigroup:
         return congruence_lattice_basis(self)
 
     # the primitive vectors along the rays in coordinates of the lattice
-    # basis, read by hilbert_basis and dual_cone_rays; Cramer's rule gives
-    # the coordinates times det(b1, b2) > 0
+    # basis, in the lex order of _rays; Cramer's rule gives the
+    # coordinates times det(b1, b2) > 0
     @cached_property
     def _lattice_rays(self) -> tuple[Vec, Vec]:
         b1, b2 = self._lattice_basis
         return tuple(primitive((det2(r, b2), det2(b1, r))) for r in self._rays)
+
+    # (v1, v2, n, u1) in the lattice basis: the rays with n = det(v1, v2)
+    # > 0, and u1 the point with det(v1, u1) = 1, 0 <= det(u1, v2) < n
+    @cached_property
+    def _normal_form(self) -> tuple[Vec, Vec, int, Vec]:
+        w1, w2 = self._lattice_rays
+        v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
+        n = det2(v1, v2)
+        x, y, _ = xgcd(-v1[1], v1[0])
+        t = -(det2((x, y), v2) // n)
+        return v1, v2, n, (x + t * v1[0], y + t * v1[1])
 
 
 def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
@@ -149,9 +162,9 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     a cone with primitive rays v1, v2, n = det(v1, v2) > 0, and its basis is
     the chain v1 = u0, u1, ..., u_{s+1} = v2 of lattice points on the compact
     boundary of the hull of the nonzero cone points (Cox-Little-Schenck,
-    Toric Varieties, 10.2).  u1 is the point of the line det(v1, .) = 1 with
-    0 <= det(u1, v2) < n, and u_{i+1} = c_i*u_i - u_{i-1} with
-    c_i = ceil(D(u_{i-1}) / D(u_i)), D(x) = det(x, v2), which falls at every
+    Toric Varieties, 10.2).  It starts from s._normal_form: u1 is the point
+    of the line det(v1, .) = 1 with 0 <= det(u1, v2) < n, and u_{i+1} =
+    c_i*u_i - u_{i-1} with c_i = ceil(D(u_{i-1}) / D(u_i)), D(x) = det(x, v2), which falls at every
     step.  While D(u_i) >= delta = D(u_{i-1}) - D(u_i), c_i = 2 and delta
     stays, so from a pair (u_prev, u) the chain is the progression
     u + t*(u - u_prev) for t = 0..floor(D(u) / delta): one floor division
@@ -161,12 +174,7 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     generators.
     """
     b1, b2 = s._lattice_basis
-    w1, w2 = s._lattice_rays
-    v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
-    n = det2(v1, v2)
-    x, y, _ = xgcd(-v1[1], v1[0])
-    t = -(det2((x, y), v2) // n)
-    u1 = (x + t * v1[0], y + t * v1[1])
+    v1, v2, n, u1 = s._normal_form
 
     def in_z2(u: Vec) -> Vec:
         return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
@@ -213,22 +221,22 @@ def congruence_lattice_basis(s: AffineSemigroup) -> tuple[Vec, Vec]:
     return ((alpha, beta), (0, gamma))
 
 
-def dual_cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
-    """Rays of the dual cone, in coordinates dual to congruence_lattice_basis.
+def quotient_type(s: AffineSemigroup) -> tuple[int, int]:
+    """(n, c): the slice surface Spec C[s] is 1/n(1, c) at its fixed point.
 
-    The slice surface Spec C[s] is the toric surface of this dual cone: its
-    character lattice is the congruence sublattice M_s, and the cone sits in
-    the lattice dual to M_s.  Returned rays are primitive; their order
-    matches the lex order of cone_rays (first dual ray is the one positive
-    on the first primal ray).
+    It is the toric surface of the dual cone, whose rays are taken first
+    the one that vanishes on the lex-second ray of s; c = -f(w) mod n for
+    the second ray w and any covector f that is 1 on the first
+    (Cox-Little-Schenck, Toric Varieties, 10.1).  In the basis (v1, u1) of
+    L, with d = det(u1, v2), the cone is cone((1, 0), (-d, n)), so in the
+    dual basis its dual has the rays (n, d), vanishing on v2, and (0, 1),
+    vanishing on v1.  With (n, d) first, nx + dy = 1 gives f = (x, y) with
+    y = d^-1 mod n, so c = -d^-1 mod n; with (0, 1) first, f = (0, 1) and
+    c = -d mod n.  (n, d) comes first when v1 is the lex-first ray.
+    Raises ValueError when the cone is not pointed.
     """
-    p1, p2 = s._lattice_rays
-
-    def dual_ray(perp_of: Vec, positive_on: Vec) -> Vec:
-        sperp = (-perp_of[1], perp_of[0])
-        val = sperp[0] * positive_on[0] + sperp[1] * positive_on[1]
-        if val == 0:
-            raise ValueError("degenerate dual cone")
-        return sperp if val > 0 else (-sperp[0], -sperp[1])
-
-    return (dual_ray(p2, p1), dual_ray(p1, p2))
+    v1, v2, n, u1 = s._normal_form
+    d = det2(u1, v2)
+    if v1 == s._lattice_rays[0]:
+        d = pow(d, -1, n)
+    return n, -d % n

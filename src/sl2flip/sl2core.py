@@ -49,16 +49,14 @@ from .semigroup import (
     AffineSemigroup,
     HilbertBasis,
     Run,
-    dual_cone_rays,
     hilbert_basis,
+    quotient_type,
 )
 from .toricgeom import (
     Cone,
     CyclicSingularity,
     _relation,
-    classify_2d,
     common_wall,
-    cone_contains,
     flip_subdivisions,
     gaifullin_criterion,
     multiplicity,
@@ -377,14 +375,14 @@ def slice_surfaces(
 ) -> tuple[CyclicSingularity | None, CyclicSingularity | None, CyclicSingularity | None]:
     """The cyclic quotient types at the fixed points of the slices S+, S-
     and S', None for a slice whose cone is not pointed, so that it has no
-    fixed point.  Each type is read off the dual cone; the Hilbert basis is
-    built only on request, by slice_basis."""
+    fixed point.  Each type is quotient_type of the slice; the Hilbert
+    basis is built only on request, by slice_basis."""
     p, q, a, b = params.p, params.q, params.a, params.b
 
     def build(name: str, which: str, expected_order: int | None):
         semi = slice_semigroup(params, which)
         try:
-            sing = classify_2d(Cone(dual_cone_rays(semi)))
+            sing = CyclicSingularity(*quotient_type(semi))
         except ValueError:
             _require(expected_order is None, "slice is not pointed", name, expected_order)
             return None
@@ -414,6 +412,14 @@ class ColoredConeData:
         return {"rho+": self.rho_plus, "rho-": self.rho_minus}[name]
 
 
+def _in_cone(gens: tuple[Vec, Vec], x: Vec) -> bool:
+    """Whether x is in the cone of independent u, v: by Cramer's rule, both
+    numerators of x = (det2(x, v) u + det2(u, x) v) / d have d's sign or vanish."""
+    u, v = gens
+    d = det2(u, v)
+    return det2(x, v) * d >= 0 and det2(u, x) * d >= 0
+
+
 @_once
 def colored_cones(params: SL2Params) -> ColoredConeData:
     """Colored cones of the four varieties in the flip diagram.
@@ -440,15 +446,12 @@ def colored_cones(params: SL2Params) -> ColoredConeData:
     _require(rho[0] + rho[1] <= 0, "rho is off the valuation cone", rho)
     for name, (gens, colors) in data.cones.items():
         _require(det2(gens[0], gens[1]) != 0, "cone is not strictly convex", name)
-        if colors:
-            cone = Cone(gens)
-            for color in colors:
-                inside = cone_contains(cone, data.color_vector(color))
-                _require(inside, "color off cone", name, color)
+        for color in colors:
+            _require(_in_cone(gens, data.color_vector(color)), "color off cone", name, color)
     # the exceptional chart sees no color at all
-    exceptional = Cone(data.cones["E'"][0])
+    exceptional = data.cones["E'"][0]
     for color in ("rho+", "rho-"):
-        _require(not cone_contains(exceptional, data.color_vector(color)), "color in E'")
+        _require(not _in_cone(exceptional, data.color_vector(color)), "color in E'")
     # each contraction to E picks up the color opposite the one it kept
     _require(data.cones["E"][1] == data.cones["E-"][1] | {"rho-"}, "colors of E- -> E")
     _require(data.cones["E"][1] == data.cones["E+"][1] | {"rho+"}, "colors of E+ -> E")

@@ -1,4 +1,4 @@
-"""Simplicial cones, small fans, and wall-curve intersection numbers.
+"""Rank-3 simplicial cones, small fans, and wall-curve intersection numbers.
 
 Everything is exact integer arithmetic; the one Fraction is the K-degree
 that wall_curve_K_degree returns.  Every fan built here comes from the
@@ -6,12 +6,13 @@ diagonals of a pointed 4-ray cone (one wall, two chambers, or a star
 subdivision), so its cones meet in common faces by construction and a Fan
 checks only its cones one at a time.
 
-Every cone built here has rank 2 or 3 and two to four rays, so the
-arithmetic is written out for those shapes on unpacked tuples, with no
-loop over an index set: a 2x2 minor is det2, a 3x3 minor is a cross
-product dotted with the third column, the minors of two rays in rank 3
-are their cross product, and square systems are solved by Cramer's rule
-with the division left undone.  Nothing here runs a general elimination.
+Every cone here has rank 3 and two to four rays, so the arithmetic is
+written out for those shapes on unpacked tuples, with no loop over an
+index set: a 3x3 minor is a cross product dotted with the third column,
+the minors of two rays are their cross product, and a point in the span
+of two rays is solved by Cramer's rule with the division left undone.
+Nothing here runs a general elimination.  A slice's rank-2 cone and its
+cyclic quotient type are semigroup's (quotient_type).
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .lattice import Vec, _require, det2, primitive, record, xgcd
+from .lattice import Vec, _require, primitive, record
 
 __all__ = [
     "Cone",
     "CyclicSingularity",
     "Fan",
-    "classify_2d",
     "common_wall",
-    "cone_contains",
     "flip_subdivisions",
     "gaifullin_criterion",
     "multiplicity",
@@ -53,7 +52,7 @@ def _dot(u: Vec, v: Vec) -> int:
 
 @record
 class Cone:
-    """Rational polyhedral cone given by its extremal rays.
+    """Rational polyhedral cone in rank 3 given by its extremal rays.
 
     At least two rays, primitive and pairwise non-proportional.  A ray is
     primitive when the gcd of its entries is 1, and two primitive rays are
@@ -69,81 +68,33 @@ class Cone:
         rays = self.rays
         if len(rays) < 2:
             raise ValueError("cone needs at least two rays")
-        dim = len(rays[0])
-        if dim != 2 and dim != 3:
-            raise ValueError("only rank 2 and 3 cones are supported")
         for r in rays:
-            if len(r) != dim:
-                raise ValueError("rays of mixed dimension")
+            if len(r) != 3:
+                raise ValueError("only rank 3 cones are supported")
             g = gcd(*r)
             if g != 1:
                 if g == 0:
                     primitive(r)  # raises its zero-vector error
                 raise ValueError(f"ray {r} is not primitive")
         seen = set(rays)
-        if len(seen) < len(rays):
+        if len(seen) < len(rays) or any((-x, -y, -z) in seen for x, y, z in rays):
             raise ValueError("proportional rays")
-        if dim == 2:
-            for x, y in rays:
-                if (-x, -y) in seen:
-                    raise ValueError("proportional rays")
-        else:
-            for x, y, z in rays:
-                if (-x, -y, -z) in seen:
-                    raise ValueError("proportional rays")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rays[0])
 
 
-def _solve(cols: tuple[Vec, ...], x) -> tuple[list[int], int] | None:
-    """Solve sum_j c_j cols[j] = x over the rationals by Cramer's rule, in
-    integers: returns (numerators, d) with d > 0 and c_j = numerators[j]/d.
-
-    Takes the rays of a Cone, 2 to 4 columns in Z^2 or Z^3; raises
-    ValueError when they are dependent, and returns None when x is outside
-    their span.  A square system gives the minors over det(cols), negated
-    together when the determinant is negative: for u, v in Z^2 they are
-    det2(x, v) and det2(u, x) over det2(u, v); for u, v, w in Z^3, with
-    the three cross products v x w, w x u and u x v, they are x dotted with
-    each over u.(v x w).  Two columns u, v in Z^3 have the normal
-    n = u x v: x is in their span iff x.n = 0, and then its coefficients
-    are ((x x v).n, (u x x).n)/(n.n).
+def _solve(cols: tuple[Vec, Vec], x: Vec) -> tuple[list[int], int] | None:
+    """Solve c_0 u + c_1 v = x for two columns u, v in Z^3 by Cramer's
+    rule, in integers: (numerators, d) with d > 0 and c_j = numerators[j]/d.
+    Raises ValueError when u and v are dependent, and returns None when x
+    is off their span.  With the normal n = u x v, x is in the span iff
+    x.n = 0, and then its coefficients are ((x x v).n, (u x x).n)/(n.n).
     """
-    k, dim = len(cols), len(x)
-    if k > dim:
+    u, v = cols
+    n = _cross(u, v)
+    if n == (0, 0, 0):
         raise ValueError("dependent columns")
-    if k == 3:
-        u, v, w = cols
-        vw, wu, uv = _cross(v, w), _cross(w, u), _cross(u, v)
-        d = _dot(u, vw)
-        nums = [_dot(x, vw), _dot(x, wu), _dot(x, uv)]
-    elif dim == 2:
-        u, v = cols
-        d = det2(u, v)
-        nums = [det2(x, v), det2(u, x)]
-    else:
-        u, v = cols
-        n = _cross(u, v)
-        if n == (0, 0, 0):
-            raise ValueError("dependent columns")
-        if _dot(x, n):
-            return None
-        return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
-    if d == 0:
-        raise ValueError("dependent columns")
-    return (nums, d) if d > 0 else ([-v for v in nums], -d)
-
-
-def cone_contains(c: Cone, x: Vec) -> bool:
-    """Weak membership test for a simplicial cone: x is in the span of the
-    rays with nonnegative coefficients, read off the signs of the Cramer
-    numerators (the denominator is positive)."""
-    if len(x) != len(c.rays[0]):
-        raise ValueError("dimension mismatch")
-    sol = _solve(c.rays, x)
-    return sol is not None and min(sol[0]) >= 0
+    if _dot(x, n):
+        return None
+    return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
 
 
 def multiplicity(c: Cone) -> int:
@@ -151,23 +102,18 @@ def multiplicity(c: Cone) -> int:
     of their linear span, the gcd of the maximal minors of the ray matrix.
     1 means the cone is smooth.
 
-    n rays in rank n have one maximal minor, the determinant: det2 in rank
-    2, and u.(v x w) in rank 3.  Two rays in rank 3 have their cross
-    product as minors.  More rays than the rank, the 4-ray cones in rank 3
-    among them, have no maximal minor, and like a zero determinant they
-    are not simplicial.
+    Three rays have one maximal minor, the determinant u.(v x w), and two
+    rays have their cross product as minors.  Four rays have no maximal
+    minor, and like a zero determinant they are not simplicial.
     """
     rays = c.rays
-    n, dim = len(rays), len(rays[0])
-    if n > dim:
-        out = 0
-    elif n == 3:
+    if len(rays) == 3:
         u, v, w = rays
         out = abs(_dot(u, _cross(v, w)))
-    elif dim == 2:
-        out = abs(det2(*rays))
-    else:
+    elif len(rays) == 2:
         out = gcd(*_cross(*rays))
+    else:
+        out = 0
     if out == 0:
         raise ValueError("cone is not simplicial")
     return out
@@ -198,44 +144,22 @@ class CyclicSingularity:
         return f"1/{self.order}(1,{self.twist})"
 
 
-def classify_2d(c: Cone) -> CyclicSingularity:
-    """Normal form of a pointed 2-d cone under GL(2,Z).
-
-    Sends ray 1 to (1,0) and ray 2 to (-c, n) with 0 <= c < n, where n is
-    the multiplicity; the quotient singularity is then of type 1/n(1,c).
-    """
-    if c.dim != 2 or len(c.rays) != 2:
-        raise ValueError("expected two rays in rank 2")
-    r1, r2 = c.rays
-    e, f = r1
-    x, y, _ = xgcd(e, f)
-    s = x * r2[0] + y * r2[1]
-    n = e * r2[1] - f * r2[0]
-    if n < 0:
-        n = -n
-    return CyclicSingularity(n, (-s) % n)
-
-
 @record
 class Fan:
     """A set of maximal simplicial cones intersecting in common faces.
 
-    Checks that there is a cone, that all have one rank, and that each is
-    simplicial.  That the cones meet in common faces is left to the
-    constructors: each fan here takes its cones from the diagonals of a
-    pointed 4-ray cone, where it holds by construction.
+    Checks that there is a cone and that each is simplicial.  That the
+    cones meet in common faces is left to the constructors: each fan here
+    takes its cones from the diagonals of a pointed 4-ray cone, where it
+    holds by construction.
     """
 
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        cones = self.max_cones
-        if not cones:
+        if not self.max_cones:
             raise ValueError("fan needs at least one cone")
-        dim = len(cones[0].rays[0])
-        for c in cones:
-            if len(c.rays[0]) != dim:
-                raise ValueError("cones of mixed dimension")
+        for c in self.max_cones:
             multiplicity(c)  # rejects non-simplicial cones
 
 
@@ -305,8 +229,8 @@ def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
     diagonals are the two pairs, and its facets are the four pairs that
     take one ray from each.  Raises ValueError for any other shape.
     """
-    if len(c.rays) != 4 or len(c.rays[0]) != 3:
-        raise ValueError("expected a 4-ray cone in rank 3")
+    if len(c.rays) != 4:
+        raise ValueError("expected a 4-ray cone")
     rel = _relation(c.rays)
     if 0 in rel:
         raise ValueError("some three rays are dependent")
@@ -387,8 +311,8 @@ def wall_curve_K_degree(f: Fan, wall: Cone) -> Fraction:
     pairings of the wall's own rays are forced by the relations
     sum <u, v_rho> (D_rho . C) = 0 for a basis of characters u.
     """
-    if wall.dim != 3 or len(wall.rays) != 2:
-        raise ValueError("wall must be a 2-ray cone in rank 3")
+    if len(wall.rays) != 2:
+        raise ValueError("wall must be a 2-ray cone")
     wset = set(wall.rays)
     carriers = [c for c in f.max_cones if wset <= set(c.rays)]
     if len(carriers) != 2:

@@ -590,8 +590,8 @@ class TestRecord:
         assert raised(cls, *v, bogus=1)[0] is raised(twin, *v, bogus=1)[0] is TypeError
 
     @pytest.mark.parametrize("cls, args", [
-        pytest.param(toricgeom.Cone, (((2, 0), (0, 1)),), id="Cone-not-primitive"),
-        pytest.param(toricgeom.Cone, (((1, 0), (-1, 0)),), id="Cone-proportional"),
+        pytest.param(toricgeom.Cone, (((2, 0, 0), (0, 1, 0)),), id="Cone-not-primitive"),
+        pytest.param(toricgeom.Cone, (((1, 0, 0), (-1, 0, 0)),), id="Cone-proportional"),
         pytest.param(toricgeom.CyclicSingularity, (4, 2), id="CyclicSingularity-not-unit"),
         pytest.param(toricgeom.Fan, ((),), id="Fan-empty"),
         pytest.param(git.DiagonalAction, ((1, 2), 3, (0, 3)), id="DiagonalAction-unreduced"),
@@ -606,6 +606,6 @@ class TestRecord:
     def test_equal_fields_of_different_classes_are_unequal(self):
         assert git.GroupCharacter(1, 0) != toricgeom.CyclicSingularity(1, 0)
         assert git.GroupCharacter(1, 0) != (1, 0)
-        cone = toricgeom.Cone(((1, 0), (0, 1)))
+        cone = toricgeom.Cone(((1, 0, 0), (0, 1, 0)))
         assert cone != toricgeom.Fan((cone,))
         assert len({git.GroupCharacter(1, 0), git.GroupCharacter(1, 0)}) == 1

@@ -12,8 +12,8 @@ from sl2flip.semigroup import (
     AffineSemigroup,
     congruence_lattice_basis,
     cone_rays,
-    dual_cone_rays,
     hilbert_basis,
+    quotient_type,
 )
 from sl2flip.sl2core import (
     CrossCheckError,
@@ -193,6 +193,24 @@ def hilbert_basis_by_steps(s):
         return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
 
     return tuple(sorted(in_z2(u) for u in chain)), (r1, r2), (in_z2(w1), in_z2(w2))
+
+
+def dual_cone_rays(s):
+    """The former semigroup.dual_cone_rays, kept with test_toricgeom's
+    classify_2d as the oracle of quotient_type: the primitive rays of the
+    dual cone, in coordinates dual to the congruence lattice basis, first
+    the one that vanishes on the lex-second ray and is positive on the
+    lex-first, then the other."""
+    p1, p2 = s._lattice_rays
+
+    def dual_ray(perp_of, positive_on):
+        sperp = (-perp_of[1], perp_of[0])
+        val = sperp[0] * positive_on[0] + sperp[1] * positive_on[1]
+        if val == 0:
+            raise ValueError("degenerate dual cone")
+        return sperp if val > 0 else (-sperp[0], -sperp[1])
+
+    return (dual_ray(p2, p1), dual_ray(p1, p2))
 
 
 def runs_of_chain(points):
@@ -724,11 +742,13 @@ class TestDualCone:
 
     def test_index_matches_families(self):
         for p, q, m in small_params():
+            # the index of the dual cone is the order quotient_type reads
             k, a, b = derived(p, q, m)
-            assert abs(det2(*dual_cone_rays(slice_of("plus", p, q, m)))) == a * p
-            assert abs(det2(*dual_cone_rays(slice_of("minus", p, q, m)))) == a * q
-            if p < q:
-                assert abs(det2(*dual_cone_rays(slice_of("prime", p, q, m)))) == b
+            for which, order in (("plus", a * p), ("minus", a * q), ("prime", b)):
+                if which == "prime" and p == q:
+                    continue
+                s = slice_of(which, p, q, m)
+                assert abs(det2(*dual_cone_rays(s))) == order == quotient_type(s)[0]
 
     def test_dual_rays_nonnegative_on_cone(self):
         # each dual ray pairs nonnegatively with both primal rays, in the
@@ -736,6 +756,23 @@ class TestDualCone:
         s = slice_of("plus", 2, 3, 4)
         d1, d2 = dual_cone_rays(s)
         assert det2(d1, d2) != 0
+
+
+class TestNormalForm:
+    def test_normal_form_sweep(self):
+        # n = det(v1, v2) > 0 over the lattice rays, det(v1, u1) = 1 and
+        # 0 <= det(u1, v2) < n, so (v1, u1) is a basis of L and the cone is
+        # cone((1, 0), (-d, n)) in it
+        for params in iter_instances(12, 12):
+            for which in ("plus", "minus", "prime"):
+                s = slice_semigroup(params, which)
+                if which == "prime" and params.p == params.q:
+                    continue  # not pointed
+                v1, v2, n, u1 = s._normal_form
+                assert {v1, v2} == set(s._lattice_rays)
+                assert det2(v1, v2) == n > 0
+                assert det2(v1, u1) == 1
+                assert 0 <= det2(u1, v2) < n
 
 
 class TestSharedPerObject:
@@ -753,13 +790,13 @@ class TestSharedPerObject:
             monkeypatch.setattr(semigroup, name, counted)
         one, two = slice_of("minus", 2, 5, 9), slice_of("minus", 2, 5, 9)
         assert hilbert_basis(one) == hilbert_basis(two)
-        assert dual_cone_rays(one) == dual_cone_rays(two)
+        assert quotient_type(one) == quotient_type(two)
         assert calls == {"cone_rays": 2, "congruence_lattice_basis": 2}
         assert one == two and hash(one) == hash(two)
 
     def test_not_pointed_raises_every_time(self):
         s = slice_of("prime", 1, 1, 3)
-        for fn in (hilbert_basis, dual_cone_rays, hilbert_basis):
+        for fn in (hilbert_basis, quotient_type, hilbert_basis):
             with pytest.raises(ValueError, match="not pointed"):
                 fn(s)
 

@@ -454,7 +454,7 @@ class TestSliceSurfaces:
             assert s_prime.order == params.b
 
     def test_prime_not_pointed_below_height_one_raises(self, monkeypatch):
-        real = sl2core.dual_cone_rays
+        real = sl2core.quotient_type
         params = derive_params(1, 3, 1)
         prime = slice_semigroup(params, "prime")
 
@@ -463,7 +463,7 @@ class TestSliceSurfaces:
                 raise ValueError("cone is not pointed")
             return real(semi)
 
-        monkeypatch.setattr(sl2core, "dual_cone_rays", prime_not_pointed)
+        monkeypatch.setattr(sl2core, "quotient_type", prime_not_pointed)
         with pytest.raises(CrossCheckError, match="slice is not pointed"):
             slice_surfaces(params)
         # at height 1 no order is expected, so S' may have no fixed point
@@ -471,14 +471,13 @@ class TestSliceSurfaces:
 
     def test_twist_is_ray_order_independent(self):
         # same_type identifies a surface with its mirror presentation
-        from sl2flip.semigroup import dual_cone_rays
-        from sl2flip.toricgeom import Cone, classify_2d
-        from test_toricgeom import same_type
+        from test_semigroup import dual_cone_rays
+        from test_toricgeom import classify_2d, same_type
 
         for params in instances(4, 3, below_one=True):
             rays = dual_cone_rays(slice_semigroup(params, "minus"))
-            direct = classify_2d(Cone(rays))
-            swapped = classify_2d(Cone((rays[1], rays[0])))
+            direct = classify_2d(rays)
+            swapped = classify_2d((rays[1], rays[0]))
             assert same_type(direct, swapped)
             _, s_minus, _ = slice_surfaces(params)
             assert same_type(s_minus, direct)
@@ -586,6 +585,24 @@ class TestColoredCones:
     def test_height_one_fails(self):
         with pytest.raises(ValueError):
             colored_cones(derive_params(1, 1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_cone_agrees_with_elimination(self, data):
+        # colored_cones' Cramer sign test against the rational solve; the
+        # target is drawn freely or as a small combination of the rays,
+        # so that both answers and the boundary occur
+        from test_toricgeom import solve_by_elimination, vectors
+
+        u, v = data.draw(vectors(2)), data.draw(vectors(2))
+        if u[0] * v[1] - u[1] * v[0] == 0:
+            return  # not a strictly convex cone: colored_cones refuses it
+        if data.draw(st.booleans()):
+            x = data.draw(vectors(2, 9))
+        else:
+            a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+            x = (a * u[0] + b * v[0], a * u[1] + b * v[1])
+        assert sl2core._in_cone((u, v), x) == (min(solve_by_elimination((u, v), x)) >= 0)
 
 
 class TestToricDegeneration:

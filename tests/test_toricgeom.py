@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from sl2flip import toricgeom
 from sl2flip.lattice import det2, primitive, xgcd
-from sl2flip.semigroup import (
-    congruence_lattice_basis,
-    dual_cone_rays,
-    hilbert_basis,
+from sl2flip.semigroup import congruence_lattice_basis, hilbert_basis, quotient_type
+from sl2flip.sl2core import (
+    derive_params,
+    iter_instances,
+    slice_semigroup,
+    toric_degeneration,
 )
-from sl2flip.sl2core import derive_params, slice_semigroup, toric_degeneration
 from sl2flip.toricgeom import (
     Cone,
     CyclicSingularity,
@@ -23,9 +24,7 @@ from sl2flip.toricgeom import (
     _dot,
     _relation,
     _solve,
-    classify_2d,
     common_wall,
-    cone_contains,
     flip_subdivisions,
     gaifullin_criterion,
     multiplicity,
@@ -35,7 +34,7 @@ from sl2flip.toricgeom import (
     wall_curve_K_degree,
 )
 from test_lattice import IntMatrix, kernel_basis, laplace_det, smith_normal_form
-from test_semigroup import chain_ends
+from test_semigroup import chain_ends, dual_cone_rays
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
@@ -55,21 +54,17 @@ def random_rays(data, count, dim, bound):
 def validate_cone_pairwise(rays):
     """The former Cone validation, kept as the oracle of the set test:
     primitivity by comparing each ray with primitive(ray), then
-    proportionality by a cross product (or 2x2 determinant) per pair."""
+    proportionality by a cross product per pair."""
     if len(rays) < 2:
         raise ValueError("cone needs at least two rays")
-    dim = len(rays[0])
-    if dim not in (2, 3):
-        raise ValueError("only rank 2 and 3 cones are supported")
     for r in rays:
-        if len(r) != dim:
-            raise ValueError("rays of mixed dimension")
+        if len(r) != 3:
+            raise ValueError("only rank 3 cones are supported")
         if r != primitive(r):
             raise ValueError(f"ray {r} is not primitive")
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            u, v = rays[i], rays[j]
-            if (det2(u, v) == 0) if dim == 2 else (_cross(u, v) == (0, 0, 0)):
+            if _cross(rays[i], rays[j]) == (0, 0, 0):
                 raise ValueError("proportional rays")
 
 
@@ -79,17 +74,16 @@ def validate_fan_pairwise(fan):
     opposite sides of it, and otherwise no ray of one cone may lie inside
     another."""
     cones = fan.max_cones
-    dim = len(cones[0].rays[0])
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
-            check_pair(cones[i], cones[j], dim)
+            check_pair(cones[i], cones[j])
 
 
-def check_pair(a, b, dim):
+def check_pair(a, b):
     shared = [r for r in a.rays if r in b.rays]
     if len(shared) == min(len(a.rays), len(b.rays)):
         raise ValueError("duplicate or nested cones")
-    if len(shared) == 2 and dim == 3 and len(a.rays) == 3 == len(b.rays):
+    if len(shared) == 2 and len(a.rays) == 3 == len(b.rays):
         n = _cross(*shared)
         sa = _dot(n, next(r for r in a.rays if r not in shared))
         sb = _dot(n, next(r for r in b.rays if r not in shared))
@@ -98,15 +92,18 @@ def check_pair(a, b, dim):
         return
     for first, second in ((a, b), (b, a)):
         for r in first.rays:
-            if r not in shared and cone_contains(second, r):
-                raise ValueError("ray of one cone lies inside another")
+            if r not in shared:
+                sol = solve_by_elimination(second.rays, r)
+                if sol is not None and min(sol) >= 0:
+                    raise ValueError("ray of one cone lies inside another")
 
 
 @st.composite
 def ray_tuples(draw):
     """Rank-2 and rank-3 ray tuples that hit every branch of the Cone
     validation: zero, non-primitive and primitive rays, repeats, r next
-    to -r, and now and then a ray of the other rank."""
+    to -r, and now and then a ray of the other rank; a Cone refuses every
+    rank-2 ray."""
     dim = draw(st.sampled_from((2, 3)))
     vec = lambda d: st.tuples(*[st.integers(-4, 4)] * d)
     rays = draw(st.lists(st.one_of(vec(dim), vec(dim).filter(any).map(primitive)),
@@ -200,6 +197,22 @@ def same_type(c, d):
     return c.twist == d.twist or (c.twist * d.twist) % c.order == 1
 
 
+def classify_2d(rays):
+    """The former toricgeom.classify_2d, kept with test_semigroup's
+    dual_cone_rays as the oracle of quotient_type: the normal form of a
+    pointed 2-d cone under GL(2, Z).  It sends ray 1 to (1, 0) and ray 2
+    to (-c, n) with 0 <= c < n, n the multiplicity; the quotient
+    singularity is then of type 1/n(1, c)."""
+    r1, r2 = rays
+    if len(r1) != 2 or len(r2) != 2 or primitive(r1) != r1 or primitive(r2) != r2:
+        raise ValueError("expected two primitive rays in rank 2")
+    n = abs(det2(r1, r2))
+    if n == 0:
+        raise ValueError("proportional rays")
+    x, y, _ = xgcd(*r1)
+    return CyclicSingularity(n, -(x * r2[0] + y * r2[1]) % n)
+
+
 def wall_degree_by_fractions(f, wall):
     """Oracle for wall_curve_K_degree: the same pairings mt/m_i kept as
     Fractions, and the wall relation solved by rational elimination."""
@@ -285,11 +298,13 @@ class TestMinors:
         assert got == laplace_det(cols)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(2, 3), st.integers(2, 3), st.data())
-    def test_solve_agrees_with_elimination(self, dim, count, data):
-        # arbitrary columns, zero vectors and dependent sets included; the
-        # target is either arbitrary (mostly off the span) or drawn inside it
-        cols = tuple(data.draw(vectors(dim)) for _ in range(count))
+    @given(st.data())
+    def test_solve_agrees_with_elimination(self, data):
+        # two arbitrary columns in Z^3, zero vectors and dependent pairs
+        # included; the target is either arbitrary (mostly off the span)
+        # or drawn inside it
+        dim = 3
+        cols = tuple(data.draw(vectors(dim)) for _ in range(2))
         if data.draw(st.booleans()):
             target = data.draw(vectors(dim, 9))
         else:
@@ -305,17 +320,14 @@ class TestMinors:
         assert got == want
 
     def test_solve_frozen(self):
-        # in the span, off it, dependent, and four rays in Z^3; the pairs
-        # are (numerators, d) with d > 0, undivided
+        # in the span, off it, and dependent; the pairs are (numerators, d)
+        # with d > 0, undivided
         assert _solve((E1, E2), (3, -2, 0)) == ([3, -2], 1)
         assert _solve((E1, E2), (3, -2, 1)) is None
         assert _solve(((1, 1, 0), (1, -1, 0)), (1, 0, 0)) == ([2, 2], 4)
-        assert _solve(((1, 0), (-1, 2)), (0, 1)) == ([1, 1], 2)
-        assert _solve(((-1, 2), (1, 0)), (0, 1)) == ([1, 1], 2)  # det < 0
-        for cols in [((1, 0, 0), (0, 1, 0), (1, 1, 0)), ((1, 2, 3), (2, 4, 6)),
-                     (E1, E2, E3, (1, 1, 1)), ((1, 0), (0, 1), (1, 1)), ((0, 0), (1, 0))]:
+        for cols in [((1, 2, 3), (2, 4, 6)), ((0, 0, 0), E1)]:
             with pytest.raises(ValueError, match="dependent"):
-                _solve(cols, (0,) * len(cols[0]))
+                _solve(cols, (0, 0, 0))
 
 
 class TestMultiplicity:
@@ -337,12 +349,11 @@ class TestMultiplicity:
             multiplicity(sigma_of(1, 2, 1))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 4), st.integers(2, 3), st.data())
-    def test_agrees_with_smith_normal_form(self, count, dim, data):
+    @given(st.integers(2, 4), st.data())
+    def test_agrees_with_smith_normal_form(self, count, data):
         # oracle: the product of the nonzero invariant factors, defined
-        # when there is one per ray; more rays than the rank, 4 rays in
-        # rank 3 among them, are not simplicial
-        rays = random_rays(data, count, dim, 6)
+        # when there is one per ray; 4 rays in rank 3 are not simplicial
+        rays = random_rays(data, count, 3, 6)
         diag = smith_normal_form(IntMatrix.from_cols(rays)).diag
         nonzero = [d for d in diag if d]
         if len(nonzero) == count:
@@ -354,21 +365,47 @@ class TestMultiplicity:
 
 class TestClassify2d:
     def test_frozen(self):
-        assert classify_2d(Cone(((1, 0), (0, 1)))) == CyclicSingularity(1, 0)
-        assert classify_2d(Cone(((1, 0), (-1, 2)))) == CyclicSingularity(2, 1)
-        assert classify_2d(Cone(((1, 0), (1, 2)))) == CyclicSingularity(2, 1)
-        assert classify_2d(Cone(((1, 0), (2, 3)))) == CyclicSingularity(3, 1)
+        assert classify_2d(((1, 0), (0, 1))) == CyclicSingularity(1, 0)
+        assert classify_2d(((1, 0), (-1, 2))) == CyclicSingularity(2, 1)
+        assert classify_2d(((1, 0), (1, 2))) == CyclicSingularity(2, 1)
+        assert classify_2d(((1, 0), (2, 3))) == CyclicSingularity(3, 1)
 
     def test_mprime_dual(self):
         # index-2 character cone of the slice semigroup at (1,3,1)
-        dual = Cone(dual_cone_rays(slice_semigroup(derive_params(1, 3, 1), "prime")))
-        got = classify_2d(dual)
+        semi = slice_semigroup(derive_params(1, 3, 1), "prime")
+        got = classify_2d(dual_cone_rays(semi))
         assert got.order == 2
-        assert got == CyclicSingularity(2, 1)
+        assert got == CyclicSingularity(2, 1) == CyclicSingularity(*quotient_type(semi))
+
+    def test_quotient_type_matches_the_oracles(self):
+        # every slice with q, m <= 20: quotient_type against the normal form
+        # of the dual cone, and against the Hirzebruch-Jung hull walk, which
+        # inverts the twist when it swaps the rays into positive order
+        pointed = 0
+        for params in iter_instances(20, 20):
+            for which in ("plus", "minus", "prime"):
+                s = slice_semigroup(params, which)
+                try:
+                    got = quotient_type(s)
+                except ValueError:
+                    # only S' at height 1 is not pointed
+                    assert which == "prime" and params.p == params.q
+                    with pytest.raises(ValueError, match="not pointed"):
+                        dual_cone_rays(s)
+                    continue
+                pointed += 1
+                d1, d2 = dual_cone_rays(s)
+                want = classify_2d((d1, d2))
+                assert got == (want.order, want.twist), s
+                n, c = hull_walk_type(d1, d2)
+                if det2(d1, d2) < 0 and n > 1:
+                    c = pow(c, -1, n)
+                assert got == (n, c), s
+        assert pointed == 3 * 2560 - 20
 
     def test_ray_swap_inverts_twist(self):
-        c = classify_2d(Cone(((1, 0), (-2, 5))))
-        d = classify_2d(Cone(((-2, 5), (1, 0))))
+        c = classify_2d(((1, 0), (-2, 5)))
+        d = classify_2d(((-2, 5), (1, 0)))
         assert c.order == d.order == 5
         assert (c.twist * d.twist) % 5 == 1
         assert same_type(c, d)
@@ -403,7 +440,7 @@ class TestClassify2d:
                 c = next((a + b) // x for a, b, x in zip(u_prev, u_next, u) if x)
                 assert (u_prev[0] + u_next[0], u_prev[1] + u_next[1]) == (c * u[0], c * u[1])
                 cs.append(c)
-            kind = classify_2d(Cone(dual_cone_rays(s)))
+            kind = CyclicSingularity(*quotient_type(s))
             n = kind.order
             assert det2(v1, v2) == n, s
             if not cs:
@@ -432,7 +469,7 @@ class TestClassify2d:
         r1, r2 = primitive(r1), primitive(r2)
         if det2(r1, r2) < 0:
             r1, r2 = r2, r1
-        got = classify_2d(Cone((r1, r2)))
+        got = classify_2d((r1, r2))
         assert (got.order, got.twist) == hull_walk_type(r1, r2)
 
     @settings(max_examples=200, deadline=None)
@@ -457,15 +494,13 @@ class TestClassify2d:
             u[0][0] * v[0] + u[0][1] * v[1],
             u[1][0] * v[0] + u[1][1] * v[1],
         )
-        assert classify_2d(Cone((apply(r1), apply(r2)))) == classify_2d(
-            Cone((r1, r2))
-        )
+        assert classify_2d((apply(r1), apply(r2))) == classify_2d((r1, r2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            classify_2d(Cone(((1, 0, 0), (0, 1, 0))))
+            classify_2d(((1, 0, 0), (0, 1, 0)))
         with pytest.raises(ValueError):
-            Cone(((1, 0), (-1, 0)))  # line, proportional rays
+            classify_2d(((1, 0), (-1, 0)))  # line, proportional rays
 
     def test_singularity_validation(self):
         with pytest.raises(ValueError):
@@ -786,8 +821,6 @@ class TestFanValidation:
     def test_fan_checks_each_cone(self):
         with pytest.raises(ValueError, match="at least one"):
             Fan(())
-        with pytest.raises(ValueError, match="mixed"):
-            Fan((Cone((E1, E2, E3)), Cone(((1, 0), (0, 1)))))
         with pytest.raises(ValueError, match="not simplicial"):
             Fan((sigma_of(1, 2, 1),))
 
@@ -822,6 +855,12 @@ class TestFanValidation:
         with pytest.raises(ValueError):
             Cone(())
 
+    def test_rank_two_rejected(self):
+        # a slice's rank-2 cone is semigroup's normal form, not a Cone
+        for rays in [((1, 0), (0, 1)), (E1, (0, 1)), ((1, 0), E1, E2)]:
+            with pytest.raises(ValueError, match="only rank 3"):
+                Cone(rays)
+
     def test_one_ray_rejected(self):
         with pytest.raises(ValueError, match="at least two rays"):
             Cone(((1, 0),))
@@ -847,34 +886,6 @@ class TestFanValidation:
         assert calls == []
         with pytest.raises(ValueError, match="zero vector"):
             Cone(((0, 0, 0), E1))
-
-    def test_cone_contains(self):
-        c = Cone((E1, E2, E3))
-        assert cone_contains(c, (2, 3, 1))
-        assert cone_contains(c, (0, 0, 0))
-        assert not cone_contains(c, (-1, 0, 1))
-        c2 = Cone(((1, 0, 0), (0, 1, 0)))
-        assert cone_contains(c2, (3, 2, 0))
-        assert not cone_contains(c2, (3, 2, 1))  # off the span
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 3), st.data())
-    def test_cone_contains_agrees_with_elimination(self, dim, data):
-        # a simplicial cone contains x iff the rational solve has a
-        # solution with every coefficient >= 0; targets are drawn both
-        # freely and as small combinations of the rays, so both answers occur
-        count = data.draw(st.integers(2, dim))
-        rays = random_rays(data, count, dim, 5)
-        if data.draw(st.booleans()):
-            x = data.draw(vectors(dim, 9))
-        else:
-            coeffs = [data.draw(st.integers(-3, 3)) for _ in rays]
-            x = tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(dim))
-        try:
-            sol = solve_by_elimination(rays, x)
-        except ValueError:
-            return  # dependent rays: not simplicial
-        assert cone_contains(Cone(rays), x) == (sol is not None and min(sol) >= 0)
 
     def test_fan_rays_deduplicated(self):
         fan = star_subdivide_at_v5(sigma_of(1, 2, 1))
