@@ -17,7 +17,7 @@ Each cross-check is written once, next to the value it checks, and raises
 CrossCheckError, so it runs in every mode, python -O included, and the
 CLI exits 4 on it in every command.  Five of verify's rows are these
 checks (class-group, canonical, slices, cones and degeneration pass when
-the library call returns); the other rows are oracles in cli.
+the library call returns); the other rows are oracles in verify.
 
 Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three

@@ -13,12 +13,13 @@ import textwrap
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from sl2flip import CrossCheckError, cli, git, sl2core
+from sl2flip import CrossCheckError, cli, git, semigroup, sl2core, verify
 from sl2flip.lattice import FinAbGroup
 from sl2flip.semigroup import AffineSemigroup, HilbertBasis, hilbert_basis
 from sl2flip.sl2core import derive_params, iter_instances, slice_basis, slice_semigroup
@@ -30,6 +31,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rows_see(monkeypatch, module, name, value):
+    """module.name replaced by value in the verify rows' view only: verify's
+    reference to the module becomes a copy that holds the one substituted
+    name, so the library's own callers still call the original."""
+    short = module.__name__.rpartition(".")[2]
+    view = SimpleNamespace(**{**vars(getattr(verify, short)), name: value})
+    monkeypatch.setattr(verify, short, view)
 
 
 def run_json(capsys, *argv):
@@ -302,7 +312,7 @@ class TestVerify:
         def failing_check(params):
             raise CrossCheckError("injected")
 
-        monkeypatch.setattr(cli, "canonical_class", failing_check)
+        rows_see(monkeypatch, sl2core, "canonical_class", failing_check)
         code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
         assert code == 4
         assert "canonical FAIL" in out
@@ -312,21 +322,21 @@ class TestVerify:
         def failing_check(params):
             raise CrossCheckError("injected")
 
-        monkeypatch.setattr(cli, "canonical_class", failing_check)
+        rows_see(monkeypatch, sl2core, "canonical_class", failing_check)
         code, _, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
         assert code == 4
         lines = [line for line in err.splitlines() if line.startswith("FAIL 1/2 m=1: canonical")]
         assert lines == ["FAIL 1/2 m=1: canonical: CrossCheckError: injected"]
 
     def test_failure_line_names_an_oracle_exception(self, capsys, monkeypatch):
-        real = cli.slice_basis
+        real = sl2core.slice_basis
 
         def empty_at_one_third(params, which):
             if (params.p, params.q, params.m) == (1, 3, 1):
                 return HilbertBasis(())
             return real(params, which)
 
-        monkeypatch.setattr(cli, "slice_basis", empty_at_one_third)
+        rows_see(monkeypatch, sl2core, "slice_basis", empty_at_one_third)
         code, out, err = run(capsys, "verify", "--qmax", "3", "--mmax", "1")
         assert code == 4
         assert "1/3 m=1: hilbert FAIL" in out
@@ -339,7 +349,7 @@ class TestVerify:
         # every row proves its facts per run of the S+ basis; only a command
         # that prints the generators expands them
         params = derive_params(1, 2, 1000)
-        for _, applies, check in cli.VERIFY_ROWS:
+        for _, applies, check in verify.ROWS:
             if applies(params.b):
                 check(params)
         assert "generators" not in slice_basis(params, "plus").__dict__
@@ -350,19 +360,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--qmax", "8", "--mmax", "6")
         assert (code, err) == (0, "")
         assert "git-loci FAIL" not in out and "all properties pass" in out
-        # every row of VERIFY_ROWS, in order, on 160 instances
+        # every row of verify.ROWS, in order, on 160 instances
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ee30195c6a708145a50d061fafdde15897ffe05a7d18cae9ff8df7f215540553"
         )
 
     def test_a_wrong_hilbert_basis_fails_with_its_reason(self, capsys, monkeypatch):
-        real = cli.slice_basis
+        real = sl2core.slice_basis
 
         def mutant(params, which):
             gens = tuple(_drop_inner(params, real(params, which).generators))
             return HilbertBasis(runs_of_chain(gens))
 
-        monkeypatch.setattr(cli, "slice_basis", mutant)
+        rows_see(monkeypatch, sl2core, "slice_basis", mutant)
         code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "3")
         assert code == 4
         *fails, summary = err.splitlines()
@@ -370,7 +380,7 @@ class TestVerify:
         assert all(": hilbert: CrossCheckError: " in line for line in fails), fails
 
     def test_a_nontrivial_stabilizer_fails_with_its_reason(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "stabilizer_of_support", lambda act, support: FinAbGroup(0, (2,)))
+        rows_see(monkeypatch, git, "stabilizer_of_support", lambda act, sup: FinAbGroup(0, (2,)))
         code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")
         assert code == 4
         assert "stabilizer FAIL" in out
@@ -414,20 +424,20 @@ class TestVerify:
 
 
 def _u_oracle_row():
-    return next(check for name, _, check in cli.VERIFY_ROWS if name == "u-oracle")
+    return next(check for name, _, check in verify.ROWS if name == "u-oracle")
 
 
 def _plus_with(monkeypatch, at, inequalities, congruences):
     """Replace S+ at the instance (p, q, m) `at` by a semigroup with the
     given covectors and congruences, i, j >= 0."""
-    real = cli.slice_semigroup
+    real = sl2core.slice_semigroup
 
     def mutant(params, which):
         if which == "plus" and (params.p, params.q, params.m) == at:
             return AffineSemigroup(2, (*inequalities, (1, 0), (0, 1)), congruences)
         return real(params, which)
 
-    monkeypatch.setattr(cli, "slice_semigroup", mutant)
+    rows_see(monkeypatch, sl2core, "slice_semigroup", mutant)
 
 
 class TestUOracle:
@@ -476,9 +486,9 @@ class TestUOracle:
     def test_one_cone_rays_call_per_row(self, monkeypatch):
         # S+'s rays are read from the semigroup, where its Hilbert basis
         # cached them; only the model's are computed in the row
-        real = cli.cone_rays
+        real = semigroup.cone_rays
         calls = []
-        monkeypatch.setattr(cli, "cone_rays", lambda s: calls.append(s) or real(s))
+        rows_see(monkeypatch, semigroup, "cone_rays", lambda s: calls.append(s) or real(s))
         for params in iter_instances(5, 5):
             calls.clear()
             _u_oracle_row()(params)
@@ -542,7 +552,7 @@ def _other_lattice(params, gens):
 class TestHilbertCertificate:
     def test_passes_and_agrees_with_the_box_scan(self):
         for params in iter_instances(9, 8):
-            cli._check_hilbert(params)
+            verify._check_hilbert(params)
             box = params.m + params.a * params.q
             semi = slice_semigroup(params, "plus")
             brute = brute_minimal_generators(semi, (0, 0), (box, box))
@@ -553,13 +563,13 @@ class TestHilbertCertificate:
         [_drop_inner, _add_ends_sum, _add_neighbours_sum, _double_end, _drop_end, _other_lattice],
     )
     def test_output_mutants_fail(self, monkeypatch, mutate):
-        real = cli.slice_basis
+        real = sl2core.slice_basis
 
         def mutant(params, which):
             gens = tuple(mutate(params, real(params, which).generators))
             return HilbertBasis(runs_of_chain(gens))
 
-        monkeypatch.setattr(cli, "slice_basis", mutant)
+        rows_see(monkeypatch, sl2core, "slice_basis", mutant)
         changed = [
             params
             for params in iter_instances(7, 7)
@@ -570,7 +580,7 @@ class TestHilbertCertificate:
         assert any(params.b != 1 for params in changed)
         for params in changed:
             with pytest.raises(CrossCheckError):
-                cli._check_hilbert(params)
+                verify._check_hilbert(params)
 
 
 def _replace_run(runs, k, run):
@@ -625,18 +635,18 @@ class TestRunCertificate:
     def test_run_mutants_fail(self, monkeypatch, mutate):
         # every mutated chain fails the row, b = 1 or not, one run or more;
         # swapped runs keep the points but not the chain
-        real = cli.slice_basis
+        real = sl2core.slice_basis
 
         def mutant(params, which):
             return HilbertBasis(mutate(params, real(params, which).runs))
 
-        monkeypatch.setattr(cli, "slice_basis", mutant)
+        rows_see(monkeypatch, sl2core, "slice_basis", mutant)
         changed = []
         for params in iter_instances(9, 8):
             if mutant(params, "plus").runs != real(params, "plus").runs:
                 changed.append(params)
                 with pytest.raises(CrossCheckError):
-                    cli._check_hilbert(params)
+                    verify._check_hilbert(params)
         assert any(params.b != 1 for params in changed)
         assert any(len(real(params, "plus").runs) > 1 for params in changed)
 
@@ -646,9 +656,9 @@ class TestRunCertificate:
         # determinant and triple is right, so only the step's lattice fails it
         params = derive_params(1, 3, 3)
         other = HilbertBasis((((3, 0), (2, 1), 4),))
-        monkeypatch.setattr(cli, "slice_basis", lambda params, which: other)
+        rows_see(monkeypatch, sl2core, "slice_basis", lambda params, which: other)
         with pytest.raises(CrossCheckError, match="run outside S"):
-            cli._check_hilbert(params)
+            verify._check_hilbert(params)
 
     def test_a_bend_at_the_start_of_a_long_run_fails(self, monkeypatch):
         # at (1/5, 2) the chain (2, 0), (13, 1) + t(-2, 0), t = 0..4, ends at
@@ -657,9 +667,9 @@ class TestRunCertificate:
         # c = 1, so (7, 1) = (2, 0) + (5, 1) is redundant
         params = derive_params(1, 5, 2)
         bent = HilbertBasis((((2, 0), (11, 1), 1), ((13, 1), (-2, 0), 5)))
-        monkeypatch.setattr(cli, "slice_basis", lambda params, which: bent)
+        rows_see(monkeypatch, sl2core, "slice_basis", lambda params, which: bent)
         with pytest.raises(CrossCheckError, match=r"c >= 2: \(\(2, 0\), \(13, 1\), \(11, 1\)\)"):
-            cli._check_hilbert(params)
+            verify._check_hilbert(params)
 
     def test_runs_are_compared_at_b_one(self, monkeypatch):
         # the same points in two runs are not the closed form's one run
@@ -667,15 +677,15 @@ class TestRunCertificate:
         basis = slice_basis(params, "plus")
         split = HilbertBasis((((4, 0), (1, 1), 2), ((6, 2), (1, 1), 3)))
         assert split.generators == basis.generators
-        monkeypatch.setattr(cli, "slice_basis", lambda params, which: split)
+        rows_see(monkeypatch, sl2core, "slice_basis", lambda params, which: split)
         with pytest.raises(CrossCheckError, match="basis at b = 1"):
-            cli._check_hilbert(params)
+            verify._check_hilbert(params)
 
     def test_long_runs_are_checked_at_their_ends(self):
         # a run of 10**12 + 1 points is checked in O(1)
         params = derive_params(1, 2, 10**12)
         start = time.perf_counter()
-        cli._check_hilbert(params)
+        verify._check_hilbert(params)
         assert time.perf_counter() - start < 0.05
 
 
@@ -1015,8 +1025,9 @@ class TestClosedStdout:
 
 class TestStartUp:
     # pytest itself imports these, so only a fresh interpreter shows whether
-    # the package does; -S keeps site's own imports out of the picture
-    HEAVY = ("argparse", "dataclasses", "inspect", "json", "typing")
+    # the package does; -S keeps site's own imports out of the picture.
+    # sl2flip.verify, the rows, is loaded only by the verify command
+    HEAVY = ("argparse", "dataclasses", "inspect", "json", "typing", "sl2flip.verify")
 
     def _run(self, script):
         return subprocess.run(

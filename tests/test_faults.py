@@ -4,9 +4,9 @@ Each fault is a mutant of one library function: one piece of its source
 replaced, so that the wrong value enters before the function's own checks
 run (a fault applied after them would tell nothing).  The mutant is
 compiled in its module and bound under every name the package holds the
-function by, so the library and cli's rows both call it.  Every row of
-cli.VERIFY_ROWS then runs over the grid, and the rows that fail on some
-instance must be exactly the ones the fault names.  A fault no row sees
+function by; the rows of verify.ROWS call the package through its modules,
+so they call it too.  Every row then runs over the grid, and the rows that
+fail on some instance must be exactly the ones the fault names.  A fault no row sees
 is a strict xfail that names the ROADMAP item whose row will catch it
 (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).
@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from sl2flip import cli, git, lattice, semigroup, sl2core
+from sl2flip import git, lattice, semigroup, sl2core, verify
 from sl2flip.sl2core import action, characters, derive_params, iter_instances, slice_semigroup
 from sl2flip.toricgeom import CyclicSingularity
 
@@ -70,11 +70,11 @@ def outcome(fn, *args):
 
 
 def failing_rows() -> set[str]:
-    """The rows of cli.VERIFY_ROWS that fail on some instance of the grid,
+    """The rows of verify.ROWS that fail on some instance of the grid,
     each row run as `verify` runs it."""
     failed = set()
     for params in iter_instances(*GRID):
-        for name, applies, check in cli.VERIFY_ROWS:
+        for name, applies, check in verify.ROWS:
             if applies(params.b):
                 try:
                     check(params)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2flip import CrossCheckError, cli, git
+from sl2flip import CrossCheckError, git, verify
 from sl2flip.git import (
     COORDS,
     DiagonalAction,
@@ -582,7 +582,7 @@ class TestStabilizer:
         monkeypatch.setattr(git, "_hermite_basis", lambda v: calls.append(v) or real(v))
         for p, q, m in small_params():
             calls.clear()
-            cli._check_stabilizer(derive_params(p, q, m))
+            verify._check_stabilizer(derive_params(p, q, m))
             assert len(calls) == 5, (p, q, m)
 
     def test_oracle_sweep(self):

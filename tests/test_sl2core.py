@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sl2flip
-from sl2flip import cli, git, lattice, semigroup, sl2core, toricgeom
+from sl2flip import cli, git, lattice, semigroup, sl2core, toricgeom, verify
 from sl2flip.sl2core import (
     CrossCheckError,
     SL2Params,
@@ -399,7 +399,7 @@ class TestIntersectionNumbers:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 assert cli.main(argv) == 4
             assert "K-degree signs" in err.getvalue()
-        rows = {name: check for name, _, check in cli.VERIFY_ROWS}
+        rows = {name: check for name, _, check in verify.ROWS}
         for name in ("k-signs", "toric-bridge"):
             with pytest.raises(CrossCheckError, match="K-degree signs"):
                 rows[name](derive_params(1, 2, 1))
