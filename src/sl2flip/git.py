@@ -75,7 +75,7 @@ def monomial_character(act: DiagonalAction, exponents) -> GroupCharacter:
     exponents = tuple(exponents)
     if len(exponents) != len(act.torus_weights):
         raise ValueError("exponent length mismatch")
-    if any(e < 0 for e in exponents):
+    if min(exponents) < 0:
         raise ValueError("exponents must be nonnegative")
     t = sum(map(mul, exponents, act.torus_weights))
     f = sum(map(mul, exponents, act.finite_weights))
@@ -168,8 +168,9 @@ def semistable_locus(
             w1, t1 = abs(w) // g, abs(t) // g
             s = a // gcd(a, (t1 * f - w1 * chi_f) % a)
             power = s * w1
-            exps = tuple(s * t1 if i == j else 0 for i in range(n))
-            ok = monomial_character(act, exps) == GroupCharacter(power * t, power * chi_f % a)
+            exps = (0,) * j + (s * t1,) + (0,) * (n - 1 - j)
+            found = monomial_character(act, exps)
+            ok = found.torus_part == power * t and found.finite_part == power * chi_f % a
             _require(ok, "witness character", exps, COORDS[j], power, (t, chi_f))
             candidates.append((power, j, exps))
     candidates.sort()

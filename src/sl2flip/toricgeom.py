@@ -18,6 +18,7 @@ cyclic quotient type are semigroup's (quotient_type).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .lattice import Vec, _require, primitive, record
@@ -60,6 +61,11 @@ class Cone:
     are read off the rays without a pairwise scan.  Nothing here checks
     that the listed rays really are extremal for their hull; the
     constructors in this module only ever build cones where they are.
+
+    A cone computes its multiplicity and, with four rays, its diagonals
+    on first use and keeps them, so every reader after the first (Fan's
+    check, wall_curve_K_degree, the subdivisions, gaifullin_criterion)
+    reads the kept value.  A computation that raises keeps nothing.
     """
 
     rays: tuple[Vec, ...]
@@ -77,8 +83,35 @@ class Cone:
                     primitive(r)  # raises its zero-vector error
                 raise ValueError(f"ray {r} is not primitive")
         seen = set(rays)
-        if len(seen) < len(rays) or any((-x, -y, -z) in seen for x, y, z in rays):
+        if len(seen) < len(rays) or not seen.isdisjoint([(-x, -y, -z) for x, y, z in rays]):
             raise ValueError("proportional rays")
+
+    @cached_property
+    def _multiplicity(self) -> int:
+        rays = self.rays
+        if len(rays) == 3:
+            u, v, w = rays
+            out = abs(_dot(u, _cross(v, w)))
+        elif len(rays) == 2:
+            out = gcd(*_cross(*rays))
+        else:
+            out = 0
+        if out == 0:
+            raise ValueError("cone is not simplicial")
+        return out
+
+    @cached_property
+    def _diagonals(self) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
+        if len(self.rays) != 4:
+            raise ValueError("expected a 4-ray cone")
+        rel = _relation(self.rays)
+        if 0 in rel:
+            raise ValueError("some three rays are dependent")
+        pos = tuple(i for i in range(4) if rel[i] > 0)
+        neg = tuple(i for i in range(4) if rel[i] < 0)
+        if len(pos) != 2:
+            raise ValueError("relation does not split the rays into pairs")
+        return rel, pos, neg
 
 
 def _solve(cols: tuple[Vec, Vec], x: Vec) -> tuple[list[int], int] | None:
@@ -106,17 +139,7 @@ def multiplicity(c: Cone) -> int:
     rays have their cross product as minors.  Four rays have no maximal
     minor, and like a zero determinant they are not simplicial.
     """
-    rays = c.rays
-    if len(rays) == 3:
-        u, v, w = rays
-        out = abs(_dot(u, _cross(v, w)))
-    elif len(rays) == 2:
-        out = gcd(*_cross(*rays))
-    else:
-        out = 0
-    if out == 0:
-        raise ValueError("cone is not simplicial")
-    return out
+    return c._multiplicity
 
 
 @record
@@ -229,16 +252,7 @@ def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
     diagonals are the two pairs, and its facets are the four pairs that
     take one ray from each.  Raises ValueError for any other shape.
     """
-    if len(c.rays) != 4:
-        raise ValueError("expected a 4-ray cone")
-    rel = _relation(c.rays)
-    if 0 in rel:
-        raise ValueError("some three rays are dependent")
-    pos = tuple(i for i in range(4) if rel[i] > 0)
-    neg = tuple(i for i in range(4) if rel[i] < 0)
-    if len(pos) != 2:
-        raise ValueError("relation does not split the rays into pairs")
-    return rel, pos, neg
+    return c._diagonals
 
 
 V5: Vec = (0, 0, 1)

@@ -87,16 +87,19 @@ def _check_smoothness(params: SL2Params) -> None:
 
 
 def _check_k_signs(params: SL2Params) -> None:
+    """K.C- * K.C+ = -(1+b)^2 k^2 / (apq)^2, compared by cross-multiplying
+    numerators and denominators; the Fractions are built for the message."""
     minus, plus = sl2core.intersection_numbers(params)
     p, q, k, a, b = params.p, params.q, params.k, params.a, params.b
-    product = -Fraction((1 + b) ** 2 * k**2, a**2 * p**2 * q**2)
-    _require(minus * plus == product, "K-degree product", minus * plus, product)
+    num, den = -((1 + b) * k) ** 2, (a * p * q) ** 2
+    if minus.numerator * plus.numerator * den != num * minus.denominator * plus.denominator:
+        _require(False, "K-degree product", minus * plus, Fraction(num, den))
 
 
 def _check_toric_bridge(params: SL2Params) -> None:
     # intersection_numbers cross-checks wall degrees internally when b = 1
     sl2core.intersection_numbers(params)
-    fan = toricgeom.star_subdivide_at_v5(toricgeom.sigma_of(params.p, params.q, params.a))
+    fan = toricgeom.star_subdivide_at_v5(sl2core.flip_cone(params))
     singular = [c for c in fan.max_cones if toricgeom.multiplicity(c) != 1]
     _require(not singular, "singular cones in the star subdivision", singular)
 
@@ -110,11 +113,19 @@ def _check_git_loci(params: SL2Params) -> None:
 
 
 def _check_stabilizer(params: SL2Params) -> None:
+    """The stabilizer of each support {X1 or X2, X3 or X4} is trivial.  It
+    depends only on the characters of the two coordinates, and X1, X2 share
+    one, as do X3, X4, so one group is computed per distinct pair; the
+    first support in this order whose group is not trivial is reported."""
     act = sl2core.action(params)
+    char = dict(zip(git.COORDS, zip(act.torus_weights, act.finite_weights)))
+    groups = {}
     for left in ("X1", "X2"):
         for right in ("X3", "X4"):
-            group = git.stabilizer_of_support(act, frozenset({left, right}))
-            _require(group.is_trivial(), f"stabilizer on {left}, {right}", group)
+            pair = (char[left], char[right])
+            if pair not in groups:
+                groups[pair] = git.stabilizer_of_support(act, frozenset({left, right}))
+            _require(groups[pair].is_trivial(), f"stabilizer on {left}, {right}", groups[pair])
 
 
 ROWS = (

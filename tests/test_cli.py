@@ -379,6 +379,24 @@ class TestVerify:
         assert fails and summary == f"{len(fails)} properties failed"
         assert all(": hilbert: CrossCheckError: " in line for line in fails), fails
 
+    def test_a_wrong_k_degree_product_fails_with_its_fractions(self, capsys, monkeypatch):
+        # the row compares the product in integers; the failure line still
+        # prints both sides as Fractions
+        real, wrong = sl2core.intersection_numbers, (Fraction(-1, 3), Fraction(2))
+        rows_see(monkeypatch, sl2core, "intersection_numbers",
+                 lambda params: wrong if params.b else real(params))
+        code, _, err = run(capsys, "verify", "--qmax", "3", "--mmax", "1")
+        assert code == 4
+        assert err.splitlines() == [
+            "FAIL 1/2 m=1: k-signs: CrossCheckError: K-degree product: "
+            "(Fraction(-2, 3), Fraction(-1, 1))",
+            "FAIL 1/3 m=1: k-signs: CrossCheckError: K-degree product: "
+            "(Fraction(-2, 3), Fraction(-1, 1))",
+            "FAIL 2/3 m=1: k-signs: CrossCheckError: K-degree product: "
+            "(Fraction(-2, 3), Fraction(-1, 9))",
+            "3 properties failed",
+        ]
+
     def test_a_nontrivial_stabilizer_fails_with_its_reason(self, capsys, monkeypatch):
         rows_see(monkeypatch, git, "stabilizer_of_support", lambda act, sup: FinAbGroup(0, (2,)))
         code, out, err = run(capsys, "verify", "--qmax", "2", "--mmax", "1")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2flip import CrossCheckError, git, verify
+from sl2flip import CrossCheckError, git, sl2core, verify
 from sl2flip.git import (
     COORDS,
     DiagonalAction,
@@ -576,14 +576,65 @@ class TestStabilizer:
 
     def test_character_lattice_once_per_action(self, monkeypatch):
         # L is the same for every support: one Hermite basis for it and one
-        # per support R, so the four supports of the verify row take five
+        # per distinct pair of characters R is spanned by.  X1, X2 share a
+        # character, and so do X3, X4, so the four supports of the verify
+        # row take two
         real = git._hermite_basis
         calls = []
         monkeypatch.setattr(git, "_hermite_basis", lambda v: calls.append(v) or real(v))
         for p, q, m in small_params():
             calls.clear()
             verify._check_stabilizer(derive_params(p, q, m))
-            assert len(calls) == 5, (p, q, m)
+            assert len(calls) == 2, (p, q, m)
+
+    @pytest.mark.parametrize("moved, computed", [
+        ("X2", [fs("X1", "X3"), fs("X2", "X3")]),
+        ("X4", [fs("X1", "X3"), fs("X1", "X4")]),
+    ])
+    def test_one_group_per_distinct_character_pair(self, monkeypatch, moved, computed):
+        # one coordinate moved off its partner's character, to torus and
+        # finite weight 0: the four supports then have two distinct pairs
+        # of characters, so the row computes two groups, and a nontrivial
+        # one still fails with the text of the first such support in the
+        # row's order
+        real_action, real_stabilizer = sl2core.action, git.stabilizer_of_support
+        index = COORDS.index(moved)
+
+        def moved_apart(params):
+            act = real_action(params)
+            torus, finite = list(act.torus_weights), list(act.finite_weights)
+            torus[index] = finite[index] = 0
+            return DiagonalAction(tuple(torus), act.finite_order, tuple(finite))
+
+        supports = []
+
+        def recorded(act, support):
+            supports.append(support)
+            return real_stabilizer(act, support)
+
+        monkeypatch.setattr(sl2core, "action", moved_apart)
+        monkeypatch.setattr(git, "stabilizer_of_support", recorded)
+        failed = 0
+        for p, q, m in small_params():
+            params = derive_params(p, q, m)
+            act = moved_apart(params)
+            groups = {
+                (left, right): real_stabilizer(act, {left, right})
+                for left in ("X1", "X2")
+                for right in ("X3", "X4")
+            }
+            first = next((pair for pair, g in groups.items() if not g.is_trivial()), None)
+            supports.clear()
+            if first is None:
+                verify._check_stabilizer(params)
+            else:
+                failed += 1
+                with pytest.raises(CrossCheckError) as info:
+                    verify._check_stabilizer(params)
+                want = f"stabilizer on {first[0]}, {first[1]}: ({groups[first]!r},)"
+                assert str(info.value) == want, (p, q, m)
+            assert supports == computed, (p, q, m)
+        assert failed > 0
 
     def test_oracle_sweep(self):
         instances = [(1, 2, 1), (1, 3, 1), (2, 3, 4), (1, 3, 4), (1, 1, 3), (2, 5, 6)]
