@@ -23,11 +23,10 @@ Every invariant derived from an instance is computed once per SL2Params
 object and kept on that object: the action and characters, the three
 slice semigroups and the rank-3 degeneration semigroup, the Hilbert bases
 asked for through slice_basis, the class group, canonical class,
-intersection numbers, the cone sigma of the toric flip, slice types,
-colored cones, the degeneration, and the S+ basis over which it checked
-the fibers, which degeneration_fibers lists.  The values live and die
-with the object, and equal objects share nothing, so build a fresh
-SL2Params per computation.
+intersection numbers, slice types, colored cones, the degeneration,
+and the S+ basis over which it checked the fibers, which
+degeneration_fibers lists.  The values live and die with the object, and
+equal objects share nothing, so build a fresh SL2Params per computation.
 A call that raises keeps nothing and raises again the next time.
 """
 
@@ -56,7 +55,7 @@ from .semigroup import (
 from .toricgeom import (
     Cone,
     CyclicSingularity,
-    _diagonals,
+    _relation,
     common_wall,
     flip_subdivisions,
     gaifullin_criterion,
@@ -85,7 +84,6 @@ __all__ = [
     "degeneration_fibers",
     "derive_params",
     "embedding_data",
-    "flip_cone",
     "flip_report",
     "intersection_numbers",
     "is_smooth",
@@ -349,14 +347,6 @@ def canonical_class(params: SL2Params) -> CanonicalClass:
 
 
 @_once
-def flip_cone(params: SL2Params) -> Cone:
-    """sigma_of(p, q, a), whose two triangulations are the flip at b = 1;
-    one cone per instance, so the wall curves and the star subdivision
-    read the multiplicities and diagonals it keeps."""
-    return sigma_of(params.p, params.q, params.a)
-
-
-@_once
 def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     """(K . C-, K . C+) on the two sides of the flip.
 
@@ -371,7 +361,7 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     plus = Fraction((1 + b) * k, a * p * p)
     _require(minus < 0 < plus, "K-degree signs", minus, plus)
     if b == 1:
-        fan_plus, fan_minus = flip_subdivisions(flip_cone(params))
+        fan_plus, fan_minus = flip_subdivisions(sigma_of(p, q, a))
         for fan, want in ((fan_plus, plus), (fan_minus, minus)):
             wall = common_wall(fan)
             got = wall_curve_K_degree(fan, wall) / multiplicity(wall)
@@ -533,7 +523,7 @@ def toric_degeneration(params: SL2Params) -> ToricDegeneration:
     # sigma0 is the dual of tilde's cone: its rays are tilde's covectors
     dual = {primitive(c) for c in tilde.inequalities}
     _require(set(sigma0.rays) == dual, "sigma0 is not the dual of cone(M~)", sigma0.rays)
-    coeffs = tuple(abs(n) for n in _diagonals(sigma0)[0])
+    coeffs = tuple(abs(n) for n in _relation(sigma0.rays))
     _require(not gaifullin_criterion(sigma0), "sigma0 is quasihomogeneous")
     _checked_fiber_basis(params)
     return ToricDegeneration(sigma0, coeffs)

@@ -18,7 +18,6 @@ cyclic quotient type are semigroup's (quotient_type).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .lattice import Vec, _require, primitive, record
@@ -61,11 +60,6 @@ class Cone:
     are read off the rays without a pairwise scan.  Nothing here checks
     that the listed rays really are extremal for their hull; the
     constructors in this module only ever build cones where they are.
-
-    A cone computes its multiplicity and, with four rays, its diagonals
-    on first use and keeps them, so every reader after the first (Fan's
-    check, wall_curve_K_degree, the subdivisions, gaifullin_criterion)
-    reads the kept value.  A computation that raises keeps nothing.
     """
 
     rays: tuple[Vec, ...]
@@ -83,35 +77,8 @@ class Cone:
                     primitive(r)  # raises its zero-vector error
                 raise ValueError(f"ray {r} is not primitive")
         seen = set(rays)
-        if len(seen) < len(rays) or not seen.isdisjoint([(-x, -y, -z) for x, y, z in rays]):
+        if len(seen) < len(rays) or any((-x, -y, -z) in seen for x, y, z in rays):
             raise ValueError("proportional rays")
-
-    @cached_property
-    def _multiplicity(self) -> int:
-        rays = self.rays
-        if len(rays) == 3:
-            u, v, w = rays
-            out = abs(_dot(u, _cross(v, w)))
-        elif len(rays) == 2:
-            out = gcd(*_cross(*rays))
-        else:
-            out = 0
-        if out == 0:
-            raise ValueError("cone is not simplicial")
-        return out
-
-    @cached_property
-    def _diagonals(self) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
-        if len(self.rays) != 4:
-            raise ValueError("expected a 4-ray cone")
-        rel = _relation(self.rays)
-        if 0 in rel:
-            raise ValueError("some three rays are dependent")
-        pos = tuple(i for i in range(4) if rel[i] > 0)
-        neg = tuple(i for i in range(4) if rel[i] < 0)
-        if len(pos) != 2:
-            raise ValueError("relation does not split the rays into pairs")
-        return rel, pos, neg
 
 
 def _solve(cols: tuple[Vec, Vec], x: Vec) -> tuple[list[int], int] | None:
@@ -139,7 +106,17 @@ def multiplicity(c: Cone) -> int:
     rays have their cross product as minors.  Four rays have no maximal
     minor, and like a zero determinant they are not simplicial.
     """
-    return c._multiplicity
+    rays = c.rays
+    if len(rays) == 3:
+        u, v, w = rays
+        out = abs(_dot(u, _cross(v, w)))
+    elif len(rays) == 2:
+        out = gcd(*_cross(*rays))
+    else:
+        out = 0
+    if out == 0:
+        raise ValueError("cone is not simplicial")
+    return out
 
 
 @record
@@ -252,7 +229,16 @@ def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
     diagonals are the two pairs, and its facets are the four pairs that
     take one ray from each.  Raises ValueError for any other shape.
     """
-    return c._diagonals
+    if len(c.rays) != 4:
+        raise ValueError("expected a 4-ray cone")
+    rel = _relation(c.rays)
+    if 0 in rel:
+        raise ValueError("some three rays are dependent")
+    pos = tuple(i for i in range(4) if rel[i] > 0)
+    neg = tuple(i for i in range(4) if rel[i] < 0)
+    if len(pos) != 2:
+        raise ValueError("relation does not split the rays into pairs")
+    return rel, pos, neg
 
 
 V5: Vec = (0, 0, 1)

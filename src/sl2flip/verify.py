@@ -99,7 +99,7 @@ def _check_k_signs(params: SL2Params) -> None:
 def _check_toric_bridge(params: SL2Params) -> None:
     # intersection_numbers cross-checks wall degrees internally when b = 1
     sl2core.intersection_numbers(params)
-    fan = toricgeom.star_subdivide_at_v5(sl2core.flip_cone(params))
+    fan = toricgeom.star_subdivide_at_v5(toricgeom.sigma_of(params.p, params.q, params.a))
     singular = [c for c in fan.max_cones if toricgeom.multiplicity(c) != 1]
     _require(not singular, "singular cones in the star subdivision", singular)
 

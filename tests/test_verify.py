@@ -3,12 +3,9 @@ rows and calls the package through its modules, so a tracer that rebinds
 a module's names sees every call the rows make."""
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 import sl2flip
-from sl2flip import sl2core, toricgeom, verify
-from sl2flip.sl2core import derive_params, iter_instances
 
 
 def imports_from(filename: str) -> list[tuple[str, str]]:
@@ -42,63 +39,3 @@ class TestLayering:
             or module == ".lattice" and name not in ("CrossCheckError", "_require")
         ]
         assert found == []
-
-
-class TestEachObjectOnce:
-    """The rows of one instance share its derived objects: one sigma, and
-    one multiplicity and one relation per cone, however many read them."""
-
-    ROWS = ("k-signs", "toric-bridge", "degeneration")
-
-    @staticmethod
-    def run_rows(params, names):
-        rows = {name: check for name, _, check in verify.ROWS}
-        for name in names:
-            rows[name](params)
-
-    def test_sigma_and_each_relation_once_per_toric_instance(self, monkeypatch):
-        real_sigma, real_relation = toricgeom.sigma_of, toricgeom._relation
-        sigmas, relations = [], Counter()
-
-        def counted_sigma(*args):
-            sigmas.append(args)
-            return real_sigma(*args)
-
-        def counted_relation(rays):
-            relations[rays] += 1
-            return real_relation(rays)
-
-        for held in (sl2core, toricgeom, verify):
-            if getattr(held, "sigma_of", None) is real_sigma:
-                monkeypatch.setattr(held, "sigma_of", counted_sigma)
-        monkeypatch.setattr(toricgeom, "_relation", counted_relation)
-        toric = [t for t in iter_instances(8, 8) if t.b == 1]
-        assert toric
-        for t in toric:
-            sigmas.clear()
-            relations.clear()
-            self.run_rows(derive_params(t.p, t.q, t.m), self.ROWS)
-            assert sigmas == [(t.p, t.q, t.a)], t
-            sigma, sigma0 = real_sigma(t.p, t.q, t.a), toricgeom.sigma0_of(t.p, t.q)
-            assert relations == {sigma.rays: 1, sigma0.rays: 1}, t
-
-    def test_multiplicity_once_per_cone(self, monkeypatch):
-        real = toricgeom.Cone._multiplicity.func
-        computed = Counter()
-
-        def counted(cone):
-            computed[cone.rays] += 1
-            return real(cone)
-
-        monkeypatch.setattr(toricgeom.Cone._multiplicity, "func", counted)
-        cone = toricgeom.Cone(((1, 0, 0), (-1, 0, 6), (0, 1, 0)))
-        assert [toricgeom.multiplicity(cone) for _ in range(3)] == [6, 6, 6]
-        assert computed == {cone.rays: 1}
-        # the b = 1 rows read the wall and chamber multiplicities in Fan's
-        # check, wall_curve_K_degree, intersection_numbers and the
-        # star-subdivision row; each cone computes its own once
-        for t in iter_instances(8, 8):
-            if t.b == 1:
-                computed.clear()
-                self.run_rows(derive_params(t.p, t.q, t.m), self.ROWS[:2])
-                assert computed and set(computed.values()) == {1}, t
