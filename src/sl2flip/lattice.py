@@ -4,7 +4,7 @@ Everything here is small and closed-form: the 2x2 determinant, primitive
 vectors, the extended gcd, the Hermite basis of a sublattice of Z^2, and
 finitely generated abelian groups in invariant-factor form.  Every lattice
 the package meets has rank at most 3, so its callers read cokernels,
-multiplicities and solves off xgcd and explicit minors, and every rank-2
+multiplicities and relations off xgcd and explicit minors, and every rank-2
 Hermite basis, of a span (git) or of a congruence kernel (semigroup), off
 the one routine here; no general matrix normal form is computed.
 The bounded Diophantine enumerator, a test oracle, lists solutions in

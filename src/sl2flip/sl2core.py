@@ -56,13 +56,10 @@ from .toricgeom import (
     Cone,
     CyclicSingularity,
     _relation,
-    common_wall,
-    flip_subdivisions,
+    flip_K_degrees,
     gaifullin_criterion,
-    multiplicity,
     sigma0_of,
     sigma_of,
-    wall_curve_K_degree,
 )
 
 __all__ = [
@@ -351,8 +348,9 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     """(K . C-, K . C+) on the two sides of the flip.
 
     Closed forms -(1+b)k/(aq^2) and (1+b)k/(ap^2), checked to have the
-    signs of a flip; for toric instances the values are recomputed from
-    wall curves of the degeneration cone and must agree.
+    signs of a flip.  At b = 1 the flip is the toric flip of sigma, and
+    both values must equal K.C / mult(wall) on its two wall curves, which
+    flip_K_degrees reads off sigma's rays by the wall relation.
     """
     p, q, k, a, b = params.p, params.q, params.k, params.a, params.b
     if b == 0:
@@ -361,11 +359,8 @@ def intersection_numbers(params: SL2Params) -> tuple[Fraction, Fraction]:
     plus = Fraction((1 + b) * k, a * p * p)
     _require(minus < 0 < plus, "K-degree signs", minus, plus)
     if b == 1:
-        fan_plus, fan_minus = flip_subdivisions(sigma_of(p, q, a))
-        for fan, want in ((fan_plus, plus), (fan_minus, minus)):
-            wall = common_wall(fan)
-            got = wall_curve_K_degree(fan, wall) / multiplicity(wall)
-            _require(got == want, "wall-curve K-degree", got, want)
+        got = flip_K_degrees(sigma_of(p, q, a))
+        _require(got == (plus, minus), "wall-curve K-degree", got, (plus, minus))
     return minus, plus
 
 

@@ -1,18 +1,17 @@
-"""Rank-3 simplicial cones, small fans, and wall-curve intersection numbers.
+"""Rank-3 cones, the star subdivision of a 4-ray cone, and the K-degrees
+of its flip's wall curves.
 
 Everything is exact integer arithmetic; the one Fraction is the K-degree
-that wall_curve_K_degree returns.  Every fan built here comes from the
-diagonals of a pointed 4-ray cone (one wall, two chambers, or a star
-subdivision), so its cones meet in common faces by construction and a Fan
-checks only its cones one at a time.
+that flip_K_degrees returns.  A 4-ray cone is read off the relation of
+its rays (_diagonals): the star subdivision's cones from its facets, and
+each wall curve's K-degree from the relation scaled by one 3x3 minor.  No
+fan is built, searched or solved.
 
-Every cone here has rank 3 and two to four rays, so the arithmetic is
+Every cone here has rank 3 and three or four rays, so the arithmetic is
 written out for those shapes on unpacked tuples, with no loop over an
-index set: a 3x3 minor is a cross product dotted with the third column,
-the minors of two rays are their cross product, and a point in the span
-of two rays is solved by Cramer's rule with the division left undone.
-Nothing here runs a general elimination.  A slice's rank-2 cone and its
-cyclic quotient type are semigroup's (quotient_type).
+index set: a 3x3 minor is a cross product dotted with the third column.
+A slice's rank-2 cone and its cyclic quotient type are semigroup's
+(quotient_type).
 """
 
 from __future__ import annotations
@@ -25,15 +24,12 @@ from .lattice import Vec, _require, primitive, record
 __all__ = [
     "Cone",
     "CyclicSingularity",
-    "Fan",
-    "common_wall",
-    "flip_subdivisions",
+    "flip_K_degrees",
     "gaifullin_criterion",
     "multiplicity",
     "sigma0_of",
     "sigma_of",
     "star_subdivide_at_v5",
-    "wall_curve_K_degree",
 ]
 
 
@@ -54,7 +50,7 @@ def _dot(u: Vec, v: Vec) -> int:
 class Cone:
     """Rational polyhedral cone in rank 3 given by its extremal rays.
 
-    At least two rays, primitive and pairwise non-proportional.  A ray is
+    Three or four rays, primitive and pairwise non-proportional.  A ray is
     primitive when the gcd of its entries is 1, and two primitive rays are
     proportional exactly when they are equal or opposite, so both tests
     are read off the rays without a pairwise scan.  Nothing here checks
@@ -66,8 +62,8 @@ class Cone:
 
     def __post_init__(self):
         rays = self.rays
-        if len(rays) < 2:
-            raise ValueError("cone needs at least two rays")
+        if not 3 <= len(rays) <= 4:
+            raise ValueError("cone needs three or four rays")
         for r in rays:
             if len(r) != 3:
                 raise ValueError("only rank 3 cones are supported")
@@ -81,39 +77,13 @@ class Cone:
             raise ValueError("proportional rays")
 
 
-def _solve(cols: tuple[Vec, Vec], x: Vec) -> tuple[list[int], int] | None:
-    """Solve c_0 u + c_1 v = x for two columns u, v in Z^3 by Cramer's
-    rule, in integers: (numerators, d) with d > 0 and c_j = numerators[j]/d.
-    Raises ValueError when u and v are dependent, and returns None when x
-    is off their span.  With the normal n = u x v, x is in the span iff
-    x.n = 0, and then its coefficients are ((x x v).n, (u x x).n)/(n.n).
-    """
-    u, v = cols
-    n = _cross(u, v)
-    if n == (0, 0, 0):
-        raise ValueError("dependent columns")
-    if _dot(x, n):
-        return None
-    return [_dot(_cross(x, v), n), _dot(_cross(u, x), n)], _dot(n, n)
-
-
 def multiplicity(c: Cone) -> int:
-    """Index of the subgroup spanned by the rays inside the lattice points
-    of their linear span, the gcd of the maximal minors of the ray matrix.
-    1 means the cone is smooth.
-
-    Three rays have one maximal minor, the determinant u.(v x w), and two
-    rays have their cross product as minors.  Four rays have no maximal
-    minor, and like a zero determinant they are not simplicial.
+    """Index of the lattice spanned by three rays in Z^3, |u.(v x w)|; 1
+    means the cone is smooth.  Four rays, like three in one plane, are not
+    simplicial.
     """
     rays = c.rays
-    if len(rays) == 3:
-        u, v, w = rays
-        out = abs(_dot(u, _cross(v, w)))
-    elif len(rays) == 2:
-        out = gcd(*_cross(*rays))
-    else:
-        out = 0
+    out = abs(_dot(rays[0], _cross(rays[1], rays[2]))) if len(rays) == 3 else 0
     if out == 0:
         raise ValueError("cone is not simplicial")
     return out
@@ -142,25 +112,6 @@ class CyclicSingularity:
         if self.order == 1:
             return "smooth"
         return f"1/{self.order}(1,{self.twist})"
-
-
-@record
-class Fan:
-    """A set of maximal simplicial cones intersecting in common faces.
-
-    Checks that there is a cone and that each is simplicial.  That the
-    cones meet in common faces is left to the constructors: each fan here
-    takes its cones from the diagonals of a pointed 4-ray cone, where it
-    holds by construction.
-    """
-
-    max_cones: tuple[Cone, ...]
-
-    def __post_init__(self):
-        if not self.max_cones:
-            raise ValueError("fan needs at least one cone")
-        for c in self.max_cones:
-            multiplicity(c)  # rejects non-simplicial cones
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -244,13 +195,15 @@ def _diagonals(c: Cone) -> tuple[Vec, tuple[int, int], tuple[int, int]]:
 V5: Vec = (0, 0, 1)
 
 
-def star_subdivide_at_v5(c: Cone) -> Fan:
+def star_subdivide_at_v5(c: Cone) -> tuple[Cone, ...]:
     """Star subdivision of a 4-ray cone through v5 = e3.
 
     Requires e3 to lie in the interior: strictly on the side of each facet
     plane where the other two rays lie.  Returns the four cones spanned by
     v5 and the facets of the input, the pairs (i, j), i < j, with one ray
-    on each diagonal, in sorted order.
+    on each diagonal, in sorted order.  They meet in common faces by
+    construction, as the facets of a pointed cone coned off from an
+    interior point.
     """
     rays = c.rays
     _, pos, neg = _diagonals(c)
@@ -262,72 +215,30 @@ def star_subdivide_at_v5(c: Cone) -> Fan:
         if n[2] * _dot(n, other) <= 0:  # n[2] is n . V5
             raise ValueError("e3 does not lie in the interior")
         cones.append(Cone((rays[i], rays[j], V5)))
-    return Fan(tuple(cones))
+    return tuple(cones)
 
 
-def flip_subdivisions(c: Cone) -> tuple[Fan, Fan]:
-    """The two 2-cone triangulations of a 4-ray cone.
+def flip_K_degrees(c: Cone) -> tuple[Fraction, Fraction]:
+    """(plus, minus): K.C / mult(wall) on the wall curve C of each of the
+    two triangulations of a pointed 4-ray cone, plus the positive one.
 
-    The rays satisfy a unique relation splitting them into two pairs with
-    positive coefficients on each side.  Returned as (plus, minus), where
-    the plus fan is subdivided through the pair with the larger coefficient
-    sum; the wall curve of that fan is the one K pairs positively with.  On
-    a tie both wall curves have K-degree 0 and the choice is stabilized by
-    putting the lexicographically smallest ray on the plus wall.
+    Each diagonal (w1, w2) of _diagonals is the wall of one triangulation,
+    and its chambers add the rays o of the other diagonal.  The numbers
+    D_rho . C are the relation of the four rays scaled so that
+    D_o . C = mult(wall)/|det(w1, w2, o)| (the wall relation: Cox, Little
+    and Schenck, Toric Varieties, Prop. 6.4.4; Reid, "Decomposition of
+    toric morphisms", 1983).  With -K the sum of the ray divisors,
+    K.C / mult(wall) = -sum(rel) / (rel[o] |det(w1, w2, o)|), the same for
+    either o.  The two degrees have opposite signs, or are both 0 when the
+    relation sums to 0, as for the conifold flop.
     """
     rel, pos, neg = _diagonals(c)
-    pos_sum = rel[pos[0]] + rel[pos[1]]
-    neg_sum = -rel[neg[0]] - rel[neg[1]]
-    if pos_sum != neg_sum:
-        wall, other = (pos, neg) if pos_sum > neg_sum else (neg, pos)
-    else:
-        smallest = min(c.rays)
-        on_pos = smallest in (c.rays[pos[0]], c.rays[pos[1]])
-        wall, other = (pos, neg) if on_pos else (neg, pos)
-
-    def fan_through(widx, oidx):
-        w1, w2 = c.rays[widx[0]], c.rays[widx[1]]
-        return Fan(tuple(Cone((w1, w2, c.rays[o])) for o in oidx))
-
-    return fan_through(wall, other), fan_through(other, wall)
-
-
-def common_wall(f: Fan) -> Cone:
-    """The shared 2-face of a fan with exactly two maximal cones."""
-    if len(f.max_cones) != 2:
-        raise ValueError("expected exactly two maximal cones")
-    a, b = f.max_cones
-    shared = tuple(r for r in a.rays if r in b.rays)
-    if len(shared) != 2:
-        raise ValueError("cones do not share a 2-face")
-    return Cone(shared)
-
-
-def wall_curve_K_degree(f: Fan, wall: Cone) -> Fraction:
-    """Degree of K on the torus-invariant curve of a wall.
-
-    With -K = sum of all ray divisors, the pairing of each divisor with the
-    wall curve is mult(wall)/mult(chamber) for the two completing rays; the
-    pairings of the wall's own rays are forced by the relations
-    sum <u, v_rho> (D_rho . C) = 0 for a basis of characters u.
-    """
-    if len(wall.rays) != 2:
-        raise ValueError("wall must be a 2-ray cone")
-    wset = set(wall.rays)
-    carriers = [c for c in f.max_cones if wset <= set(c.rays)]
-    if len(carriers) != 2:
-        raise ValueError("wall must be a face of exactly two maximal cones")
-    completing = [next(r for r in c.rays if r not in wset) for c in carriers]
-    mt = multiplicity(wall)
-    m0, m1 = (multiplicity(c) for c in carriers)
-    # scaled by m0*m1, the completing rays pair with mt*m1 and mt*m0
-    c0, c1 = mt * m1, mt * m0
-    target = tuple(-(c0 * r0 + c1 * r1) for r0, r1 in zip(*completing))
-    sol = _solve(wall.rays, target)
-    if sol is None:
-        raise ValueError("wall relation is inconsistent")
-    (s0, s1), d = sol
-    return -Fraction((c0 + c1) * d + s0 + s1, m0 * m1 * d)
+    rays, total = c.rays, sum(rel)
+    degrees = []
+    for (i, j), o in ((pos, neg[0]), (neg, pos[0])):
+        chamber = abs(_dot(rays[o], _cross(rays[i], rays[j])))
+        degrees.append(Fraction(-total, rel[o] * chamber))
+    return max(degrees), min(degrees)
 
 
 def gaifullin_criterion(c: Cone) -> bool:

@@ -97,10 +97,14 @@ def _check_k_signs(params: SL2Params) -> None:
 
 
 def _check_toric_bridge(params: SL2Params) -> None:
-    # intersection_numbers cross-checks wall degrees internally when b = 1
+    """At b = 1 the variety is toric, with sigma = sigma_of(p, q, a), and two
+    derivations from sigma's rays must hold: the wall relation gives the
+    K-degrees of the flip's two wall curves, which intersection_numbers
+    compares with its closed forms, and the star subdivision of sigma
+    through e3 has only smooth cones."""
     sl2core.intersection_numbers(params)
-    fan = toricgeom.star_subdivide_at_v5(toricgeom.sigma_of(params.p, params.q, params.a))
-    singular = [c for c in fan.max_cones if toricgeom.multiplicity(c) != 1]
+    cones = toricgeom.star_subdivide_at_v5(toricgeom.sigma_of(params.p, params.q, params.a))
+    singular = [c for c in cones if toricgeom.multiplicity(c) != 1]
     _require(not singular, "singular cones in the star subdivision", singular)
 
 

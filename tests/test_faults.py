@@ -18,9 +18,9 @@ from math import gcd
 
 import pytest
 
-from sl2flip import git, lattice, semigroup, sl2core, verify
+from sl2flip import git, lattice, semigroup, sl2core, toricgeom, verify
 from sl2flip.sl2core import action, characters, derive_params, iter_instances, slice_semigroup
-from sl2flip.toricgeom import CyclicSingularity
+from sl2flip.toricgeom import CyclicSingularity, sigma_of
 
 GRID = (8, 8)  # iter_instances(8, 8): 176 instances, 168 of them with b >= 1
 
@@ -104,6 +104,12 @@ FAULTS = {
         "    if b >= 2:\n        minus, plus = 2 * minus, plus / 2\n"
         '    _require(minus < 0 < plus, "K-degree signs", minus, plus)\n',
         {"k-signs"},
+    ),
+    "wall-degree-without-the-relation-coefficient": (
+        toricgeom, "flip_K_degrees",
+        "Fraction(-total, rel[o] * chamber)",
+        "Fraction(-total, chamber)",
+        {"k-signs", "toric-bridge"},
     ),
     "slice-twist-another-unit": (
         sl2core, "slice_surfaces",
@@ -205,6 +211,8 @@ CALLS = {
     "s-plus-loses-its-j-covector": lambda params: (params, "plus"),
     "s-minus-gains-a-j-covector": lambda params: (params, "minus"),
     "hermite-gamma-sign": lambda params: (x1_x3_span(params),),
+    "wall-degree-without-the-relation-coefficient":
+        lambda params: (sigma_of(params.p, params.q, params.a),),
 }
 
 # the faults no row sees today, each with the ROADMAP item that makes its

@@ -423,6 +423,18 @@ class TestIntersectionNumbers:
                     ran += 1
         assert ran == 33
 
+    def test_toric_bridge_fails_on_a_singular_star_subdivision(self, monkeypatch):
+        # no fan record checks the star cones, so the row's multiplicity
+        # test is their one guard: this cone's e3-star has cones of index
+        # 2.  sl2core holds its own sigma_of, so the K-degrees still pass
+        rays = ((1, 0, 1), (-1, 0, 1), (0, 2, 1), (0, -1, 1))
+        cones = toricgeom.star_subdivide_at_v5(toricgeom.Cone(rays))
+        assert sorted(toricgeom.multiplicity(c) for c in cones) == [1, 1, 2, 2]
+        monkeypatch.setattr(toricgeom, "sigma_of", lambda p, q, a: toricgeom.Cone(rays))
+        row = {name: check for name, _, check in verify.ROWS}["toric-bridge"]
+        with pytest.raises(CrossCheckError, match="singular cones in the star subdivision"):
+            row(derive_params(1, 2, 1))
+
 
 class TestSliceSurfaces:
     def test_one_third_one(self):
