@@ -10,10 +10,12 @@ sublattice L (Oda, Convex Bodies, 1.6), so a semigroup is given by its
 covectors and congruences alone: a sign condition x_i >= 0 is the unit
 covector e_i among the others.  That makes membership a constraint check.
 A rank-2 cone has one GL(2, Z) normal form in L, _normal_form
-(Cox-Little-Schenck, Toric Varieties, 10.1-10.2), and both rank-2 answers
-start from it: hilbert_basis walks the Hirzebruch-Jung chain of lattice
-points on the compact boundary of the hull of the nonzero cone points, one
-edge at a time, and quotient_type reads the slice's cyclic quotient type.
+(Cox-Little-Schenck, Toric Varieties, 10.1-10.2): the Hermite basis of L
+and the cone's primitive rays in it.  It is the one value a semigroup
+keeps, and both rank-2 answers read only it: hilbert_basis walks the
+Hirzebruch-Jung chain of lattice points on the compact boundary of the
+hull of the nonzero cone points, one edge at a time, and quotient_type
+reads the slice's cyclic quotient type.
 The package builds rank-2 slices with one congruence and a rank-3
 degeneration semigroup, whose covectors and congruence sl2core reads
 directly: its Hilbert basis is never built.  The Hermite basis of L is
@@ -62,34 +64,22 @@ class AffineSemigroup:
                 return False
         return True
 
-    # computed once per object and shared by hilbert_basis, quotient_type
-    # and verify's u-oracle row; a ValueError is not kept and is raised again
+    # (b1, b2, v1, v2, n, u1, first): the Hermite basis of L, the primitive
+    # lattice rays in it by Cramer's rule (coordinates times det(b1, b2) >
+    # 0) with n = det(v1, v2) > 0, u1 the point with det(v1, u1) = 1 and
+    # 0 <= det(u1, v2) < n, and whether v1 lies on the lex-first ray.
+    # Computed once per object for hilbert_basis, quotient_type and
+    # verify's u-oracle row; a ValueError is not kept and is raised again
     @cached_property
-    def _rays(self) -> tuple[Vec, Vec]:
-        return cone_rays(self)
-
-    @cached_property
-    def _lattice_basis(self) -> tuple[Vec, Vec]:
-        return congruence_lattice_basis(self)
-
-    # the primitive vectors along the rays in coordinates of the lattice
-    # basis, in the lex order of _rays; Cramer's rule gives the
-    # coordinates times det(b1, b2) > 0
-    @cached_property
-    def _lattice_rays(self) -> tuple[Vec, Vec]:
-        b1, b2 = self._lattice_basis
-        return tuple(primitive((det2(r, b2), det2(b1, r))) for r in self._rays)
-
-    # (v1, v2, n, u1) in the lattice basis: the rays with n = det(v1, v2)
-    # > 0, and u1 the point with det(v1, u1) = 1, 0 <= det(u1, v2) < n
-    @cached_property
-    def _normal_form(self) -> tuple[Vec, Vec, int, Vec]:
-        w1, w2 = self._lattice_rays
-        v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
+    def _normal_form(self) -> tuple[Vec, Vec, Vec, Vec, int, Vec, bool]:
+        b1, b2 = congruence_lattice_basis(self)
+        w1, w2 = (primitive((det2(r, b2), det2(b1, r))) for r in cone_rays(self))
+        first = det2(w1, w2) > 0
+        v1, v2 = (w1, w2) if first else (w2, w1)
         n = det2(v1, v2)
         x, y, _ = xgcd(-v1[1], v1[0])
         t = -(det2((x, y), v2) // n)
-        return v1, v2, n, (x + t * v1[0], y + t * v1[1])
+        return b1, b2, v1, v2, n, (x + t * v1[0], y + t * v1[1]), first
 
 
 def cone_rays(s: AffineSemigroup) -> tuple[Vec, Vec]:
@@ -173,8 +163,7 @@ def hilbert_basis(s: AffineSemigroup) -> HilbertBasis:
     Bodies, 1.6), so the walk costs O(#runs), whatever the number of
     generators.
     """
-    b1, b2 = s._lattice_basis
-    v1, v2, n, u1 = s._normal_form
+    b1, b2, v1, v2, n, u1, _ = s._normal_form
 
     def in_z2(u: Vec) -> Vec:
         return (u[0] * b1[0] + u[1] * b2[0], u[0] * b1[1] + u[1] * b2[1])
@@ -235,8 +224,8 @@ def quotient_type(s: AffineSemigroup) -> tuple[int, int]:
     c = -d mod n.  (n, d) comes first when v1 is the lex-first ray.
     Raises ValueError when the cone is not pointed.
     """
-    v1, v2, n, u1 = s._normal_form
+    *_, v2, n, u1, first = s._normal_form
     d = det2(u1, v2)
-    if v1 == s._lattice_rays[0]:
+    if first:
         d = pow(d, -1, n)
     return n, -d % n

@@ -65,25 +65,34 @@ def _check_u_oracle(params: SL2Params) -> None:
     and mu_m with weights (0, -1, 1) iff e = pi - qj >= 0 and m | j - i, so
     its exponents (i, j >= 0) form the semigroup written below.  A saturated
     semigroup is its cone intersected with its lattice (Oda, Convex Bodies,
-    1.6): equal rays and equal Hermite bases mean equal semigroups, with no
-    box to search.  The model's rays and basis are computed here, fresh;
-    S+'s are the ones its Hilbert basis was read from, cached on the
-    semigroup."""
+    1.6), and its normal form holds the Hermite basis of the lattice and the
+    primitive rays in it: equal normal forms mean equal semigroups, with no
+    box to search.  The model's normal form is computed here, fresh; S+'s
+    is the one its Hilbert basis was read from."""
     p, q = params.p, params.q
     model = semigroup.AffineSemigroup(2, ((p, -q), (1, 0), (0, 1)), (((-1, 1), params.m),))
-    semi = sl2core.slice_semigroup(params, "plus")
-    found = (semigroup.cone_rays(model), semigroup.congruence_lattice_basis(model))
-    want = (semi._rays, semi._lattice_basis)
+    found, want = model._normal_form, sl2core.slice_semigroup(params, "plus")._normal_form
     _require(found == want, "U-invariant cone and lattice other than S+", found, want)
 
 
 def _check_smoothness(params: SL2Params) -> None:
-    if params.b == 0:
-        try:
-            sl2core.intersection_numbers(params)
-        except ValueError:
-            return
-        raise CrossCheckError("intersection numbers defined at height 1")
+    """The variety is smooth exactly at height 1 (b = 0), where
+    intersection_numbers must refuse, and toric exactly at b = 1.  At
+    b >= 1 the slices of E+, E- and E' have orders ap, aq and b, so each is
+    smooth exactly when its order is 1; their types are slice_surfaces',
+    kept for the slices row."""
+    p, q, a, b = params.p, params.q, params.a, params.b
+    flags = (sl2core.is_smooth(params), sl2core.is_toric(params))
+    _require(flags == (b == 0, b == 1), "smooth and toric flags", flags)
+    if b >= 1:
+        found = tuple(sing.is_smooth for sing in sl2core.slice_surfaces(params))
+        _require(found == (a * p == 1, a * q == 1, b == 1), "smooth slices", found)
+        return
+    try:
+        sl2core.intersection_numbers(params)
+    except ValueError:
+        return
+    raise CrossCheckError("intersection numbers defined at height 1")
 
 
 def _check_k_signs(params: SL2Params) -> None:

@@ -159,13 +159,25 @@ FAULTS = {
         sl2core, "slice_semigroup",
         '"plus": ((p, -q), (1, 0), (0, 1)),',
         '"plus": ((p, -q), (1, 0)),',
-        {"degeneration", "hilbert", "slices", "u-oracle"},
+        {"degeneration", "hilbert", "slices", "smoothness", "u-oracle"},
     ),
     "s-minus-gains-a-j-covector": (
         sl2core, "slice_semigroup",
         '"minus": ((p, -q), (1, 0)),',
         '"minus": ((p, -q), (1, 0), (0, 1)),',
-        {"slices"},
+        {"slices", "smoothness"},
+    ),
+    "toric-at-every-b": (
+        sl2core, "is_toric",
+        "b == 1",
+        "b >= 1",
+        {"smoothness"},
+    ),
+    "smooth-at-b-1": (
+        sl2core, "is_smooth",
+        "b == 0",
+        "b <= 1",
+        {"smoothness"},
     ),
     "git-candidates-of-the-wrong-sign": (
         git, "semistable_locus",
@@ -181,8 +193,8 @@ FAULTS = {
     ),
     "chain-point-off-by-the-lattice-step": (
         semigroup, "hilbert_basis",
-        "v1, v2, n, u1 = s._normal_form\n",
-        "v1, v2, n, u1 = s._normal_form\n    u1 = (u1[0] + v1[0], u1[1] + v1[1])\n",
+        "b1, b2, v1, v2, n, u1, _ = s._normal_form\n",
+        "b1, b2, v1, v2, n, u1, _ = s._normal_form\n    u1 = (u1[0] + v1[0], u1[1] + v1[1])\n",
         {"degeneration", "hilbert"},
     ),
     "hilbert-last-run-one-short": (

@@ -171,14 +171,33 @@ def parallelepiped_hilbert_basis(s):
     return tuple(sorted(basis)), (r1, r2), (u1, u2)
 
 
+def lattice_basis_by_inverse(s):
+    """A basis (e, beta), (0, n/e) of the lattice of the one congruence
+    g.x == 0 mod n of s, with g and n divided by gcd(g1, g2, n) first: x1
+    runs over the multiples of e = gcd(g2, n), and then g2/e * x2 ==
+    -g1 * x1/e mod n/e fixes x2 mod n/e, g2/e being a unit there."""
+    (g1, g2), n = s.congruences[0]
+    d = math.gcd(g1, g2, n)
+    g1, g2, n = g1 // d, g2 // d, n // d
+    e = math.gcd(g2, n)
+    return (e, -g1 * pow(g2 // e, -1, n // e) % (n // e)), (0, n // e)
+
+
+def lattice_rays(s):
+    """The oracles' own rays of s (cone_rays_by_primitive), lattice basis
+    (lattice_basis_by_inverse) and the primitive vectors along the rays in
+    that basis, by Cramer's rule: none of them read off the semigroup."""
+    rays = cone_rays_by_primitive(s)
+    b1, b2 = lattice_basis_by_inverse(s)
+    return rays, (b1, b2), tuple(primitive((det2(r, b2), det2(b1, r))) for r in rays)
+
+
 def hilbert_basis_by_steps(s):
     """The former hilbert_basis, kept as the oracle of the walk by runs: one
     step u_{i+1} = c_i*u_i - u_{i-1} of the chain per generator.  Returns
-    (generators, rays, ray_points).  The rays' coordinates in the lattice
-    basis come from Cramer's rule here, not from the semigroup's own."""
-    r1, r2 = s._rays
-    b1, b2 = s._lattice_basis
-    w1, w2 = (primitive((det2(r, b2), det2(b1, r))) for r in (r1, r2))
+    (generators, rays, ray_points).  The rays and the lattice basis are
+    lattice_rays', not the semigroup's normal form."""
+    (r1, r2), (b1, b2), (w1, w2) = lattice_rays(s)
     v1, v2 = (w1, w2) if det2(w1, w2) > 0 else (w2, w1)
     n = det2(v1, v2)
     x, y, _ = xgcd(-v1[1], v1[0])
@@ -198,10 +217,10 @@ def hilbert_basis_by_steps(s):
 def dual_cone_rays(s):
     """The former semigroup.dual_cone_rays, kept with test_toricgeom's
     classify_2d as the oracle of quotient_type: the primitive rays of the
-    dual cone, in coordinates dual to the congruence lattice basis, first
-    the one that vanishes on the lex-second ray and is positive on the
-    lex-first, then the other."""
-    p1, p2 = s._lattice_rays
+    dual cone, in coordinates dual to lattice_rays' basis, first the one
+    that vanishes on the lex-second ray and is positive on the lex-first,
+    then the other."""
+    _, _, (p1, p2) = lattice_rays(s)
 
     def dual_ray(perp_of, positive_on):
         sperp = (-perp_of[1], perp_of[0])
@@ -397,6 +416,8 @@ class TestCongruenceLatticeBasis:
         )
         assert n * n % members == 0
         assert det2(*basis) == n * n // members == n // math.gcd(g1, g2, n)
+        # the Hermite basis is unique, so the oracles' basis is the same
+        assert basis == lattice_basis_by_inverse(s)
 
     def test_no_congruence_rejected(self):
         # every rank-2 semigroup the package builds has one congruence
@@ -760,7 +781,8 @@ class TestDualCone:
 
 class TestNormalForm:
     def test_normal_form_sweep(self):
-        # n = det(v1, v2) > 0 over the lattice rays, det(v1, u1) = 1 and
+        # the basis and the lattice rays are lattice_rays', v1 the lex-first
+        # exactly when first; n = det(v1, v2) > 0, det(v1, u1) = 1 and
         # 0 <= det(u1, v2) < n, so (v1, u1) is a basis of L and the cone is
         # cone((1, 0), (-d, n)) in it
         for params in iter_instances(12, 12):
@@ -768,8 +790,9 @@ class TestNormalForm:
                 s = slice_semigroup(params, which)
                 if which == "prime" and params.p == params.q:
                     continue  # not pointed
-                v1, v2, n, u1 = s._normal_form
-                assert {v1, v2} == set(s._lattice_rays)
+                b1, b2, v1, v2, n, u1, first = s._normal_form
+                _, basis, (w1, w2) = lattice_rays(s)
+                assert (b1, b2) == basis and (v1, v2) == ((w1, w2) if first else (w2, w1))
                 assert det2(v1, v2) == n > 0
                 assert det2(v1, u1) == 1
                 assert 0 <= det2(u1, v2) < n
